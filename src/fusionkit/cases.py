@@ -32,7 +32,6 @@ from .diagram import Diagram, contract_iso_edges
 from .extraspecial import (
     HeisenbergGroup,
     aut_certificate,
-    commuting_pair_scan,
     heisenberg_semidirect,
     primitive_scaling_matrix,
     section_perm,
@@ -42,6 +41,7 @@ from .fingroup import (
     PermGroup,
     Subgroup,
     automorphism_group,
+    centralizer,
     cyclic_group,
     generated_subgroup,
     greedy_generators,
@@ -303,13 +303,12 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
             (A * A) == minus and (B * B) == minus and ((A * B) ** 2) == minus,
         )
     scal = [i for i in range(gam.order) if gam.elements[i].is_scalar()]
-    from .matgroup import center_indices
-
+    cent = centralizer(gam, gam.generator_indices)
     rep.add(
         "gamma.center",
         "the center consists of the p scalar matrices of p-power order",
-        sorted(center_indices(gam)) == sorted(scal) and len(scal) == p,
-        center_size=len(center_indices(gam)),
+        list(cent.members) == scal and len(scal) == p,
+        center_size=cent.order,
         scalars=len(scal),
     )
     rep.add(
@@ -535,8 +534,7 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
 # -- normalizers ------------------------------------------------------------
 
 
-def build_normalizers(cfg: CaseConfig, rep: VerificationReport,
-                      with_full_embedding: bool = True) -> dict:
+def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
     """The chain-level and full normalizer models with their extension
     certificates.  Odd p: closure with the diagonal/scaling piece, split
     extension by the upper-triangular group, and the abstract semidirect
@@ -607,34 +605,26 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport,
                 n_full.decode(x)[0] == n_full.N.identity for x in comp
             ) and len(comp) == sl.order,
         )
-        if with_full_embedding:
-            hberg = n_full.N
-            emb = hom_by_generators(
-                n_chain,
-                n_full,
-                [n_chain.index[A], n_chain.index[B], n_chain.index[D], n_chain.index[sg]],
-                [
-                    n_full.encode(hberg.encode(0, 1, 0), sl.identity),
-                    n_full.encode(hberg.encode(0, 0, 1), sl.identity),
-                    n_full.encode(hberg.identity, sl.index[(1, 2, 0, 1)]),
-                    n_full.encode(hberg.identity, sl.index[(g, 0, 0, pow(g, -1, p))]),
-                ],
-            )
-            ok = emb is not None and len(set(emb.images)) == n_chain.order
-            rep.add(
-                "normalizer.chain_embedding",
-                "the chain-level normalizer embeds in the full model with "
-                "index p+1",
-                ok and n_full.order == (p + 1) * n_chain.order,
-                index=(n_full.order // n_chain.order) if ok else None,
-            )
-        else:
-            rep.skip(
-                "normalizer.chain_embedding",
-                "the chain-level normalizer embeds in the full model with "
-                "index p+1",
-                "extended-only at p = %d" % p,
-            )
+        hberg = n_full.N
+        emb = hom_by_generators(
+            n_chain,
+            n_full,
+            [n_chain.index[A], n_chain.index[B], n_chain.index[D], n_chain.index[sg]],
+            [
+                n_full.encode(hberg.encode(0, 1, 0), sl.identity),
+                n_full.encode(hberg.encode(0, 0, 1), sl.identity),
+                n_full.encode(hberg.identity, sl.index[(1, 2, 0, 1)]),
+                n_full.encode(hberg.identity, sl.index[(g, 0, 0, pow(g, -1, p))]),
+            ],
+        )
+        ok = emb is not None and len(set(emb.images)) == n_chain.order
+        rep.add(
+            "normalizer.chain_embedding",
+            "the chain-level normalizer embeds in the full model with "
+            "index p+1",
+            ok and n_full.order == (p + 1) * n_chain.order,
+            index=(n_full.order // n_chain.order) if ok else None,
+        )
         return out
 
     # p = 2
@@ -832,19 +822,16 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
     out: dict = {}
     hberg = HeisenbergGroup(p)
 
-    scan = commuting_pair_scan(hberg)
-    closed = p ** 3 * (p - 1) * (p * p - 1)
-    factored = (p ** 3 - p) * (p ** 3 - p * p)
+    cert = aut_certificate(p)
     rep.add(
         "az.aut_count",
         "the noncommuting generator-pair scan counts the automorphism "
         "group: p^3(p-1)(p^2-1) = (p^3-p)(p^3-p^2)",
-        scan == closed == factored,
-        scan=scan,
-        closed=closed,
-        factored=factored,
+        cert.scan_count == cert.closed_formula == cert.factored_formula,
+        scan=cert.scan_count,
+        closed=cert.closed_formula,
+        factored=cert.factored_formula,
     )
-    cert = aut_certificate(p)
     rep.add(
         "az.aut_certificate",
         "inner automorphisms and the certified coordinate section of the "
@@ -1216,7 +1203,7 @@ def run_suite(cfg: CaseConfig, extended: bool = False) -> VerificationReport:
                 "p = 7 tower",
             )
         else:
-            build_normalizers(cfg, rep, with_full_embedding=(cfg.prime != 7 or extended))
+            build_normalizers(cfg, rep)
         if cfg.case == "up":
             _verify_u_odd_models(cfg, rep, gam)
     else:

@@ -3,9 +3,11 @@
 A group object only needs the protocol
     order : int        identity : int
     mult(i, j) -> int  inv(i) -> int     label(i) -> str
-and everything here works on top of it: normalizers and centralizers by
-direct scan, conjugacy, quotients, certified generator homomorphisms,
-isomorphism search by generator-image backtracking, short-exact-sequence
+and everything here works on top of it: one breadth-first closure
+(bfs_closure, also behind the matrix and permutation closures),
+normalizers and centralizers by direct scan, conjugacy, quotients,
+certified generator homomorphisms, one generator-image backtracking search
+(behind isomorphism and automorphism_group), short-exact-sequence
 verification with exhaustive complement search, and structure recognition
 against natively built reference groups (2x2 matrix groups over F_p,
 symmetric and cyclic groups).
@@ -134,26 +136,39 @@ class PermGroup(FiniteGroup):
         return "p%d" % i
 
 
-def perm_closure(perms, cap: int = 2_000_000) -> PermGroup:
-    """BFS closure of permutation generators (identity first)."""
-    degree = len(perms[0])
-    ident = tuple(range(degree))
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    gen_list = [tuple(p) for p in perms]
+def bfs_closure(identity, gens, mul, cap: int | None = None) -> list | None:
+    """Closure of gens under right multiplication, breadth first.
+
+    Returns the elements in discovery order, the identity first, found
+    frontier by frontier as mul(x, g) for x in the frontier and g in gens,
+    so the numbering is fixed by the generator order.  Returns None once
+    the closure has more than cap elements.
+    """
+    elements = [identity]
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
-            for g in gen_list:
-                y = tuple(x[g[t]] for t in range(degree))
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
                     new.append(y)
-                    if len(elements) > cap:
-                        raise RuntimeError("permutation closure exceeded cap %d" % cap)
+                    if cap is not None and len(seen) > cap:
+                        return None
+        elements += new
         frontier = new
+    return elements
+
+
+def perm_closure(perms, cap: int = 2_000_000) -> PermGroup:
+    """BFS closure of permutation generators (identity first)."""
+    gens = [tuple(p) for p in perms]
+    elements = bfs_closure(tuple(range(len(gens[0]))), gens,
+                           lambda x, g: tuple(x[t] for t in g), cap)
+    if elements is None:
+        raise RuntimeError("permutation closure exceeded cap %d" % cap)
     return PermGroup(elements)
 
 
@@ -214,40 +229,11 @@ class Subgroup:
         return i in self.members
 
 
-def generated_subgroup(G: FiniteGroup, gens) -> tuple[int, ...]:
-    """Sorted member indices of <gens>, by BFS closure."""
-    members = {G.identity}
-    frontier = [G.identity]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = G.mult(x, g)
-                if y not in members:
-                    members.add(y)
-                    new.append(y)
-        frontier = new
-    return tuple(sorted(members))
-
-
-def generated_subgroup_capped(G: FiniteGroup, gens, cap: int):
-    """Like generated_subgroup but returns None once the size passes cap."""
-    members = {G.identity}
-    frontier = [G.identity]
-    gens = list(gens)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = G.mult(x, g)
-                if y not in members:
-                    if len(members) >= cap:
-                        return None
-                    members.add(y)
-                    new.append(y)
-        frontier = new
-    return tuple(sorted(members))
+def generated_subgroup(G: FiniteGroup, gens,
+                       cap: int | None = None) -> tuple[int, ...] | None:
+    """Sorted member indices of <gens>, or None if it has more than cap."""
+    members = bfs_closure(G.identity, list(gens), G.mult, cap)
+    return None if members is None else tuple(sorted(members))
 
 
 def subgroup(G: FiniteGroup, gens) -> Subgroup:
@@ -256,10 +242,6 @@ def subgroup(G: FiniteGroup, gens) -> Subgroup:
 
 def whole_group(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,))
 
 
 def conjugate_members(G: FiniteGroup, g: int, members) -> tuple[int, ...]:
@@ -322,17 +304,6 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
             if G.mult(G.mult(g, x), gi) not in hset:
                 return False
     return True
-
-
-def are_conjugate(G: FiniteGroup, H1: Subgroup, H2: Subgroup):
-    """First g in index order with g H1 g^-1 = H2, else None."""
-    if H1.order != H2.order:
-        return None
-    target = tuple(sorted(H2.members))
-    for g in range(G.order):
-        if conjugate_members(G, g, H1.members) == target:
-            return g
-    return None
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
@@ -448,18 +419,6 @@ class GroupMap:
     def is_bijective(self) -> bool:
         return len(set(self.images)) == self.src.order == len(self.images)
 
-    def check_multiplicative(self, pairs=None, seed: int = 11) -> bool:
-        n = self.src.order
-        if pairs is None:
-            it = ((a, b) for a in range(n) for b in range(n))
-        else:
-            rng = random.Random(seed)
-            it = ((rng.randrange(n), rng.randrange(n)) for _ in range(pairs))
-        for a, b in it:
-            if self.images[self.src.mult(a, b)] != self.dst.mult(self.images[a], self.images[b]):
-                return False
-        return True
-
 
 def propagate_hom(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx):
     """BFS-extend gen -> img over <gens>; dict of images or None on conflict.
@@ -508,39 +467,39 @@ def greedy_generators(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def isomorphism(G: FiniteGroup, H: FiniteGroup):
-    """Generator-image backtracking with element-order pruning."""
-    if G.order != H.order:
-        return None
-    if G.orders_histogram() != H.orders_histogram():
-        return None
+def generator_image_maps(G: FiniteGroup, H: FiniteGroup):
+    """Every injective homomorphism G -> H, by generator-image backtracking.
+
+    The images of greedy_generators(G) range in index order over the
+    elements of H of the same order; each partial choice is propagated and
+    certified by propagate_hom and pruned on a conflict or a collision.
+    Yields each map as the tuple of images in G's index order.
+    """
     gens = greedy_generators(G)
-    if not gens:
-        return GroupMap(G, H, [H.identity])
-    h_orders: dict[int, list[int]] = {}
+    by_order: dict[int, list[int]] = {}
     for i in range(H.order):
-        h_orders.setdefault(H.element_order(i), []).append(i)
-    gen_orders = [G.element_order(g) for g in gens]
+        by_order.setdefault(H.element_order(i), []).append(i)
+    pools = [by_order.get(G.element_order(g), []) for g in gens]
 
-    def attempt(depth: int, chosen: list[int]):
-        images = propagate_hom(G, H, gens[:depth], chosen)
-        if images is None:
-            return None
-        if len(set(images.values())) != len(images):
-            return None
-        if depth == len(gens):
-            assert len(images) == G.order
-            return GroupMap(G, H, [images[i] for i in range(G.order)])
-        for cand in h_orders.get(gen_orders[depth], []):
-            res = attempt(depth + 1, chosen + [cand])
-            if res is not None:
-                return res
+    def extend(chosen: list[int]):
+        images = propagate_hom(G, H, gens[:len(chosen)], chosen)
+        if images is None or len(set(images.values())) != len(images):
+            return
+        if len(chosen) == len(gens):
+            yield tuple(images[i] for i in range(G.order))
+            return
+        for cand in pools[len(chosen)]:
+            yield from extend(chosen + [cand])
+
+    return extend([])
+
+
+def isomorphism(G: FiniteGroup, H: FiniteGroup):
+    """The first isomorphism G -> H found by generator_image_maps, or None."""
+    if G.order != H.order or G.orders_histogram() != H.orders_histogram():
         return None
-
-    got = attempt(0, [])
-    if got is not None and got.is_bijective():
-        return got
-    return None
+    images = next(generator_image_maps(G, H), None)
+    return None if images is None else GroupMap(G, H, list(images))
 
 
 def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
@@ -548,31 +507,6 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 # -- automorphisms ----------------------------------------------------------
-
-
-def automorphism_perms_backtracking(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms by generator-image backtracking; for small groups."""
-    gens = greedy_generators(G)
-    if not gens:
-        return [(G.identity,)]
-    by_order: dict[int, list[int]] = {}
-    for i in range(G.order):
-        by_order.setdefault(G.element_order(i), []).append(i)
-    gen_orders = [G.element_order(g) for g in gens]
-    found = []
-
-    def attempt(depth: int, chosen: list[int]):
-        images = propagate_hom(G, G, gens[:depth], chosen)
-        if images is None or len(set(images.values())) != len(images):
-            return
-        if depth == len(gens):
-            found.append(tuple(images[i] for i in range(G.order)))
-            return
-        for cand in by_order.get(gen_orders[depth], []):
-            attempt(depth + 1, chosen + [cand])
-
-    attempt(0, [])
-    return found
 
 
 def automorphism_group(G: FiniteGroup) -> PermGroup:
@@ -587,7 +521,7 @@ def automorphism_group(G: FiniteGroup) -> PermGroup:
     if tag.startswith("extraspecial(") and tag.endswith("exp p)"):
         p = next(q for q in (3, 5, 7) if q ** 3 == G.order)
         return extraspecial.aut_group_via_coordinates(G, p)
-    return PermGroup(sorted(automorphism_perms_backtracking(G)))
+    return PermGroup(sorted(generator_image_maps(G, G)))
 
 
 # -- short exact sequences --------------------------------------------------
@@ -644,7 +578,7 @@ def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None
     nset = set(N.members)
 
     def try_tuple(lifts):
-        got = generated_subgroup_capped(G, lifts, Q.order + 1)
+        got = generated_subgroup(G, lifts, cap=Q.order)
         if got is None or len(got) != Q.order:
             return None
         inter = [x for x in got if x in nset]

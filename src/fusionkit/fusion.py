@@ -248,13 +248,10 @@ class FusionData:
         pos_bot = {m: i for i, m in enumerate(bottom)}
 
         top_of = {}
-        bottom_distinct = set()
         for g in inter_t:
             gi = G.inv(g)
             tp = tuple(pos_top[G.mult(G.mult(g, x), gi)] for x in top)
-            bp = tuple(pos_bot[G.mult(G.mult(g, x), gi)] for x in bottom)
             top_of[tp] = g
-            bottom_distinct.add(bp)
         aut_f = PermGroup(sorted(top_of))
         bottoms = set()
         for tp in top_of:

@@ -18,12 +18,11 @@ the cap raises, it never truncates silently.
 
 from __future__ import annotations
 
-import json
-import math
+import operator
 from fractions import Fraction
 
-from .cyclo import CycNum, ConductorMismatch, euler_phi
-from .fingroup import FiniteGroup
+from .cyclo import CycNum, ConductorMismatch
+from .fingroup import FiniteGroup, bfs_closure
 
 DEFAULT_CAP = 2_000_000
 
@@ -295,26 +294,11 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
             raise ConductorMismatch("generators disagree in dim or conductor")
     if cap is None:
         cap = 2 * expected if expected is not None else DEFAULT_CAP
-    ident = CycMatrix.identity(dim, m)
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new.append(y)
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            "closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m)
-                        )
-        frontier = new
-    gen_idx = [index[g] for g in gens]
-    return MatrixGroup(dim, m, elements, index, gen_idx)
+    elements = bfs_closure(CycMatrix.identity(dim, m), gens, operator.mul, cap)
+    if elements is None:
+        raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
+    index = {x: i for i, x in enumerate(elements)}
+    return MatrixGroup(dim, m, elements, index, [index[g] for g in gens])
 
 
 class MatrixGroup(FiniteGroup):
@@ -361,116 +345,12 @@ class MatrixGroup(FiniteGroup):
     def contains_matrix(self, mat: CycMatrix) -> bool:
         return mat in self.index
 
-    def element_order(self, i: int) -> int:
-        n, j = 1, i
-        while j != self.identity:
-            j = self.mult(j, i)
-            n += 1
-        return n
-
-    def to_json_dict(self) -> dict:
-        from . import SCHEMA_VERSION
-
-        def num_entry(x: CycNum):
-            return [[f.numerator, f.denominator] for f in x.coeffs]
-
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "matrix_group",
-            "dim": self.dim,
-            "conductor": self.m,
-            "elements": [
-                [num_entry(x) for row in mat.rows for x in row] for mat in self.elements
-            ],
-            "generators": list(self.generator_indices),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "MatrixGroup":
-        dim, m = data["dim"], data["conductor"]
-        phi = euler_phi(m)
-        elements = []
-        for flat in data["elements"]:
-            assert len(flat) == dim * dim
-            rows = []
-            for i in range(dim):
-                row = []
-                for j in range(dim):
-                    pairs = flat[i * dim + j]
-                    assert len(pairs) == phi
-                    row.append(CycNum.from_coeffs(m, [Fraction(a, b) for a, b in pairs]))
-                rows.append(row)
-            elements.append(CycMatrix(dim, m, rows))
-        index = {mat: i for i, mat in enumerate(elements)}
-        assert len(index) == len(elements), "duplicate elements in serialized group"
-        return MatrixGroup(dim, m, elements, index, list(data["generators"]))
-
 
 # -- predicates over groups -------------------------------------------------
 
 
-def center_indices(G: MatrixGroup) -> list[int]:
-    gens = G.generator_indices
-    out = []
-    for i in range(G.order):
-        if all(G.mult(i, g) == G.mult(g, i) for g in gens):
-            out.append(i)
-    return out
-
-
 def scalar_indices(G: MatrixGroup) -> list[int]:
     return [i for i in range(G.order) if G.elements[i].is_scalar()]
-
-
-def derived_subgroup_indices(G: MatrixGroup) -> list[int]:
-    """Derived subgroup: close generator commutators under conjugation by
-    generators (enough, since g^-1 is a positive power of g), then take the
-    subgroup the conjugation-closed set generates."""
-    gens = G.generator_indices
-    orbit: set[int] = set()
-    stack = []
-    for a in gens:
-        for b in gens:
-            c = G.mult(G.mult(a, b), G.mult(G.inv(a), G.inv(b)))
-            if c not in orbit:
-                orbit.add(c)
-                stack.append(c)
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = G.mult(G.mult(g, x), G.inv(g))
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
-    seeds = sorted(orbit)
-    members = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in seeds:
-                y = G.mult(x, s)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(members)
-
-
-def group_report(G: MatrixGroup) -> dict:
-    dets = {repr(G.elements[i].det()) for i in G.generator_indices}
-    return {
-        "order": G.order,
-        "dim": G.dim,
-        "conductor": G.m,
-        "generator_dets": sorted(dets),
-        "all_unitary": all(G.elements[i].is_unitary() for i in G.generator_indices),
-        "center_order": len(center_indices(G)),
-        "derived_order": len(derived_subgroup_indices(G)),
-    }
 
 
 # -- torus truncation membership -------------------------------------------

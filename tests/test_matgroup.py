@@ -12,7 +12,14 @@ import random
 import pytest
 
 from fusionkit.cyclo import CycNum
-from fusionkit.fingroup import TableGroup, isomorphic, recognize
+from fusionkit.fingroup import (
+    TableGroup,
+    generated_subgroup,
+    isomorphic,
+    perm_closure,
+    recognize,
+    symmetric_group,
+)
 from fusionkit.matgroup import (
     CapExceeded,
     CycMatrix,
@@ -183,6 +190,20 @@ def test_closure_cap_enforced():
     B = std_matrix(5, "B")
     with pytest.raises(CapExceeded):
         closure([A, B], cap=10)
+    # every closure admits exactly cap elements and fails one past it
+    assert closure([A, B], cap=125).order == 125
+    with pytest.raises(CapExceeded):
+        closure([A, B], cap=124)
+    d8 = [(1, 2, 3, 0), (2, 1, 0, 3)]
+    assert perm_closure(d8, cap=8).order == 8
+    with pytest.raises(RuntimeError):
+        perm_closure(d8, cap=7)
+    S4 = symmetric_group(4)
+    gens = [S4.index[g] for g in d8]
+    members = generated_subgroup(S4, gens)
+    assert len(members) == 8
+    assert generated_subgroup(S4, gens, cap=8) == members
+    assert generated_subgroup(S4, gens, cap=7) is None
 
 
 def test_group_inverse_and_negative_power_policy():
