@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cyclo import CycNum
@@ -35,10 +36,8 @@ from .extraspecial import (
     heisenberg_semidirect,
     primitive_scaling_matrix,
     section_perm,
-    section_perms,
 )
 from .fingroup import (
-    PermGroup,
     Subgroup,
     automorphism_group,
     centralizer,
@@ -53,7 +52,6 @@ from .fingroup import (
     recognize,
     sesverify,
     smallest_primitive_root,
-    subgroup_as_group,
     symmetric_group,
 )
 from .matgroup import (
@@ -62,6 +60,7 @@ from .matgroup import (
     closure,
     in_truncated_torus_extension,
     min_level,
+    scalar_indices,
     std_matrix,
     torus_extension_generators,
     torus_extension_group,
@@ -238,12 +237,15 @@ def unitary_inverse(mat: CycMatrix) -> CycMatrix:
     """Inverse via the conjugate transpose; valid for unitary matrices
     (checked), which covers the whole standard catalog."""
     inv = mat.conj_transpose()
-    assert (mat * inv).is_identity(), "matrix is not unitary"
+    if not (mat * inv).is_identity():
+        raise ValueError("matrix is not unitary")
     return inv
 
 
-def conjugate_matrix(g: CycMatrix, x: CycMatrix) -> CycMatrix:
-    return g * x * unitary_inverse(g)
+def conjugation_by(g: CycMatrix) -> Callable[[CycMatrix], CycMatrix]:
+    """The map x -> g x g^-1; g is checked unitary and inverted once."""
+    gi = unitary_inverse(g)
+    return lambda x: g * x * gi
 
 
 def scalar_matrix(cfg: CaseConfig, order: int) -> CycMatrix:
@@ -302,7 +304,7 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
             "the squares of the generators and of their product all equal -I",
             (A * A) == minus and (B * B) == minus and ((A * B) ** 2) == minus,
         )
-    scal = [i for i in range(gam.order) if gam.elements[i].is_scalar()]
+    scal = scalar_indices(gam)
     cent = centralizer(gam, gam.generator_indices)
     rep.add(
         "gamma.center",
@@ -376,11 +378,12 @@ def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
         (tau_in != alt_in) and tau_in == (p % 4 == 1),
         tau_has_det_one=tau_in,
     )
+    by_tau = conjugation_by(tau)
     fixed = []
     central_fixed = []
     for i in range(gam.order):
         x = gam.elements[i]
-        c = conjugate_matrix(tau, x)
+        c = by_tau(x)
         if c == x:
             fixed.append(i)
         if (c * unitary_inverse(x)).is_scalar():
@@ -473,15 +476,12 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         iso is not None and iso.is_bijective(),
     )
 
-    conjugators = [D] + [sigma[k] for k in range(1, p)]
+    # conj[0] is conjugation by D and conj[k] by sigma_k
+    conj = [conjugation_by(c) for c in [D] + [sigma[k] for k in range(1, p)]]
     rep.add(
         "rho.normalizes_gamma",
         "conjugation by D and every sigma_k maps the p-group into itself",
-        all(
-            gam.contains_matrix(conjugate_matrix(c, x))
-            for c in conjugators
-            for x in (A, B)
-        ),
+        all(gam.contains_matrix(c(x)) for c in conj for x in (A, B)),
     )
     tgens = torus_extension_generators(p, cfg.level, cfg.torus_det_one, cfg.conductor)
     rep.add(
@@ -489,10 +489,8 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         "conjugation by D and every sigma_k keeps the torus-extension "
         "generators inside the torus extension",
         all(
-            in_truncated_torus_extension(
-                conjugate_matrix(c, t), p, cfg.level, det_one=cfg.torus_det_one
-            )
-            for c in conjugators
+            in_truncated_torus_extension(c(t), p, cfg.level, det_one=cfg.torus_det_one)
+            for c in conj
             for t in tgens
         ),
     )
@@ -508,16 +506,15 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
     if ok_induced:
         back = {v: k for k, v in images.items()}
 
-        def induced_perm(c: CycMatrix) -> tuple[int, ...]:
+        def induced_perm(c: Callable[[CycMatrix], CycMatrix]) -> tuple[int, ...]:
             out = [0] * hberg.order
             for x in range(hberg.order):
-                mat = gam.elements[images[x]]
-                out[x] = back[gam.index[conjugate_matrix(c, mat)]]
+                out[x] = back[gam.index[c(gam.elements[images[x]])]]
             return tuple(out)
 
-        ok_d = induced_perm(D) == section_perm(hberg, (1, 2, 0, 1))
+        ok_d = induced_perm(conj[0]) == section_perm(hberg, (1, 2, 0, 1))
         ok_s = all(
-            induced_perm(sigma[k]) == section_perm(hberg, (k, 0, 0, pow(k, -1, p)))
+            induced_perm(conj[k]) == section_perm(hberg, (k, 0, 0, pow(k, -1, p)))
             for k in range(1, p)
         )
         ok_induced = ok_d and ok_s
@@ -630,7 +627,6 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
     # p = 2
     F = std_matrix(2, "F", conductor=m)
     H = std_matrix(2, "H", conductor=m)
-    gam2 = closure([A, B], cap=32)
     chain2 = closure([A, B, F], cap=64)
     out["n_chain"] = chain2
     rep.add(
@@ -640,11 +636,12 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         chain2.order == 16,
         order=chain2.order,
     )
+    tag = recognize(chain2)
     rep.add(
         "normalizer.q16_recognize",
         "that group is generalized quaternion (unique involution)",
-        recognize(chain2) == "Q16",
-        tag=recognize(chain2),
+        tag == "Q16",
+        tag=tag,
     )
     gam_members = generated_subgroup(chain2, [chain2.index[A], chain2.index[B]])
     ses = sesverify(
@@ -670,12 +667,13 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         full2.order == 48,
         order=full2.order,
     )
+    tag = recognize(full2)
     rep.add(
         "normalizer.o48_recognize",
         "that group is the binary octahedral group (unique involution, "
         "central quotient the symmetric group on 4 letters)",
-        recognize(full2) == "O48",
-        tag=recognize(full2),
+        tag == "O48",
+        tag=tag,
     )
     gam_in_full = generated_subgroup(full2, [full2.index[A], full2.index[B]])
     q48, _ = quotient(full2, Subgroup(full2, gam_in_full))
@@ -963,65 +961,30 @@ def torus_order(p: int, level: int, det_one: bool) -> int:
     return p ** (level * (p - 1)) if det_one else p ** (level * p)
 
 
-def _add_aut_node(d: Diagram, key: str, chain_names: list[str], tag: str,
-                  aut_l_order: int | None, aut_f_order: int | None = None,
-                  **extra) -> None:
-    chain_str = " < ".join(chain_names)
-    if aut_l_order is not None:
-        label = "BAut_L(%s): %s (%d)" % (chain_str, tag, aut_l_order)
-    else:
-        label = "BAut_L(%s): %s (symbolic)" % (chain_str, tag)
-    attrs = {"chain": chain_names, "tag": tag}
-    if aut_l_order is not None:
-        attrs["autL_order"] = aut_l_order
-    if aut_f_order is not None:
-        attrs["autF_order"] = aut_f_order
-    attrs.update(extra)
-    d.add_node(key, label, **attrs)
+def chain_classes(cfg: CaseConfig) -> tuple[list[dict], list[tuple[str, str, dict]]]:
+    """The chain-class poset of the configured family as one node/edge table.
 
-
-def emit_decomposition(cfg: CaseConfig, rep: VerificationReport) -> dict:
-    """Encoded chain-class poset and its collapse for the configured family.
-
-    Aut orders are encoded from the verified finite models and the torus
-    truncation level; the diagrams record them per node.  For p >= 5 the
-    five-class W-shaped poset is emitted and collapsed through the marked
-    iso edge; at p in {2, 3} there are only three classes and the pushout
-    shape is emitted directly.
+    Each node carries its diagram key ("id"), the chain member names, the
+    structural tag, and |Aut_L| ("autL_order") from the verified finite
+    models and the torus truncation level; the torus-normalizer node of
+    the az family is symbolic instead.  Each edge is (source, target,
+    attrs), attrs marking an aut isomorphism with iso=True.  The unitary
+    families have five classes in a W for p >= 5 and three for p in
+    {2, 3}; the az family has three.
     """
     p, n = cfg.prime, cfg.level
-    out: dict = {}
+    pushout = [("gamma_s", "gamma", {}), ("gamma_s", "t", {})]
     if cfg.case == "az":
-        d = Diagram("az_%d_G%d" % (p, cfg.az_index))
-        _add_aut_node(
-            d, "gamma", ["Gamma"], "Gamma:GL2(F%d)" % p,
-            p ** 4 * (p - 1) * (p * p - 1),
-            p ** 3 * (p - 1) * (p * p - 1),
-        )
-        _add_aut_node(
-            d, "gamma_s", ["Gamma", "S"], "Gamma:U(GL2(F%d))" % p,
-            p ** 4 * (p - 1) ** 2,
-            p ** 3 * (p - 1) ** 2,
-        )
-        _add_aut_node(
-            d, "t", ["S"] if p == 3 else ["T"], "T:G%d" % cfg.az_index, None,
-            symbolic=True,
-            torus_order=torus_order(p, n, det_one=True),
-            weyl_center_order=p - 1,
-        )
-        d.add_edge("gamma_s", "gamma")
-        d.add_edge("gamma_s", "t")
-        out["poset"] = None
-        out["collapsed"] = d
-        rep.add(
-            "diagram.pushout_shape",
-            "the emitted diagram is the three-node pushout: corner <- "
-            "chain -> torus-normalizer",
-            sorted(d.nodes) == ["gamma", "gamma_s", "t"]
-            and sorted((s, t) for s, t, _ in d.edges)
-            == [("gamma_s", "gamma"), ("gamma_s", "t")],
-        )
-        return out
+        return [
+            {"id": "gamma", "chain": ["Gamma"], "tag": "Gamma:GL2(F%d)" % p,
+             "autL_order": p ** 4 * (p - 1) * (p * p - 1),
+             "autF_order": p ** 3 * (p - 1) * (p * p - 1)},
+            {"id": "gamma_s", "chain": ["Gamma", "S"], "tag": "Gamma:U(GL2(F%d))" % p,
+             "autL_order": p ** 4 * (p - 1) ** 2, "autF_order": p ** 3 * (p - 1) ** 2},
+            {"id": "t", "chain": ["S"] if p == 3 else ["T"], "tag": "T:G%d" % cfg.az_index,
+             "symbolic": True, "torus_order": torus_order(p, n, det_one=True),
+             "weyl_center_order": p - 1},
+        ], pushout
 
     det_one = cfg.case == "sup"
     circle = "" if det_one else " x S1"
@@ -1029,108 +992,97 @@ def emit_decomposition(cfg: CaseConfig, rep: VerificationReport) -> dict:
     # scalar-extended core order: p^(level+2) in the full unitary family,
     # plain p^3 on the determinant-one side
     core = p ** 3 if det_one else p ** (n + 2)
-
     if p == 2:
         gamma_tag = ("Gamma:O48" if det_one else "Gamma.Sigma3") + circle
         chain_tag = ("Gamma:Q16" if det_one else "Gamma.Sigma2") + circle
-        gamma_order = 6 * core
-        chain_order = 2 * core
-        t_tag = "T:Sigma2"
-        t_order = tor * 2
+        gamma_order, chain_order = 6 * core, 2 * core
+        t_tag, t_order = "T:Sigma2", tor * 2
     else:
         gamma_tag = "Gamma:SL2(F%d)%s" % (p, circle)
         chain_tag = "Gamma:U(SL2(F%d))%s" % (p, circle)
-        gamma_order = core * p * (p * p - 1)
-        chain_order = core * p * (p - 1)
-        t_tag = "T:Sigma%d" % p
-        t_order = tor * math.factorial(p)
+        gamma_order, chain_order = core * p * (p * p - 1), core * p * (p - 1)
+        t_tag, t_order = "T:Sigma%d" % p, tor * math.factorial(p)
+    nodes = [
+        {"id": "gamma", "chain": ["Gamma"], "tag": gamma_tag, "autL_order": gamma_order},
+        {"id": "gamma_s", "chain": ["Gamma", "S"], "tag": chain_tag, "autL_order": chain_order},
+    ]
+    if p < 5:
+        nodes.append({"id": "t", "chain": ["S"], "tag": t_tag, "autL_order": t_order})
+        return nodes, pushout
+    s_tag, s_order = "T:AGL1(F%d)" % p, tor * p * (p - 1)
+    nodes += [
+        {"id": "s", "chain": ["S"], "tag": s_tag, "autL_order": s_order},
+        {"id": "t_s", "chain": ["T", "S"], "tag": s_tag, "autL_order": s_order},
+        {"id": "t", "chain": ["T"], "tag": t_tag, "autL_order": t_order},
+    ]
+    return nodes, [("gamma_s", "gamma", {}), ("gamma_s", "s", {}),
+                   ("t_s", "s", {"iso": True}), ("t_s", "t", {})]
 
-    name = "%s_%d_level%d" % (cfg.case, p, n)
-    if p >= 5:
-        w = Diagram(name + "_chains")
-        _add_aut_node(w, "gamma", ["Gamma"], gamma_tag, gamma_order)
-        _add_aut_node(w, "gamma_s", ["Gamma", "S"], chain_tag, chain_order)
-        s_tag = "T:AGL1(F%d)%s" % (p, "" if det_one else "")
-        s_order = tor * p * (p - 1)
-        _add_aut_node(w, "s", ["S"], s_tag, s_order)
-        _add_aut_node(w, "t_s", ["T", "S"], s_tag, s_order)
-        _add_aut_node(w, "t", ["T"], t_tag, t_order)
-        w.add_edge("gamma_s", "gamma")
-        w.add_edge("gamma_s", "s")
-        w.add_edge("t_s", "s", iso=True)
-        w.add_edge("t_s", "t")
-        out["poset"] = w
+
+def emit_decomposition(cfg: CaseConfig, rep: VerificationReport) -> dict:
+    """The chain-class poset of chain_classes and its collapse.
+
+    A poset with an iso edge (the five-class W at p >= 5) is emitted and
+    collapsed through that edge; the three-class posets are the pushout
+    shape already and are emitted directly.
+    """
+    p = cfg.prime
+    nodes, edges = chain_classes(cfg)
+    if cfg.case == "az":
+        name = "az_%d_G%d" % (p, cfg.az_index)
+    else:
+        name = "%s_%d_level%d" % (cfg.case, p, cfg.level)
+    has_iso = any(a.get("iso") for _, _, a in edges)
+    d = Diagram(name + "_chains" if has_iso else name)
+    for node in nodes:
+        attrs = {k: v for k, v in node.items() if k != "id"}
+        chain_str = " < ".join(node["chain"])
+        if "autL_order" in node:
+            label = "BAut_L(%s): %s (%d)" % (chain_str, node["tag"], node["autL_order"])
+        else:
+            label = "BAut_L(%s): %s (symbolic)" % (chain_str, node["tag"])
+        d.add_node(node["id"], label, **attrs)
+    for s, t, a in edges:
+        d.add_edge(s, t, **a)
+
+    collapsed = d
+    if has_iso:
         rep.add(
             "diagram.w_shape",
             "the five chain classes form the W-shaped poset with the "
             "torus-chain leg marked as an aut isomorphism",
-            len(w.nodes) == 5 and len(w.edges) == 4
-            and sum(1 for _, _, a in w.edges if a.get("iso")) == 1,
+            len(d.nodes) == 5 and len(d.edges) == 4
+            and sum(1 for _, _, a in d.edges if a.get("iso")) == 1,
         )
-        collapsed = contract_iso_edges(w)
+        collapsed = contract_iso_edges(d)
         collapsed.name = name
-        out["collapsed"] = collapsed
-    else:
-        d = Diagram(name)
-        _add_aut_node(d, "gamma", ["Gamma"], gamma_tag, gamma_order)
-        _add_aut_node(d, "gamma_s", ["Gamma", "S"], chain_tag, chain_order)
-        _add_aut_node(d, "t", ["S"], t_tag, t_order)
-        d.add_edge("gamma_s", "gamma")
-        d.add_edge("gamma_s", "t")
-        out["poset"] = None
-        out["collapsed"] = d
-        collapsed = d
-
     rep.add(
         "diagram.pushout_shape",
-        "the final diagram is the three-node pushout: corner <- chain -> "
-        "torus-normalizer",
+        "the %s diagram is the three-node pushout: corner <- chain -> "
+        "torus-normalizer" % ("emitted" if cfg.case == "az" else "final"),
         sorted(collapsed.nodes) == ["gamma", "gamma_s", "t"]
         and sorted((s, t) for s, t, _ in collapsed.edges)
         == [("gamma_s", "gamma"), ("gamma_s", "t")],
     )
-    rep.add(
-        "diagram.corner_index",
-        "the corner aut order is p+1 times the chain aut order",
-        gamma_order == (p + 1) * chain_order,
-        corner=gamma_order,
-        chain=chain_order,
-    )
-    return out
+    if cfg.case != "az":
+        gamma_order, chain_order = nodes[0]["autL_order"], nodes[1]["autL_order"]
+        rep.add(
+            "diagram.corner_index",
+            "the corner aut order is p+1 times the chain aut order",
+            gamma_order == (p + 1) * chain_order,
+            corner=gamma_order,
+            chain=chain_order,
+        )
+    return {"poset": d if has_iso else None, "collapsed": collapsed}
 
 
-# -- encoded chain-class data (poset-shape certification) -------------------
-
-
-def encoded_chain_classes(cfg: CaseConfig) -> list[dict]:
-    """The chain classes of the determinant-one family as encoded data:
-    class name, chain member names, and aut orders at the truncation level.
-    Five classes for p >= 5, three for p in {2, 3}."""
+def verify_encoded_poset(cfg: CaseConfig, rep: VerificationReport,
+                         gam: MatrixGroup) -> None:
+    """Cross-checks between the chain-class table and the concrete matrix
+    models: class count, member containments, and the non-isomorphism of
+    the core gam and the torus at the truncation level."""
     p, n = cfg.prime, cfg.level
-    tor = torus_order(p, n, det_one=True)
-    if p >= 5:
-        return [
-            {"id": "gamma", "chain": ["Gamma"], "autL_order": p ** 4 * (p * p - 1)},
-            {"id": "gamma_s", "chain": ["Gamma", "S"], "autL_order": p ** 4 * (p - 1)},
-            {"id": "s", "chain": ["S"], "autL_order": tor * p * (p - 1)},
-            {"id": "t_s", "chain": ["T", "S"], "autL_order": tor * p * (p - 1)},
-            {"id": "t", "chain": ["T"], "autL_order": tor * math.factorial(p)},
-        ]
-    gamma_l = 48 if p == 2 else p ** 4 * (p * p - 1)
-    chain_l = 16 if p == 2 else p ** 4 * (p - 1)
-    return [
-        {"id": "gamma", "chain": ["Gamma"], "autL_order": gamma_l},
-        {"id": "gamma_s", "chain": ["Gamma", "S"], "autL_order": chain_l},
-        {"id": "t", "chain": ["S"], "autL_order": tor * p * (p - 1)},
-    ]
-
-
-def verify_encoded_poset(cfg: CaseConfig, rep: VerificationReport) -> None:
-    """Cross-checks between the encoded chain classes and the concrete
-    matrix models: class counts, member containments, and the
-    non-isomorphism of the core and the torus at the truncation level."""
-    p, n = cfg.prime, cfg.level
-    classes = encoded_chain_classes(cfg)
+    classes, _ = chain_classes(cfg)
     want = 5 if p >= 5 else 3
     rep.add(
         "poset.class_count",
@@ -1154,7 +1106,6 @@ def verify_encoded_poset(cfg: CaseConfig, rep: VerificationReport) -> None:
     )
     tor = torus_order(p, n, det_one=True)
     if tor == p ** 3:
-        gam = closure(list(gamma_matrices(cfg)), cap=4 * p ** 3)
         tor_group = closure(tgens[:-1], cap=4 * tor)
         noniso = isomorphism(gam, tor_group) is None
         rep.add(
@@ -1208,7 +1159,7 @@ def run_suite(cfg: CaseConfig, extended: bool = False) -> VerificationReport:
             _verify_u_odd_models(cfg, rep, gam)
     else:
         build_normalizers(cfg, rep)
-    verify_encoded_poset(cfg, rep)
+    verify_encoded_poset(cfg, rep, gam)
     emit_decomposition(cfg, rep)
     return rep
 

@@ -52,7 +52,12 @@ def _env(name: str) -> str | None:
 
 def _env_int(name: str) -> int | None:
     val = _env(name)
-    return None if val is None else int(val)
+    if val is None:
+        return None
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError("%s%s must be an integer, got %r" % (ENV_PREFIX, name, val)) from None
 
 
 def _env_flag(name: str) -> bool:
@@ -392,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve(args)
     try:
+        _resolve(args)
         return args.func(args)
     except (ValueError, CapExceeded, OSError) as exc:
         sys.stderr.write("fusionkit: error: %s\n" % exc)

@@ -21,16 +21,6 @@ class ConductorMismatch(ValueError):
     """Raised when two operands live in different cyclotomic fields."""
 
 
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # den must be monic; exact integer division is guaranteed for our inputs
     assert den[-1] == 1

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from .fingroup import (
     FiniteGroup,
-    GroupMap,
     Mat2Group,
     PermGroup,
     SemidirectGroup,
@@ -36,7 +35,6 @@ from .fingroup import (
     hom_by_generators,
     mat2_group,
     perm_closure,
-    propagate_hom,
     smallest_primitive_root,
 )
 
@@ -223,36 +221,6 @@ def heisenberg_semidirect(p: int, kind: str) -> SemidirectGroup:
     gam = HeisenbergGroup(p)
     H = mat2_group(p, kind)
     return SemidirectGroup(gam, H, section_perms(gam, H))
-
-
-def aut_group_via_coordinates(G: FiniteGroup, p: int) -> PermGroup:
-    """Materialize Aut(G) for an abstract exponent-p group of order p^3.
-
-    Every ordered pair with nontrivial commutator is the generator image of
-    exactly one automorphism; each is rebuilt by certified propagation.
-    Practical for p <= 5.
-    """
-    assert G.order == p ** 3
-    n = G.order
-    a0 = next(
-        a for a in range(n)
-        if any(G.mult(a, b) != G.mult(b, a) for b in range(n))
-    )
-    b0 = next(b for b in range(n) if G.mult(a0, b) != G.mult(b, a0))
-    perms = []
-    for a in range(n):
-        ai = G.inv(a)
-        for b in range(n):
-            if G.mult(G.mult(a, b), G.mult(ai, G.inv(b))) == G.identity:
-                continue
-            images = propagate_hom(G, G, [a0, b0], [a, b])
-            assert images is not None and len(images) == n, "pair failed to extend"
-            perm = tuple(images[i] for i in range(n))
-            assert len(set(perm)) == n
-            perms.append(perm)
-    expected = p ** 3 * (p - 1) * (p * p - 1)
-    assert len(perms) == len(set(perms)) == expected
-    return PermGroup(sorted(perms))
 
 
 def primitive_scaling_matrix(p: int) -> tuple[int, int, int, int]:

@@ -5,12 +5,13 @@ A group object only needs the protocol
     mult(i, j) -> int  inv(i) -> int     label(i) -> str
 and everything here works on top of it: one breadth-first closure
 (bfs_closure, also behind the matrix and permutation closures),
-normalizers and centralizers by direct scan, conjugacy, quotients,
-certified generator homomorphisms, one generator-image backtracking search
-(behind isomorphism and automorphism_group), short-exact-sequence
-verification with exhaustive complement search, and structure recognition
-against natively built reference groups (2x2 matrix groups over F_p,
-symmetric and cyclic groups).
+normalizers and centralizers by direct scan, conjugacy, normality decided
+on left-coset representatives (once per quotient), certified generator
+homomorphisms, one generator-image backtracking search (behind isomorphism
+and automorphism_group), short-exact-sequence verification with
+exhaustive complement search, and structure recognition against natively
+built reference groups (2x2 matrix groups over F_p, symmetric and cyclic
+groups).
 """
 
 from __future__ import annotations
@@ -295,17 +296,6 @@ def center_of_subgroup(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
     )
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    hset = set(H.members)
-    hgens = subgroup_generators(G, H.members)
-    for g in range(G.order):
-        gi = G.inv(g)
-        for x in hgens:
-            if G.mult(G.mult(g, x), gi) not in hset:
-                return False
-    return True
-
-
 def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
     seen = [False] * G.order
     classes = []
@@ -354,23 +344,28 @@ def derived_subgroup(G: FiniteGroup, gens=None) -> tuple[int, ...]:
 
 
 def all_subgroups(G: FiniteGroup, cap: int = 100000) -> list[tuple[int, ...]]:
-    """Every subgroup, by closing single-generator extensions to a fixpoint."""
+    """Every subgroup, by closing single-generator extensions to a fixpoint.
+
+    <H, x> = <H, x*h> for h in H, so one x per left coset of H is tried,
+    and each closure starts from the generators H was found with.
+    """
     triv = (G.identity,)
-    known = {triv}
+    gens_of: dict[tuple[int, ...], list[int]] = {triv: []}
     queue = [triv]
     while queue:
         h = queue.pop()
-        hset = set(h)
+        tried = set(h)
         for x in range(G.order):
-            if x in hset:
+            if x in tried:
                 continue
-            k = generated_subgroup(G, list(h) + [x])
-            if k not in known:
-                known.add(k)
+            tried.update(G.mult(x, y) for y in h)
+            k = generated_subgroup(G, gens_of[h] + [x])
+            if k not in gens_of:
+                gens_of[k] = gens_of[h] + [x]
                 queue.append(k)
-                if len(known) > cap:
+                if len(gens_of) > cap:
                     raise RuntimeError("subgroup enumeration exceeded cap %d" % cap)
-    return sorted(known, key=lambda t: (len(t), t))
+    return sorted(gens_of, key=lambda t: (len(t), t))
 
 
 def left_cosets(G: FiniteGroup, members) -> tuple[list[int], list[int]]:
@@ -388,9 +383,28 @@ def left_cosets(G: FiniteGroup, members) -> tuple[list[int], list[int]]:
     return coset_of, reps
 
 
+def _normal_by_reps(G: FiniteGroup, N: Subgroup, reps) -> bool:
+    """N is normal iff r x r^-1 lies in N for every left-coset
+    representative r and every generator x of N: with g = r*n,
+    g N g^-1 = r N r^-1, and conjugation is injective, so the image of a
+    generating set inside N forces r N r^-1 = N."""
+    nset = set(N.members)
+    ngens = subgroup_generators(G, N.members)
+    return all(G.conjugate(r, x) in nset for r in reps for x in ngens)
+
+
+def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
+    return _normal_by_reps(G, H, left_cosets(G, H.members)[1])
+
+
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, list[int]]:
-    assert is_normal(G, N), "quotient requires a normal subgroup"
+    """G/N as a table group on the left cosets, with the projection.
+
+    Raises ValueError when N is not normal in G.
+    """
     coset_of, reps = left_cosets(G, N.members)
+    if not _normal_by_reps(G, N, reps):
+        raise ValueError("quotient requires a normal subgroup")
     q = len(reps)
     table = [[coset_of[G.mult(reps[a], reps[b])] for b in range(q)] for a in range(q)]
     labels = [G.label(r) + "N" for r in reps]
@@ -510,17 +524,8 @@ def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 def automorphism_group(G: FiniteGroup) -> PermGroup:
-    """The full automorphism group as permutations of G's index set.
-
-    Extraspecial exponent-p groups take the generator-pair scan; everything
-    else uses backtracking, practical for groups up to a few dozen elements.
-    """
-    from . import extraspecial
-
-    tag = recognize(G)
-    if tag.startswith("extraspecial(") and tag.endswith("exp p)"):
-        p = next(q for q in (3, 5, 7) if q ** 3 == G.order)
-        return extraspecial.aut_group_via_coordinates(G, p)
+    """The full automorphism group as permutations of G's index set, by
+    generator-image backtracking; practical up to a few hundred elements."""
     return PermGroup(sorted(generator_image_maps(G, G)))
 
 
@@ -555,9 +560,10 @@ def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None
     None with exhausted True is a genuine non-splitting certificate.
     hint_lifts, when given, are tried before the search.
     """
-    if not is_normal(G, N):
+    try:
+        Q, proj = quotient(G, N)
+    except ValueError:
         return SesReport(False, None, None, None, None, [], 0, True)
-    Q, proj = quotient(G, N)
     iso = isomorphism(Q, Q_expected) if Q_expected is not None else None
     qgens = greedy_generators(Q)
     cosets: dict[int, list[int]] = {}

@@ -19,8 +19,8 @@ from fusionkit.cases import (
     CaseConfig,
     VerificationReport,
     build_normalizers,
+    chain_classes,
     emit_decomposition,
-    encoded_chain_classes,
     verify_az,
     verify_gamma,
     verify_rho,
@@ -29,7 +29,6 @@ from fusionkit.cyclo import CycNum
 from fusionkit.extraspecial import (
     HeisenbergGroup,
     aut_certificate,
-    aut_group_via_coordinates,
     commuting_pair_scan,
     heisenberg_semidirect,
     inner_perms,
@@ -222,7 +221,7 @@ def test_criterion_06_aut_oracle():
 
     # p = 3: materialized automorphism group with an explicit GL2 complement
     gam3 = HeisenbergGroup(3)
-    aut3 = aut_group_via_coordinates(gam3, 3)
+    aut3 = automorphism_group(gam3)
     assert aut3.order == 432
     gl3 = mat2_group(3, "GL")
     section = {aut3.index[q] for q in section_perms(gam3, gl3)}
@@ -315,7 +314,7 @@ def test_criterion_09_fusion_engine_on_s4():
 def test_criterion_10_poset_shape():
     for p in (5, 7):
         cfg = CaseConfig("sup", p)
-        rows = encoded_chain_classes(cfg)
+        rows, _ = chain_classes(cfg)
         assert len(rows) == 5
         rep = VerificationReport(cfg)
         out = emit_decomposition(cfg, rep)
@@ -328,7 +327,7 @@ def test_criterion_10_poset_shape():
         assert rep.all_ok
     for p in (2, 3):
         cfg = CaseConfig("sup", p)
-        assert len(encoded_chain_classes(cfg)) == 3
+        assert len(chain_classes(cfg)[0]) == 3
         rep = VerificationReport(cfg)
         out = emit_decomposition(cfg, rep)
         assert out["poset"] is None

@@ -16,8 +16,8 @@ from fusionkit.cases import (
     CaseConfig,
     VerificationReport,
     all_configs,
+    chain_classes,
     emit_decomposition,
-    encoded_chain_classes,
     gamma_matrices,
     run_suite,
 )
@@ -138,14 +138,25 @@ def test_o48_order():
 
 
 def test_encoded_classes_frozen():
-    assert [r["autL_order"] for r in encoded_chain_classes(CaseConfig("sup", 2))] == [48, 16, 8]
-    assert [r["autL_order"] for r in encoded_chain_classes(CaseConfig("sup", 3))] == [648, 162, 54]
-    rows5 = encoded_chain_classes(CaseConfig("sup", 5))
+    def orders(cfg):
+        return [r["autL_order"] for r in chain_classes(cfg)[0]]
+
+    assert orders(CaseConfig("sup", 2)) == [48, 16, 8]
+    assert orders(CaseConfig("sup", 3)) == [648, 162, 54]
+    rows5, edges5 = chain_classes(CaseConfig("sup", 5))
     assert [r["id"] for r in rows5] == ["gamma", "gamma_s", "s", "t_s", "t"]
-    assert [r["autL_order"] for r in rows5] == [15000, 2500, 12500, 12500, 75000]
-    rows7 = encoded_chain_classes(CaseConfig("sup", 7))
-    assert [r["autL_order"] for r in rows7] == [
+    assert [r["chain"] for r in rows5] == [["Gamma"], ["Gamma", "S"], ["S"], ["T", "S"], ["T"]]
+    assert orders(CaseConfig("sup", 5)) == [15000, 2500, 12500, 12500, 75000]
+    assert [(s, t) for s, t, a in edges5 if a.get("iso")] == [("t_s", "s")]
+    assert orders(CaseConfig("sup", 7)) == [
         115248, 14406, 4941258, 4941258, 592950960]
+    # the table is what the diagrams carry
+    for cfg in (CaseConfig("up", 3), CaseConfig("sup", 5), CaseConfig("az", 5, az_index=29)):
+        out = emit_decomposition(cfg, VerificationReport(cfg))
+        d = out["poset"] or out["collapsed"]
+        for row in chain_classes(cfg)[0]:
+            assert d.nodes[row["id"]].attrs["chain"] == row["chain"]
+            assert d.nodes[row["id"]].attrs.get("autL_order") == row.get("autL_order")
 
 
 def test_decomposition_w_collapse_p5():

@@ -109,6 +109,14 @@ def test_env_fallback_and_flag_precedence():
     assert json.loads(res.stdout)["prime"] == 3
 
 
+@pytest.mark.parametrize("var", ["FUSIONKIT_PRIME", "FUSIONKIT_LEVEL"])
+def test_malformed_integer_env_is_usage_error(var):
+    res = run_cli("verify", "--case", "sup", env_extra={var: "abc"})
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert var in res.stderr
+
+
 def test_dump_group_round_trip(tmp_path):
     path = tmp_path / "core.json"
     res = run_cli("dump-group", "--case", "sup", "--prime", "2", "--out", str(path))

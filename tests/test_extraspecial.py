@@ -13,7 +13,6 @@ import pytest
 from fusionkit.extraspecial import (
     HeisenbergGroup,
     aut_certificate,
-    aut_group_via_coordinates,
     commuting_pair_scan,
     half_inverse,
     heisenberg_semidirect,
@@ -24,6 +23,7 @@ from fusionkit.extraspecial import (
     section_perms,
 )
 from fusionkit.fingroup import (
+    automorphism_group,
     center,
     mat2_group,
     perm_closure,
@@ -118,7 +118,7 @@ def test_aut_certificate_odd_primes():
 
 def test_aut_group_materialized_at_p3():
     gam = HeisenbergGroup(3)
-    A = aut_group_via_coordinates(gam, 3)
+    A = automorphism_group(gam)
     assert A.order == 432
 
 

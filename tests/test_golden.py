@@ -37,15 +37,21 @@ ARTIFACTS = {
     "verify-az-12.json": ["verify", "--case", "az", "--index", "12", "--format", "json"],
     "aut-gamma-2.json": ["aut-gamma", "--prime", "2", "--format", "json"],
     "aut-gamma-3.json": ["aut-gamma", "--prime", "3", "--format", "json"],
-    "decompose-sup-5.json": ["decompose", "--case", "sup", "--prime", "5", "--format", "json"],
-    "decompose-sup-5-full.json": ["decompose", "--case", "sup", "--prime", "5", "--format", "json",
-                                  "--full-poset"],
-    "decompose-sup-5.dot": ["decompose", "--case", "sup", "--prime", "5", "--format", "dot"],
-    "decompose-sup-5-full.dot": ["decompose", "--case", "sup", "--prime", "5", "--format", "dot",
-                                 "--full-poset"],
     "fusion-s4.json": ["fusion", "--input", "{s4}", "--format", "json"],
     "fusion-q8.json": ["fusion", "--input", "{q8}", "--format", "json"],
 }
+
+# decompose for all 12 default configurations, as json and dot, with and
+# without --full-poset
+DECOMPOSE = {"%s-%d" % (case, p): ["--case", case, "--prime", str(p)]
+             for case in ("sup", "up") for p in (2, 3, 5, 7)}
+DECOMPOSE.update({"az-%d" % i: ["--case", "az", "--index", str(i)] for i in (12, 29, 31, 34)})
+ARTIFACTS.update({
+    "decompose-%s%s.%s" % (sel, suffix, fmt): ["decompose", *flags, "--format", fmt, *extra]
+    for sel, flags in DECOMPOSE.items()
+    for fmt in ("json", "dot")
+    for suffix, extra in (("", []), ("-full", ["--full-poset"]))
+})
 
 
 def _run(argv: list[str]) -> str:
