@@ -248,6 +248,21 @@ def conjugation_by(g: CycMatrix) -> Callable[[CycMatrix], CycMatrix]:
     return lambda x: g * x * gi
 
 
+def conjugation_on(G: MatrixGroup, conj: Callable[[CycMatrix], CycMatrix]) -> list[int] | None:
+    """A conjugation map on the indices of G, or None if it leaves G.
+
+    Only G's generators are conjugated as matrices.  propagate_hom extends
+    their images to a certified homomorphism, and that is the conjugation
+    itself: both are homomorphisms and they agree on the generators.
+    """
+    gens = G.generator_indices
+    imgs = [G.index_of(conj(G.matrix(i))) for i in gens]
+    if None in imgs:
+        return None
+    images = propagate_hom(G, G, gens, imgs)
+    return None if images is None else [images[i] for i in range(G.order)]
+
+
 def scalar_matrix(cfg: CaseConfig, order: int) -> CycMatrix:
     """zeta_order * identity at the configured conductor."""
     m = cfg.conductor
@@ -318,8 +333,8 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
         "every element is monomial with a shift permutation part and "
         "p^level-torsion diagonal inside the ambient torus extension",
         all(
-            in_truncated_torus_extension(x, p, cfg.level, det_one=cfg.torus_det_one)
-            for x in gam.elements
+            in_truncated_torus_extension(gam.matrix(i), p, cfg.level, det_one=cfg.torus_det_one)
+            for i in range(gam.order)
         ),
     )
     tag = recognize(gam)
@@ -334,7 +349,7 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
         hberg = HeisenbergGroup(p)
         a_idx = hberg.encode(0, 1, 0)
         b_idx = hberg.encode(0, 0, 1)
-        iso = hom_by_generators(hberg, gam, [a_idx, b_idx], [gam.index[A], gam.index[B]])
+        iso = hom_by_generators(hberg, gam, [a_idx, b_idx], gam.generator_indices)
         rep.add(
             "gamma.coordinates",
             "central/row/column coordinates give a certified isomorphism "
@@ -378,21 +393,16 @@ def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
         (tau_in != alt_in) and tau_in == (p % 4 == 1),
         tau_has_det_one=tau_in,
     )
-    by_tau = conjugation_by(tau)
-    fixed = []
-    central_fixed = []
-    for i in range(gam.order):
-        x = gam.elements[i]
-        c = by_tau(x)
-        if c == x:
-            fixed.append(i)
-        if (c * unitary_inverse(x)).is_scalar():
-            central_fixed.append(i)
+    # no map when tau does not normalize the p-group: both checks then fail
+    by_tau = conjugation_on(gam, conjugation_by(tau)) or []
+    scalars = set(scalar_indices(gam))
+    fixed = [i for i, c in enumerate(by_tau) if c == i]
+    central_fixed = [i for i, c in enumerate(by_tau) if gam.mult(c, gam.inv(i)) in scalars]
     rep.add(
         "tau.centralizer_in_gamma",
         "the only elements of the p-group fixed by tau-conjugation are "
         "the central scalars",
-        all(gam.elements[i].is_scalar() for i in fixed) and len(fixed) == p,
+        all(i in scalars for i in fixed) and len(fixed) == p,
         fixed=len(fixed),
     )
     rep.add(
@@ -466,7 +476,7 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         usl,
         im,
         [usl.index[(1, 2, 0, 1)], usl.index[(g, 0, 0, pow(g, -1, p))]],
-        [im.index[D], im.index[sigma[g]]],
+        im.generator_indices,
     )
     rep.add(
         "rho.usl_iso",
@@ -476,12 +486,14 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         iso is not None and iso.is_bijective(),
     )
 
-    # conj[0] is conjugation by D and conj[k] by sigma_k
+    # conj[0] is conjugation by D and conj[k] by sigma_k; on_gam[k] is
+    # conj[k] on the indices of the p-group
     conj = [conjugation_by(c) for c in [D] + [sigma[k] for k in range(1, p)]]
+    on_gam = [conjugation_on(gam, c) for c in conj]
     rep.add(
         "rho.normalizes_gamma",
         "conjugation by D and every sigma_k maps the p-group into itself",
-        all(gam.contains_matrix(c(x)) for c in conj for x in (A, B)),
+        None not in on_gam,
     )
     tgens = torus_extension_generators(p, cfg.level, cfg.torus_det_one, cfg.conductor)
     rep.add(
@@ -500,21 +512,18 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         hberg,
         gam,
         [hberg.encode(0, 1, 0), hberg.encode(0, 0, 1)],
-        [gam.index[A], gam.index[B]],
+        gam.generator_indices,
     )
-    ok_induced = images is not None and len(images) == gam.order
+    ok_induced = images is not None and len(images) == gam.order and None not in on_gam
     if ok_induced:
         back = {v: k for k, v in images.items()}
 
-        def induced_perm(c: Callable[[CycMatrix], CycMatrix]) -> tuple[int, ...]:
-            out = [0] * hberg.order
-            for x in range(hberg.order):
-                out[x] = back[gam.index[c(gam.elements[images[x]])]]
-            return tuple(out)
+        def induced_perm(h: list[int]) -> tuple[int, ...]:
+            return tuple(back[h[images[x]]] for x in range(hberg.order))
 
-        ok_d = induced_perm(conj[0]) == section_perm(hberg, (1, 2, 0, 1))
+        ok_d = induced_perm(on_gam[0]) == section_perm(hberg, (1, 2, 0, 1))
         ok_s = all(
-            induced_perm(conj[k]) == section_perm(hberg, (k, 0, 0, pow(k, -1, p)))
+            induced_perm(on_gam[k]) == section_perm(hberg, (k, 0, 0, pow(k, -1, p)))
             for k in range(1, p)
         )
         ok_induced = ok_d and ok_s
@@ -554,13 +563,14 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
             order=n_chain.order,
             expected=p ** 4 * (p - 1),
         )
-        gam_members = generated_subgroup(n_chain, [n_chain.index[A], n_chain.index[B]])
+        a_i, b_i, d_i, sg_i = n_chain.generator_indices
+        gam_members = generated_subgroup(n_chain, [a_i, b_i])
         gam_sub = Subgroup(n_chain, gam_members)
         ses = sesverify(
             n_chain,
             gam_sub,
             Q_expected=mat2_group(p, "USL"),
-            hint_lifts=[n_chain.index[D], n_chain.index[sg]],
+            hint_lifts=[d_i, sg_i],
         )
         out["chain_ses"] = ses
         rep.add(
@@ -606,7 +616,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         emb = hom_by_generators(
             n_chain,
             n_full,
-            [n_chain.index[A], n_chain.index[B], n_chain.index[D], n_chain.index[sg]],
+            n_chain.generator_indices,
             [
                 n_full.encode(hberg.encode(0, 1, 0), sl.identity),
                 n_full.encode(hberg.encode(0, 0, 1), sl.identity),
@@ -643,7 +653,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         tag == "Q16",
         tag=tag,
     )
-    gam_members = generated_subgroup(chain2, [chain2.index[A], chain2.index[B]])
+    gam_members = generated_subgroup(chain2, chain2.generator_indices[:2])
     ses = sesverify(
         chain2, Subgroup(chain2, gam_members), Q_expected=cyclic_group(2)
     )
@@ -675,7 +685,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         tag == "O48",
         tag=tag,
     )
-    gam_in_full = generated_subgroup(full2, [full2.index[A], full2.index[B]])
+    gam_in_full = generated_subgroup(full2, full2.generator_indices[:2])
     q48, _ = quotient(full2, Subgroup(full2, gam_in_full))
     rep.add(
         "normalizer.o48_quotient",
@@ -767,14 +777,12 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> No
         and not gam_bar.contains_matrix(x)
         and chain_u.contains_matrix(x)
     )
-    core = generated_subgroup(
-        chain_u, [chain_u.index[A], chain_u.index[B], chain_u.index[zI]]
-    )
+    core = generated_subgroup(chain_u, chain_u.generator_indices[:3])
     ses = sesverify(
         chain_u,
         Subgroup(chain_u, core),
         Q_expected=cyclic_group(2),
-        hint_lifts=[chain_u.index[x]] if witness_ok else None,
+        hint_lifts=[chain_u.index_of(x)] if witness_ok else None,
     )
     rep.add(
         "normalizer.u2_chain_split",
@@ -790,9 +798,7 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> No
         full_u.order == 6 * 2 ** (n + 2),
         order=full_u.order,
     )
-    core_f = generated_subgroup(
-        full_u, [full_u.index[A], full_u.index[B], full_u.index[zI]]
-    )
+    core_f = generated_subgroup(full_u, full_u.generator_indices[:3])
     qf, _ = quotient(full_u, Subgroup(full_u, core_f))
     rep.add(
         "normalizer.u2_full_quotient",

@@ -74,7 +74,11 @@ class FiniteGroup:
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit multiplication table."""
+    """Group given by an explicit multiplication table.
+
+    Raises ValueError on a table with no identity or a row without the
+    identity; the group axioms are not otherwise checked.
+    """
 
     def __init__(self, table, labels=None):
         self.table = [list(row) for row in table]
@@ -86,7 +90,8 @@ class TableGroup(FiniteGroup):
             if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
                 ident = e
                 break
-        assert ident is not None, "no identity in table"
+        if ident is None:
+            raise ValueError("group table has no identity element")
         self.identity = ident
         self._inv = [None] * self.order
         for i in range(self.order):
@@ -94,7 +99,8 @@ class TableGroup(FiniteGroup):
                 if self.table[i][j] == self.identity:
                     self._inv[i] = j
                     break
-        assert all(v is not None for v in self._inv), "table has non-invertible element"
+        if None in self._inv:
+            raise ValueError("group table element %d has no inverse" % self._inv.index(None))
 
     def mult(self, i, j):
         return self.table[i][j]
@@ -121,8 +127,7 @@ class PermGroup(FiniteGroup):
         self.labels = list(labels) if labels else None
 
     def mult(self, i, j):
-        a, b = self.perms[i], self.perms[j]
-        return self.index[tuple(a[b[x]] for x in range(self.degree))]
+        return self.index[perm_mul(self.perms[i], self.perms[j])]
 
     def inv(self, i):
         p = self.perms[i]
@@ -135,6 +140,11 @@ class PermGroup(FiniteGroup):
         if self.labels:
             return self.labels[i]
         return "p%d" % i
+
+
+def perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a*b of permutation tuples: x -> a[b[x]]."""
+    return tuple(map(a.__getitem__, b))
 
 
 def bfs_closure(identity, gens, mul, cap: int | None = None) -> list | None:
@@ -166,8 +176,7 @@ def bfs_closure(identity, gens, mul, cap: int | None = None) -> list | None:
 def perm_closure(perms, cap: int = 2_000_000) -> PermGroup:
     """BFS closure of permutation generators (identity first)."""
     gens = [tuple(p) for p in perms]
-    elements = bfs_closure(tuple(range(len(gens[0]))), gens,
-                           lambda x, g: tuple(x[t] for t in g), cap)
+    elements = bfs_closure(tuple(range(len(gens[0]))), gens, perm_mul, cap)
     if elements is None:
         raise RuntimeError("permutation closure exceeded cap %d" % cap)
     return PermGroup(elements)
@@ -287,7 +296,8 @@ def centralizer(G: FiniteGroup, members) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    return centralizer(G, range(G.order))
+    # what commutes with a generating set commutes with the whole group
+    return centralizer(G, greedy_generators(G))
 
 
 def center_of_subgroup(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
@@ -822,8 +832,11 @@ def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
 
 
 def group_from_json_dict(data: dict) -> tuple[TableGroup, int | None]:
-    if data.get("kind") != "group_table":
+    if not isinstance(data, dict) or data.get("kind") != "group_table":
         raise ValueError("not a group_table document")
+    for key, kind in (("order", int), ("mult", list)):
+        if not isinstance(data.get(key), kind):
+            raise ValueError("group_table document needs %r as a %s" % (key, kind.__name__))
     n = data["order"]
     flat = data["mult"]
     if len(flat) != n * n:

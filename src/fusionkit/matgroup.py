@@ -13,16 +13,19 @@ studies at an odd prime p (conductor p^level) and at p = 2 (conductor 8):
   zetaI   the scalar matrix z * I
 
 Groups are built by breadth-first closure with a hard element cap; exceeding
-the cap raises, it never truncates silently.
+the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
+only compiles the generators to permutations of the orbit of the standard
+basis vectors (Seress, Permutation Group Algorithms, 2003); the closure and
+every group operation after it run on those integer tuples.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
 from fractions import Fraction
 
 from .cyclo import CycNum, ConductorMismatch
-from .fingroup import FiniteGroup, bfs_closure
+from .fingroup import PermGroup, bfs_closure, perm_mul
 
 DEFAULT_CAP = 2_000_000
 
@@ -84,6 +87,18 @@ class CycMatrix:
             self._hash = h
         return h
 
+    def apply(self, v: tuple) -> tuple:
+        """The matrix-vector product self * v."""
+        zero = CycNum.zero(self.m)
+        out = []
+        for row in self.rows:
+            acc = zero
+            for x, y in zip(row, v):
+                if not x.is_zero and not y.is_zero:
+                    acc = acc + x * y
+            out.append(acc)
+        return tuple(out)
+
     def scalar_mul(self, c: CycNum) -> "CycMatrix":
         return CycMatrix(self.dim, self.m, [[c * x for x in row] for row in self.rows])
 
@@ -142,11 +157,6 @@ class CycMatrix:
 
     def is_unitary(self) -> bool:
         return (self * self.conj_transpose()).is_identity()
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j].is_zero for i in range(self.dim) for j in range(self.dim) if i != j
-        )
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""
@@ -279,12 +289,41 @@ def minus_identity(p: int, conductor: int | None = None) -> CycMatrix:
 # -- closure ----------------------------------------------------------------
 
 
+def basis_orbit(gens, cap: int) -> tuple[list[tuple], list[tuple[int, ...]]] | None:
+    """The orbit of the standard basis vectors under the generators, with
+    each generator as a permutation tuple of it.
+
+    The basis vectors take positions 0..dim-1 and the rest follow in
+    breadth-first order; a generator's tuple maps the position of v to
+    that of g*v.  Returns None once the orbit has more than cap vectors.
+    """
+    dim, m = gens[0].dim, gens[0].m
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    orbit = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
+    pos = {v: i for i, v in enumerate(orbit)}
+    images: list[list[int]] = [[] for _ in gens]
+    for v in orbit:  # grows while it is walked
+        for g, img in zip(gens, images):
+            w = g.apply(v)
+            q = pos.get(w)
+            if q is None:
+                if len(orbit) == cap:
+                    return None
+                q = pos[w] = len(orbit)
+                orbit.append(w)
+            img.append(q)
+    return orbit, [tuple(img) for img in images]
+
+
 def closure(gens, cap: int | None = None, expected: int | None = None) -> "MatrixGroup":
     """Breadth-first multiplicative closure of the generators.
 
-    Element numbering is by discovery order with the identity first, which
-    makes it deterministic for a fixed generator order.  If expected is given
-    the cap defaults to twice it; a closure passing the cap raises CapExceeded.
+    The generators are compiled once to permutations of their basis orbit
+    and closed there: the action is faithful, so the closure is the same
+    BFS under an isomorphic product.  Element numbering is by discovery
+    order with the identity first, which makes it deterministic for a
+    fixed generator order.  If expected is given the cap defaults to twice
+    it; a closure passing the cap raises CapExceeded.
     """
     gens = list(gens)
     assert gens, "need at least one generator"
@@ -294,63 +333,69 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
             raise ConductorMismatch("generators disagree in dim or conductor")
     if cap is None:
         cap = 2 * expected if expected is not None else DEFAULT_CAP
-    elements = bfs_closure(CycMatrix.identity(dim, m), gens, operator.mul, cap)
-    if elements is None:
-        raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
-    index = {x: i for i, x in enumerate(elements)}
-    return MatrixGroup(dim, m, elements, index, [index[g] for g in gens])
+    # the orbit is the union of dim orbits of size at most |G|
+    found = basis_orbit(gens, dim * cap)
+    if found is not None:
+        orbit, gen_perms = found
+        elements = bfs_closure(tuple(range(len(orbit))), gen_perms, perm_mul, cap)
+        if elements is not None:
+            return MatrixGroup(dim, m, orbit, elements, gen_perms)
+    raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
 
 
-class MatrixGroup(FiniteGroup):
-    """A finite group of CycMatrix elements indexed by discovery order."""
+class MatrixGroup(PermGroup):
+    """A finite group of CycMatrix elements, run on its permutation action
+    on the orbit of the standard basis vectors.
 
-    def __init__(self, dim: int, m: int, elements, index, generator_indices):
+    The action is faithful because the orbit contains the basis: the first
+    dim entries of element i's tuple are the orbit positions of its
+    columns, which determine the matrix.  Group operations are those of
+    PermGroup; matrices are built only on request.
+    """
+
+    def __init__(self, dim: int, m: int, orbit, perms, gen_perms):
+        super().__init__(perms)
         self.dim = dim
         self.m = m
-        self.elements = list(elements)
-        self.index = dict(index)
-        self.generator_indices = list(generator_indices)
-        self.identity = self.index[CycMatrix.identity(dim, m)]
-        self._mult_cache: dict[tuple[int, int], int] = {}
-        self._inv_cache: dict[int, int] = {}
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def mult(self, i: int, j: int) -> int:
-        key = (i, j)
-        v = self._mult_cache.get(key)
-        if v is None:
-            prod = self.elements[i] * self.elements[j]
-            v = self.index.get(prod)
-            assert v is not None, "product escaped the group; closure was incomplete"
-            self._mult_cache[key] = v
-        return v
-
-    def inv(self, i: int) -> int:
-        v = self._inv_cache.get(i)
-        if v is None:
-            cand = self.index.get(self.elements[i].conj_transpose())
-            if cand is not None and self.mult(i, cand) == self.identity:
-                v = cand
-            else:
-                v = next(j for j in range(self.order) if self.mult(i, j) == self.identity)
-            self._inv_cache[i] = v
-        return v
+        self.orbit = orbit
+        self.generator_indices = [self.index[g] for g in gen_perms]
 
     def label(self, i: int) -> str:
         return "g%d" % i
 
+    def matrix(self, i: int) -> CycMatrix:
+        cols = [self.orbit[q] for q in self.perms[i][:self.dim]]
+        return CycMatrix(self.dim, self.m, zip(*cols))
+
+    @functools.cached_property
+    def _orbit_pos(self) -> dict[tuple, int]:
+        return {v: q for q, v in enumerate(self.orbit)}
+
+    @functools.cached_property
+    def _by_columns(self) -> dict[tuple[int, ...], int]:
+        return {q[:self.dim]: i for i, q in enumerate(self.perms)}
+
+    def index_of(self, mat: CycMatrix) -> int | None:
+        """The index of mat, or None when mat is not in the group."""
+        if mat.dim != self.dim or mat.m != self.m:
+            return None
+        cols = []
+        for col in zip(*mat.rows):
+            q = self._orbit_pos.get(col)
+            if q is None:
+                return None
+            cols.append(q)
+        return self._by_columns.get(tuple(cols))
+
     def contains_matrix(self, mat: CycMatrix) -> bool:
-        return mat in self.index
+        return self.index_of(mat) is not None
 
 
 # -- predicates over groups -------------------------------------------------
 
 
 def scalar_indices(G: MatrixGroup) -> list[int]:
-    return [i for i in range(G.order) if G.elements[i].is_scalar()]
+    return [i for i in range(G.order) if G.matrix(i).is_scalar()]
 
 
 # -- torus truncation membership -------------------------------------------
@@ -370,15 +415,11 @@ def in_truncated_torus_extension(mat: CycMatrix, p: int, level: int, det_one: bo
     shift = perm[0]
     if any(perm[i] != (i + shift) % p for i in range(p)):
         return False
-    # strip the shift: diag = mat * B^(p - shift)
-    b = std_matrix(p, "B", conductor=mat.m)
-    diag = mat * (b ** ((p - shift) % p))
-    if not diag.is_diagonal():
-        return False
+    # mat = diag * B^shift, and row i of mat carries diag's entry i
     torsion = p ** level
     one = CycNum.one(mat.m)
     for i in range(p):
-        if diag.rows[i][i] ** torsion != one:
+        if mat.rows[i][perm[i]] ** torsion != one:
             return False
     if det_one and mat.det() != one:
         return False

@@ -9,10 +9,7 @@ asserted with wall-clock measurements around the bounded computation.
 
 from __future__ import annotations
 
-import os
 import time
-
-import pytest
 
 from fusionkit.cases import (
     AZ_PRIME_OF_INDEX,
@@ -47,9 +44,6 @@ from fusionkit.fingroup import (
     symmetric_group,
 )
 from fusionkit.matgroup import closure, std_matrix
-
-EXTENDED = bool(os.environ.get("FUSIONKIT_EXTENDED"))
-
 
 def verdict(num: int, message: str) -> None:
     print("criterion %02d: PASS - %s" % (num, message))
@@ -120,7 +114,7 @@ def test_criterion_03_chain_normalizer():
         n_chain, (A, B) = _chain_normalizer_group(p)
         assert n_chain.order == expect
         gam = closure([A, B], expected=p ** 3)
-        members = sorted(n_chain.index[m] for m in gam.elements)
+        members = sorted(n_chain.index_of(gam.matrix(i)) for i in range(gam.order))
         ses = sesverify(n_chain, subgroup(n_chain, members),
                         Q_expected=mat2_group(p, "USL"))
         assert ses.is_normal
@@ -130,13 +124,12 @@ def test_criterion_03_chain_normalizer():
                "complement found")
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended p = 7 tower; set FUSIONKIT_EXTENDED=1")
 def test_criterion_03_extended_p7():
     start = time.perf_counter()
     n_chain, (A, B) = _chain_normalizer_group(7)
     assert n_chain.order == 7 ** 4 * 6
     gam = closure([A, B], expected=343)
-    members = sorted(n_chain.index[m] for m in gam.elements)
+    members = sorted(n_chain.index_of(gam.matrix(i)) for i in range(gam.order))
     ses = sesverify(n_chain, subgroup(n_chain, members),
                     Q_expected=mat2_group(7, "USL"))
     assert ses.split is True
@@ -183,7 +176,7 @@ def test_criterion_05_p2_suite():
     q16 = closure([A, B, F], expected=16)
     assert q16.order == 16
     q8 = closure([A, B], expected=8)
-    members = sorted(q16.index[m] for m in q8.elements)
+    members = sorted(q16.index_of(q8.matrix(i)) for i in range(q8.order))
     ses = sesverify(q16, subgroup(q16, members), Q_expected=cyclic_group(2))
     assert ses.split is False and ses.exhausted
     o48 = closure([A, B, F, H], expected=48)

@@ -122,7 +122,7 @@ def test_q16_nonsplit_profile():
     F = std_matrix(2, "F")
     q16 = closure([A, B, F], expected=16)
     q8 = closure([A, B], expected=8)
-    members = sorted(q16.index[m] for m in q8.elements)
+    members = sorted(q16.index_of(q8.matrix(i)) for i in range(q8.order))
     ses = sesverify(q16, subgroup(q16, members), Q_expected=cyclic_group(2))
     assert ses.is_normal and ses.split is False and ses.exhausted
     # every lift of the nontrivial coset has order 4 or 8: no involution

@@ -170,6 +170,21 @@ def test_fusion_rejects_malformed_input(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "group_table", "order": 2, "mult": [0, 0, 0, 0]},  # no identity
+    {"kind": "group_table", "order": 2, "mult": [0, 1, 1, 1]},  # row 1 lacks it
+    {"kind": "group_table", "mult": [0]},
+    {"kind": "group_table", "order": 1},
+], ids=["no-identity", "non-invertible", "no-order", "no-mult"])
+def test_fusion_malformed_table_is_usage_error(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("fusion", "--input", str(path), "--prime", "2")
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
 def test_verify_json_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("verify", "--case", "sup", "--prime", "2", "--format", "json", "--out", str(a))

@@ -305,3 +305,25 @@ def test_whole_group_helper():
     S3 = symmetric_group(3)
     W = whole_group(S3)
     assert isinstance(W, Subgroup) and W.order == 6
+
+
+def brute_force_center(G) -> tuple[int, ...]:
+    return tuple(g for g in range(G.order)
+                 if all(G.mult(g, x) == G.mult(x, g) for x in range(G.order)))
+
+
+@pytest.mark.parametrize("name", ["S4", "Heis3", "O48"])
+def test_center_matches_brute_force(name):
+    from fusionkit.extraspecial import HeisenbergGroup
+    from fusionkit.matgroup import closure, std_matrix
+
+    if name == "S4":
+        G = symmetric_group(4)
+    elif name == "Heis3":
+        G = HeisenbergGroup(3)
+    else:
+        G = closure([std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
+                     std_matrix(2, "F"), std_matrix(2, "H")], expected=48)
+    want = brute_force_center(G)
+    assert center(G).members == want
+    assert len(want) == {"S4": 1, "Heis3": 3, "O48": 2}[name]

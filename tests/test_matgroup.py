@@ -7,6 +7,7 @@ determinant-one clock and shift by explicit isomorphism search.
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from fusionkit.cyclo import CycNum
 from fusionkit.fingroup import (
     TableGroup,
+    bfs_closure,
     generated_subgroup,
     isomorphic,
     perm_closure,
@@ -206,13 +208,67 @@ def test_closure_cap_enforced():
     assert generated_subgroup(S4, gens, cap=7) is None
 
 
+def differential_generators(name: str) -> list[CycMatrix]:
+    if name.startswith("gamma"):
+        p = int(name[-1])
+        return [std_matrix(p, "A", det_one=(p == 2)), std_matrix(p, "B", det_one=(p == 2))]
+    if name == "O48":  # H is not monomial
+        return [std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
+                std_matrix(2, "F"), std_matrix(2, "H")]
+    if name == "chain5":
+        return [std_matrix(5, "A"), std_matrix(5, "B"), std_matrix(5, "D"),
+                std_matrix(5, "sigma", k=2)]
+    assert name == "torus3"
+    return torus_extension_generators(3, 2)
+
+
+@pytest.mark.parametrize("name", ["gamma2", "gamma3", "gamma5", "gamma7", "O48", "chain5",
+                                  "torus3"])
+def test_permutation_layer_matches_matrices(name):
+    """The basis-orbit permutation layer against plain CycMatrix arithmetic:
+    the matrix closure itself, products, inverses, orders, random words and
+    matrices outside the group."""
+    gens = differential_generators(name)
+    G = closure(gens)
+    ident = CycMatrix.identity(gens[0].dim, gens[0].m)
+    mats = bfs_closure(ident, gens, operator.mul)
+    # same discovery order, so the same numbering
+    assert [G.matrix(i) for i in range(G.order)] == mats
+    assert [mats[i] for i in G.generator_indices] == gens
+    rng = random.Random(20261018)
+    for _ in range(30):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        assert G.mult(i, j) == G.index_of(mats[i] * mats[j])
+        assert mats[G.inv(i)] * mats[i] == ident
+        n, acc = 1, mats[i]
+        while acc != ident:
+            n, acc = n + 1, acc * mats[i]
+        assert G.element_order(i) == n
+    for _ in range(20):
+        x, mat = G.identity, ident
+        for _ in range(rng.randrange(1, 16)):
+            k = rng.randrange(len(gens))
+            x, mat = G.mult(x, G.generator_indices[k]), mat * gens[k]
+        assert G.index_of(mat) == x
+    members = set(mats)
+    two = CycNum.rational(ident.m, 2)
+    for _ in range(10):
+        M = mats[rng.randrange(G.order)]
+        # swapping two columns keeps them in the orbit but leaves the group
+        swapped = CycMatrix(M.dim, M.m, [(r[1], r[0]) + r[2:] for r in M.rows])
+        for outside in (swapped, M.scalar_mul(two)):
+            assert outside not in members
+            assert G.index_of(outside) is None
+            assert not G.contains_matrix(outside)
+
+
 def test_group_inverse_and_negative_power_policy():
     A = std_matrix(3, "A")
     with pytest.raises(ValueError):
         _ = A ** -1
     G = closure([A], expected=3)
-    i = G.index[A]
-    inv = G.elements[G.inv(i)]
+    i = G.index_of(A)
+    inv = G.matrix(G.inv(i))
     assert inv * A == CycMatrix.identity(3, A.m)
 
 
@@ -243,6 +299,45 @@ def test_torus_membership_predicate():
     # D is diagonal but not determinant-one, so it fails the det-one predicate
     assert not in_truncated_torus_extension(D, p, level)
     assert in_truncated_torus_extension(D, p, level, det_one=False)
+
+
+def shift_stripping_membership(mat: CycMatrix, p: int, level: int, det_one: bool) -> bool:
+    """The torus-extension predicate computed independently: strip the
+    shift with a matrix power of B, then test the diagonal that is left."""
+    perm = mat.permutation_part()
+    if perm is None:
+        return False
+    shift = perm[0]
+    if any(perm[i] != (i + shift) % p for i in range(p)):
+        return False
+    diag = mat * (std_matrix(p, "B", conductor=mat.m) ** ((p - shift) % p))
+    if any(not diag.rows[i][j].is_zero for i in range(p) for j in range(p) if i != j):
+        return False
+    one = CycNum.one(mat.m)
+    if any(diag.rows[i][i] ** (p ** level) != one for i in range(p)):
+        return False
+    return not det_one or mat.det() == one
+
+
+@pytest.mark.parametrize("p,level", [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
+def test_torus_membership_matches_shift_stripping(p, level):
+    m = max(8, 2 ** level) if p == 2 else p ** level
+    gam = closure([std_matrix(p, "A", conductor=m, det_one=(p == 2)),
+                   std_matrix(p, "B", conductor=m, det_one=(p == 2))])
+    mats = [gam.matrix(i) for i in range(gam.order)]
+    mats += torus_extension_generators(p, level, conductor=m)
+    mats += torus_extension_generators(p, level, det_one=False, conductor=m)
+    if p == 2:
+        mats += [std_matrix(2, "F", conductor=m), std_matrix(2, "H", conductor=m)]
+    else:
+        mats += [std_matrix(p, "D", conductor=m), std_matrix(p, "tau", conductor=m)]
+    verdicts = set()
+    for mat in mats:
+        for det_one in (True, False):
+            got = in_truncated_torus_extension(mat, p, level, det_one=det_one)
+            assert got == shift_stripping_membership(mat, p, level, det_one)
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_min_level():
