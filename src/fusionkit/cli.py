@@ -282,12 +282,12 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     with open(args.input) as fh:
         data = json.load(fh)
-    G, file_prime = group_from_json_dict(data)
+    G, file_prime = group_from_json_dict(data, cap)
     p = args.prime if args.prime is not None else file_prime
     if p is None:
         raise ValueError("no prime selected; pass --prime or store one in the input file")
-    if G.order > cap:
-        raise ValueError("input group order %d exceeds cap %d" % (G.order, cap))
+    if type(p) is not int or p not in SUPPORTED_PRIMES:
+        raise ValueError("prime must be one of %s, got %r" % (SUPPORTED_PRIMES, p))
 
     fd = FusionData(G, p)
     poset = fd.sd_poset()

@@ -105,12 +105,16 @@ def section_perm(gam: HeisenbergGroup, M: tuple[int, int, int, int]) -> tuple[in
     det = (m00 * m11 - m01 * m10) % p
     assert det != 0, "singular substitution"
     h = half_inverse(p)
-    out = []
-    for x in range(gam.order):
-        c, i, j = gam.decode(x)
-        s = h * (m00 * m10 * i * i + m01 * m11 * j * j) + m10 * m01 * i * j
-        out.append(gam.encode(det * c + s, m00 * i + m01 * j, m10 * i + m11 * j))
-    return tuple(out)
+    # s_M(i, j) and M*(i, j) depend only on the middle coordinates: evaluate
+    # them once per (i, j), then add det*c to the central coordinate, in
+    # index order x = c*p^2 + i*p + j
+    middle = [
+        (h * (m00 * m10 * i * i + m01 * m11 * j * j) + m10 * m01 * i * j,
+         (m00 * i + m01 * j) % p * p + (m10 * i + m11 * j) % p)
+        for i in range(p) for j in range(p)
+    ]
+    pp = p * p
+    return tuple((det * c + s) % p * pp + tail for c in range(p) for s, tail in middle)
 
 
 def section_perms(gam: HeisenbergGroup, H: Mat2Group) -> list[tuple[int, ...]]:

@@ -6,7 +6,8 @@ A group object only needs the protocol
 and everything here works on top of it: one breadth-first closure
 (bfs_closure, also behind the matrix and permutation closures),
 normalizers and centralizers by direct scan, conjugacy, normality decided
-on left-coset representatives (once per quotient), certified generator
+on left-coset representatives (once per quotient), quotients of G or of a
+subgroup that multiply through coset representatives, certified generator
 homomorphisms, one generator-image backtracking search (behind isomorphism
 and automorphism_group), short-exact-sequence verification with
 exhaustive complement search, and structure recognition against natively
@@ -93,14 +94,10 @@ class TableGroup(FiniteGroup):
         if ident is None:
             raise ValueError("group table has no identity element")
         self.identity = ident
-        self._inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == self.identity:
-                    self._inv[i] = j
-                    break
-        if None in self._inv:
-            raise ValueError("group table element %d has no inverse" % self._inv.index(None))
+        for i, row in enumerate(self.table):
+            if ident not in row:
+                raise ValueError("group table element %d has no inverse" % i)
+        self._inv = [row.index(ident) for row in self.table]
 
     def mult(self, i, j):
         return self.table[i][j]
@@ -378,12 +375,17 @@ def all_subgroups(G: FiniteGroup, cap: int = 100000) -> list[tuple[int, ...]]:
     return sorted(gens_of, key=lambda t: (len(t), t))
 
 
-def left_cosets(G: FiniteGroup, members) -> tuple[list[int], list[int]]:
-    """Returns (coset_of, reps); reps[c] is the least element of coset c and
-    cosets are numbered by first appearance in index order."""
+def left_cosets(G: FiniteGroup, members, within=None) -> tuple[list[int], list[int]]:
+    """Left cosets of the subgroup with the given members, in G or in the
+    subgroup H of G whose members are within (H must contain them).
+
+    Returns (coset_of, reps): coset_of is a list over G's indices (-1
+    outside H), reps[c] is the least element of coset c, and cosets are
+    numbered by first appearance in index order.
+    """
     coset_of = [-1] * G.order
     reps = []
-    for i in range(G.order):
+    for i in range(G.order) if within is None else sorted(within):
         if coset_of[i] != -1:
             continue
         c = len(reps)
@@ -394,10 +396,10 @@ def left_cosets(G: FiniteGroup, members) -> tuple[list[int], list[int]]:
 
 
 def _normal_by_reps(G: FiniteGroup, N: Subgroup, reps) -> bool:
-    """N is normal iff r x r^-1 lies in N for every left-coset
-    representative r and every generator x of N: with g = r*n,
-    g N g^-1 = r N r^-1, and conjugation is injective, so the image of a
-    generating set inside N forces r N r^-1 = N."""
+    """N is normal in the group its cosets cover iff r x r^-1 lies in N
+    for every left-coset representative r and every generator x of N: with
+    g = r*n, g N g^-1 = r N r^-1, and conjugation is injective, so the image
+    of a generating set inside N forces r N r^-1 = N."""
     nset = set(N.members)
     ngens = subgroup_generators(G, N.members)
     return all(G.conjugate(r, x) in nset for r in reps for x in ngens)
@@ -407,18 +409,40 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return _normal_by_reps(G, H, left_cosets(G, H.members)[1])
 
 
-def quotient(G: FiniteGroup, N: Subgroup) -> tuple[TableGroup, list[int]]:
-    """G/N as a table group on the left cosets, with the projection.
+class CosetGroup(FiniteGroup):
+    """H/N on coset numbers; aN * bN is the coset of a*b, multiplied in the
+    parent group through the coset representatives, so no table is built."""
 
-    Raises ValueError when N is not normal in G.
+    def __init__(self, G: FiniteGroup, coset_of: list[int], reps: list[int]):
+        self.G = G
+        self.coset_of = coset_of
+        self.reps = reps
+        self.order = len(reps)
+        self.identity = coset_of[G.identity]
+
+    def mult(self, a, b):
+        return self.coset_of[self.G.mult(self.reps[a], self.reps[b])]
+
+    def inv(self, a):
+        return self.coset_of[self.G.inv(self.reps[a])]
+
+    def label(self, a):
+        return self.G.label(self.reps[a]) + "N"
+
+
+def quotient(G: FiniteGroup, N: Subgroup, within=None) -> tuple[CosetGroup, list[int]]:
+    """H/N on the left cosets, with the projection, where H is G or the
+    subgroup of G whose members are within.
+
+    Cosets are numbered as in quotient(subgroup_as_group(G, within), ...),
+    so the two give the same multiplication, inverses and labels.  The
+    projection is a list over G's indices, -1 outside H.  Raises ValueError
+    when N is not normal in H.
     """
-    coset_of, reps = left_cosets(G, N.members)
+    coset_of, reps = left_cosets(G, N.members, within)
     if not _normal_by_reps(G, N, reps):
         raise ValueError("quotient requires a normal subgroup")
-    q = len(reps)
-    table = [[coset_of[G.mult(reps[a], reps[b])] for b in range(q)] for a in range(q)]
-    labels = [G.label(r) + "N" for r in reps]
-    return TableGroup(table, labels), coset_of
+    return CosetGroup(G, coset_of, reps), coset_of
 
 
 def subgroup_as_group(G: FiniteGroup, members) -> TableGroup:
@@ -545,7 +569,7 @@ def automorphism_group(G: FiniteGroup) -> PermGroup:
 @dataclass
 class SesReport:
     is_normal: bool
-    quotient_group: TableGroup | None
+    quotient_group: CosetGroup | None
     projection: list[int] | None
     quotient_iso: GroupMap | None
     complement: tuple[int, ...] | None
@@ -831,13 +855,19 @@ def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
     return json.dumps(group_to_json_dict(G, prime), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def group_from_json_dict(data: dict) -> tuple[TableGroup, int | None]:
+def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup, int | None]:
+    """The table group of a group_table document and its stored prime.
+
+    Raises ValueError on a malformed document, and on an order above cap
+    before the table is built."""
     if not isinstance(data, dict) or data.get("kind") != "group_table":
         raise ValueError("not a group_table document")
     for key, kind in (("order", int), ("mult", list)):
         if not isinstance(data.get(key), kind):
             raise ValueError("group_table document needs %r as a %s" % (key, kind.__name__))
     n = data["order"]
+    if cap is not None and n > cap:
+        raise ValueError("input group order %d exceeds cap %d" % (n, cap))
     flat = data["mult"]
     if len(flat) != n * n:
         raise ValueError("mult table has %d entries, expected %d" % (len(flat), n * n))

@@ -27,15 +27,16 @@ from functools import cached_property
 
 from .diagram import Diagram, contract_iso_edges
 from .fingroup import (
+    CosetGroup,
     FiniteGroup,
     PermGroup,
     Subgroup,
-    TableGroup,
     all_subgroups,
+    bfs_closure,
     centralizer,
     center_of_subgroup,
-    conjugate_members,
     generated_subgroup,
+    greedy_generators,
     normal_closure,
     normalizer,
     quotient,
@@ -95,7 +96,7 @@ class ChainAutReport:
     chain: tuple[tuple[int, ...], ...]
     inter_norm: tuple[int, ...]
     aut_f: PermGroup
-    aut_l: TableGroup
+    aut_l: CosetGroup
     z_order: int
     nu_prime_order: int
     centralizer_order: int
@@ -113,7 +114,13 @@ class ChainAutReport:
 
 
 class FusionData:
-    """Fusion of G at p relative to a fixed Sylow subgroup."""
+    """Fusion of G at p relative to a fixed Sylow subgroup.
+
+    G-conjugacy of subgroups and chains is decided on orbits, found by
+    breadth-first search under conjugation by one generating set of G, so
+    the work per orbit scales with its size, not with |G|.  Common
+    normalizers are memoised per chain.
+    """
 
     def __init__(self, G: FiniteGroup, p: int, sylow: tuple[int, ...] | None = None):
         self.G = G
@@ -122,29 +129,52 @@ class FusionData:
         if len(self.S) != p_part(G.order, p):
             raise ValueError("given subgroup is not Sylow: order %d" % len(self.S))
         self._sset = set(self.S)
+        # x -> g x g^-1 for each of one generating set of G, as lists over
+        # G's indices
+        self._conj = [[G.conjugate(g, x) for x in range(G.order)] for g in greedy_generators(G)]
+        self._inter_norm: dict[tuple, tuple[int, ...]] = {}
+
+    # -- conjugation -------------------------------------------------------
+
+    def conjugation_orbit(self, chain) -> list[tuple[tuple[int, ...], ...]]:
+        """The G-conjugates of a chain of subgroups, each a tuple of sorted
+        member tuples, by breadth-first search under conjugation by the
+        generators of G (in a finite group they generate G as a monoid)."""
+        start = tuple(tuple(sorted(m)) for m in chain)
+
+        def conj(c, perm):
+            return tuple(tuple(sorted(map(perm.__getitem__, m))) for m in c)
+
+        return bfs_closure(start, self._conj, conj)
+
+    def inter_norm(self, chain) -> tuple[int, ...]:
+        """Sorted members of the common normalizer of the chain's subgroups,
+        memoised per chain, so each subgroup's normalizer is scanned once."""
+        chain = tuple(tuple(sorted(m)) for m in chain)
+        out = self._inter_norm.get(chain)
+        if out is None:
+            if len(chain) == 1:
+                out = normalizer(self.G, Subgroup(self.G, chain[0])).members
+            else:
+                last = set(self.inter_norm(chain[-1:]))
+                out = tuple(g for g in self.inter_norm(chain[:-1]) if g in last)
+            self._inter_norm[chain] = out
+        return out
 
     # -- single subgroups --------------------------------------------------
 
     def conjugates_in_sylow(self, members) -> list[tuple[int, ...]]:
-        """Distinct G-conjugates of the subgroup that lie inside S."""
-        G = self.G
-        seen = set()
-        out = []
-        for g in range(G.order):
-            c = conjugate_members(G, g, members)
-            if c not in seen and all(x in self._sset for x in c):
-                seen.add(c)
-                out.append(c)
-        return out
+        """Distinct G-conjugates of the subgroup that lie inside S, sorted."""
+        sset = self._sset
+        return sorted(c for (c,) in self.conjugation_orbit((members,)) if sset.issuperset(c))
 
     def aut_f_of(self, members) -> PermGroup:
         """Conjugation action of N_G(P) on P, as permutations of P."""
         G = self.G
         members = tuple(sorted(members))
         pos = {m: i for i, m in enumerate(members)}
-        N = normalizer(G, Subgroup(G, members))
         perms = set()
-        for g in N.members:
+        for g in self.inter_norm((members,)):
             gi = G.inv(g)
             perms.add(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
         return PermGroup(sorted(perms))
@@ -226,22 +256,15 @@ class FusionData:
 
     def chain_key(self, chain) -> tuple[tuple[int, ...], ...]:
         """Canonical form of a chain under simultaneous conjugacy: the
-        lexicographic minimum over g of the conjugated chain."""
-        G = self.G
-        return min(
-            tuple(conjugate_members(G, g, m) for m in chain)
-            for g in range(G.order)
-        )
+        lexicographic minimum of its G-orbit."""
+        return min(self.conjugation_orbit(chain))
 
     # -- chain automorphisms -----------------------------------------------
 
     def chain_aut(self, chain) -> ChainAutReport:
         G, p = self.G, self.p
         chain = tuple(tuple(sorted(m)) for m in chain)
-        inter = set(range(G.order))
-        for m in chain:
-            inter &= set(normalizer(G, Subgroup(G, m)).members)
-        inter_t = tuple(sorted(inter))
+        inter_t = self.inter_norm(chain)
         top = chain[-1]
         bottom = chain[0]
         pos_top = {m: i for i, m in enumerate(top)}
@@ -272,10 +295,7 @@ class FusionData:
             and all(G.element_order(x) % p != 0 for x in nu)
         )
 
-        inter_grp = subgroup_as_group(G, inter_t)
-        pos_inter = {m: i for i, m in enumerate(inter_t)}
-        nu_idx = tuple(sorted(pos_inter[x] for x in nu))
-        aut_l, _ = quotient(inter_grp, Subgroup(inter_grp, nu_idx))
+        aut_l, _ = quotient(G, Subgroup(G, nu), inter_t)
         if splits:
             assert aut_l.order == len(Z) * aut_f.order
 
@@ -358,8 +378,7 @@ class ChainPoset:
                 dst = key_to_id[data.chain_key(sub)]
                 iso = (
                     sub[-1] == cls.rep[-1]
-                    and set(data.chain_aut(sub).inter_norm)
-                    == set(cls.report.inter_norm)
+                    and data.inter_norm(sub) == cls.report.inter_norm
                 )
                 seen_dst[dst] = seen_dst.get(dst, False) or iso
             for dst in sorted(seen_dst):

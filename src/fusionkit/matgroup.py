@@ -51,10 +51,6 @@ class CycMatrix:
         one, zero = CycNum.one(m), CycNum.zero(m)
         return CycMatrix(dim, m, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
 
-    @staticmethod
-    def from_rows(m: int, rows) -> "CycMatrix":
-        return CycMatrix(len(rows), m, rows)
-
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.m != other.m:
             raise ConductorMismatch("matrix conductors differ: %d vs %d" % (self.m, other.m))
@@ -106,10 +102,6 @@ class CycMatrix:
         n = self.dim
         return CycMatrix(n, self.m, [[self.rows[j][i].conjugate() for j in range(n)] for i in range(n)])
 
-    def transpose(self) -> "CycMatrix":
-        n = self.dim
-        return CycMatrix(n, self.m, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
     def trace(self) -> CycNum:
         t = CycNum.zero(self.m)
         for i in range(self.dim):
@@ -155,19 +147,6 @@ class CycMatrix:
                     return False
         return True
 
-    def is_unitary(self) -> bool:
-        return (self * self.conj_transpose()).is_identity()
-
-    def is_monomial(self) -> bool:
-        """Exactly one nonzero entry in every row and every column."""
-        seen_cols = set()
-        for row in self.rows:
-            nz = [j for j, x in enumerate(row) if not x.is_zero]
-            if len(nz) != 1:
-                return False
-            seen_cols.add(nz[0])
-        return len(seen_cols) == self.dim
-
     def permutation_part(self):
         """For a monomial matrix, the map i -> j with entry (i, j) nonzero."""
         perm = []
@@ -191,9 +170,6 @@ class CycMatrix:
             base = base * base
             n >>= 1
         return result
-
-    def lift(self, m2: int) -> "CycMatrix":
-        return CycMatrix(self.dim, m2, [[x.lift(m2) for x in row] for row in self.rows])
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(repr(x) for x in row) for row in self.rows)

@@ -28,6 +28,7 @@ def run_cli(*args: str, env_extra: dict | None = None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=300,
     )
 
 
@@ -161,6 +162,36 @@ def test_fusion_cap_enforced(tmp_path):
     res = run_cli("fusion", "--input", str(path), "--cap", "10")
     assert res.returncode == 2
     assert "exceeds cap" in res.stderr
+
+
+def test_fusion_cap_checked_before_the_table_is_built(tmp_path):
+    # the mult list is malformed too, but the order alone exceeds the cap
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "group_table", "order": 10 ** 6, "mult": [0]}))
+    res = run_cli("fusion", "--input", str(path), "--cap", "10")
+    assert res.returncode == 2
+    assert "exceeds cap" in res.stderr
+
+
+@pytest.mark.parametrize("prime", [4, "3", 1, 3.0, None], ids=["4", "str-3", "1", "float-3", "null"])
+def test_fusion_unsupported_file_prime_is_usage_error(tmp_path, prime):
+    # at p = 1 the Sylow search would never return, so it must not start
+    doc = json.loads(group_to_json(symmetric_group(4)))
+    doc["prime"] = prime
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("fusion", "--input", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+def test_fusion_env_prime_must_be_supported(tmp_path):
+    path = tmp_path / "s4.json"
+    path.write_text(group_to_json(symmetric_group(4)))
+    res = run_cli("fusion", "--input", str(path), env_extra={"FUSIONKIT_PRIME": "4"})
+    assert res.returncode == 2
+    assert "prime must be one of" in res.stderr
 
 
 def test_fusion_rejects_malformed_input(tmp_path):

@@ -68,6 +68,27 @@ def test_section_identity_and_bijectivity():
     assert sorted(f) == list(range(gam.order))
 
 
+def _section_perm_per_element(gam, M):
+    """f_M evaluated element by element from the defining formula."""
+    p = gam.p
+    m00, m01, m10, m11 = M
+    det = (m00 * m11 - m01 * m10) % p
+    h = half_inverse(p)
+    out = []
+    for x in range(gam.order):
+        c, i, j = gam.decode(x)
+        s = h * (m00 * m10 * i * i + m01 * m11 * j * j) + m10 * m01 * i * j
+        out.append(gam.encode(det * c + s, m00 * i + m01 * j, m10 * i + m11 * j))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_section_perm_matches_per_element_formula(p):
+    gam = HeisenbergGroup(p)
+    for M in mat2_group(p, "GL").elements:
+        assert section_perm(gam, M) == _section_perm_per_element(gam, M)
+
+
 def test_section_rejects_singular_matrices():
     gam = HeisenbergGroup(3)
     with pytest.raises(AssertionError):

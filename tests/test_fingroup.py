@@ -29,6 +29,7 @@ from fusionkit.fingroup import (
     is_normal,
     isomorphic,
     isomorphism,
+    left_cosets,
     mat2_group,
     normal_closure,
     normalizer,
@@ -327,3 +328,55 @@ def test_center_matches_brute_force(name):
     want = brute_force_center(G)
     assert center(G).members == want
     assert len(want) == {"S4": 1, "Heis3": 3, "O48": 2}[name]
+
+
+def _same_quotient(G, N, H):
+    """quotient(G, N, H) against the quotient of subgroup_as_group(G, H),
+    built as an explicit table on its left cosets."""
+    Q, proj = quotient(G, Subgroup(G, N), H[::-1])
+    K = subgroup_as_group(G, H)
+    pos = {m: i for i, m in enumerate(H)}
+    rproj, reps = left_cosets(K, [pos[x] for x in N])
+    R = TableGroup([[rproj[K.mult(a, b)] for b in reps] for a in reps],
+                   [K.label(r) + "N" for r in reps])
+    assert (Q.order, Q.identity) == (R.order, R.identity)
+    for a in range(Q.order):
+        assert (Q.inv(a), Q.label(a)) == (R.inv(a), R.label(a))
+        assert [Q.mult(a, b) for b in range(Q.order)] == [R.mult(a, b) for b in range(R.order)]
+    hset = set(H)
+    assert [proj[x] for x in H] == rproj
+    assert all(proj[x] == -1 for x in range(G.order) if x not in hset)
+
+
+def test_quotient_on_a_subgroup_matches_the_subgroup_table():
+    import random
+
+    from fusionkit.extraspecial import heisenberg_semidirect
+    from fusionkit.fusion import FusionData
+    from test_golden import relabeled
+
+    # every normal pair N <= H of S4; a non-normal N raises on both sides
+    S4 = symmetric_group(4)
+    subs = all_subgroups(S4)
+    checked = 0
+    for H in subs:
+        K = subgroup_as_group(S4, H)
+        pos = {m: i for i, m in enumerate(H)}
+        for N in subs:
+            if not set(N) <= set(H):
+                continue
+            if is_normal(K, Subgroup(K, tuple(sorted(pos[x] for x in N)))):
+                _same_quotient(S4, N, H)
+                checked += 1
+            else:
+                with pytest.raises(ValueError):
+                    quotient(S4, Subgroup(S4, N), H)
+    assert checked > len(subs)
+    # the common normalizer of each chain of the p = 3 model, by each
+    # chain member (normal there) and by the trivial group
+    G = relabeled(heisenberg_semidirect(3, "SL"), random.Random(1))
+    fd = FusionData(G, 3)
+    for chain in fd.chains():
+        H = fd.inter_norm(chain)
+        for N in ((G.identity,), chain[0], chain[-1]):
+            _same_quotient(G, N, H)

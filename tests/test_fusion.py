@@ -10,15 +10,18 @@ Agreement pins down the canonical-key quotient and the edge construction.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
     conjugate_members,
     recognize,
     subgroup_as_group,
     symmetric_group,
 )
+from fusionkit.matgroup import closure, std_matrix
 from fusionkit.fusion import (
     ChainPoset,
     FusionData,
@@ -200,3 +203,40 @@ def test_fusion_data_rejects_non_sylow():
     S4 = symmetric_group(4)
     with pytest.raises(ValueError):
         FusionData(S4, 2, sylow=(S4.identity,))
+
+
+def _fusion_model(name):
+    """(G, p) for the differential tests of the orbit search."""
+    from test_golden import relabeled
+
+    if name == "S4":
+        return symmetric_group(4), 2
+    if name == "O48":
+        gens = [std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
+                std_matrix(2, "F"), std_matrix(2, "H")]
+        return closure(gens, expected=48), 2
+    return relabeled(heisenberg_semidirect(3, "SL"), random.Random(1)), 3
+
+
+@pytest.mark.parametrize("name", ["S4", "O48", "Heis3:SL2(F3)"])
+def test_orbit_search_matches_full_scan(name):
+    # conjugates_in_sylow and chain_key against a scan over every g in G,
+    # for every subgroup of S, every pair P < Q of them and every chain
+    G, p = _fusion_model(name)
+    fd = FusionData(G, p)
+    conj = [[G.conjugate(g, x) for x in range(G.order)] for g in range(G.order)]
+
+    def scan(chain):
+        return {tuple(tuple(sorted(c[x] for x in m)) for m in chain) for c in conj}
+
+    subs = fd.sylow_subgroups
+    sset = set(fd.S)
+    for P in subs:
+        conjugates = scan((P,))
+        assert set(fd.conjugation_orbit((P,))) == conjugates
+        assert fd.conjugates_in_sylow(P) == sorted(c for (c,) in conjugates if sset.issuperset(c))
+    pairs = [(P, Q) for P in subs for Q in subs if len(P) < len(Q) and set(P) < set(Q)]
+    chains = fd.chains()
+    assert len(pairs) > 10 and len(chains) >= 2
+    for chain in pairs + chains:
+        assert fd.chain_key(chain) == min(scan(chain))

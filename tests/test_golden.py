@@ -18,16 +18,19 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
 from fusionkit import cli
-from fusionkit.fingroup import group_to_json, symmetric_group
+from fusionkit.extraspecial import heisenberg_semidirect
+from fusionkit.fingroup import TableGroup, group_to_json, symmetric_group
 
 GOLDEN = Path(__file__).parent / "golden" / "sha256.json"
 
-# name -> argv; "{s4}" and "{q8}" stand for the group-table files.  The Q8
-# table is the dump-group artifact itself, so it is generated first.
+# name -> argv; "{s4}", "{q8}" and "{USL}" .. "{GL}" stand for the
+# group-table files.  The Q8 table is the dump-group artifact itself, so it
+# is generated first.
 ARTIFACTS = {
     "dump-group-sup-2.json": ["dump-group", "--case", "sup", "--prime", "2"],
     "verify-sup-2.json": ["verify", "--case", "sup", "--prime", "2", "--format", "json"],
@@ -40,6 +43,27 @@ ARTIFACTS = {
     "fusion-s4.json": ["fusion", "--input", "{s4}", "--format", "json"],
     "fusion-q8.json": ["fusion", "--input", "{q8}", "--format", "json"],
 }
+
+# the slower configurations: verify at p in {5, 7} and az 29/31/34, and
+# aut-gamma at p in {5, 7}
+ARTIFACTS.update({
+    "verify-%s-%d.json" % (case, p): ["verify", "--case", case, "--prime", str(p), "--format", "json"]
+    for case in ("sup", "up") for p in (5, 7)
+})
+ARTIFACTS.update({
+    "verify-az-%d.json" % i: ["verify", "--case", "az", "--index", str(i), "--format", "json"]
+    for i in (29, 31, 34)
+})
+ARTIFACTS.update({
+    "aut-gamma-%d.json" % p: ["aut-gamma", "--prime", str(p), "--format", "json"] for p in (5, 7)
+})
+
+# fusion on the four p = 3 models Heis(3) x| H, as relabeled tables
+HEISENBERG_KINDS = ("USL", "UGL", "SL", "GL")
+ARTIFACTS.update({
+    "fusion-heis3-%s.%s" % (kind, fmt): ["fusion", "--input", "{%s}" % kind, "--format", fmt]
+    for kind in HEISENBERG_KINDS for fmt in ("json", "dot")
+})
 
 # decompose for all 12 default configurations, as json and dot, with and
 # without --full-poset
@@ -62,10 +86,29 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def relabeled(G, rng: random.Random) -> TableGroup:
+    """G with element i renamed to perm[i], for a permutation drawn from rng,
+    so that a lucky index order cannot hide a change."""
+    n = G.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    labels = [""] * n
+    for i in range(n):
+        labels[perm[i]] = G.label(i)
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[G.mult(i, j)]
+    return TableGroup(table, labels)
+
+
 def generate(workdir: Path) -> dict[str, str]:
     """sha256 of every artifact, generated with FUSIONKIT_* unset."""
     tables = {"s4": workdir / "s4.json", "q8": workdir / "q8.json"}
     tables["s4"].write_text(group_to_json(symmetric_group(4), prime=2))
+    for kind in HEISENBERG_KINDS:
+        tables[kind] = workdir / ("heis3-%s.json" % kind)
+        G = relabeled(heisenberg_semidirect(3, kind), random.Random(0))
+        tables[kind].write_text(group_to_json(G, prime=3))
     digests = {}
     for name, argv in ARTIFACTS.items():
         text = _run([a.format(**tables) for a in argv])
