@@ -328,13 +328,15 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
         center_size=cent.order,
         scalars=len(scal),
     )
+    # S_level is a group, so it contains every element of <A, B> iff it
+    # contains A and B
     rep.add(
         "gamma.in_torus_extension",
         "every element is monomial with a shift permutation part and "
         "p^level-torsion diagonal inside the ambient torus extension",
         all(
-            in_truncated_torus_extension(gam.matrix(i), p, cfg.level, det_one=cfg.torus_det_one)
-            for i in range(gam.order)
+            in_truncated_torus_extension(x, p, cfg.level, det_one=cfg.torus_det_one)
+            for x in (A, B)
         ),
     )
     tag = recognize(gam)

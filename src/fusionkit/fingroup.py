@@ -77,12 +77,13 @@ class FiniteGroup:
 class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table.
 
-    Raises ValueError on a table with no identity or a row without the
-    identity; the group axioms are not otherwise checked.
+    The rows are kept as given, not copied.  Raises ValueError on a table
+    with no identity or a row without the identity; the group axioms are
+    not otherwise checked.
     """
 
     def __init__(self, table, labels=None):
-        self.table = [list(row) for row in table]
+        self.table = table
         self.order = len(self.table)
         assert all(len(row) == self.order for row in self.table)
         self.labels = list(labels) if labels else ["g%d" % i for i in range(self.order)]
@@ -297,12 +298,6 @@ def center(G: FiniteGroup) -> Subgroup:
     return centralizer(G, greedy_generators(G))
 
 
-def center_of_subgroup(G: FiniteGroup, H: Subgroup) -> tuple[int, ...]:
-    return tuple(
-        x for x in H.members if all(G.mult(x, y) == G.mult(y, x) for y in H.members)
-    )
-
-
 def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
     seen = [False] * G.order
     classes = []
@@ -350,15 +345,17 @@ def derived_subgroup(G: FiniteGroup, gens=None) -> tuple[int, ...]:
     return normal_closure(G, gens, sorted(seed))
 
 
-def all_subgroups(G: FiniteGroup, cap: int = 100000) -> list[tuple[int, ...]]:
-    """Every subgroup, by closing single-generator extensions to a fixpoint.
+def all_subgroups(G: FiniteGroup, cap: int = 100000, base=None) -> list[tuple[int, ...]]:
+    """Every subgroup that contains <base> (every subgroup when base is
+    None), by closing single-generator extensions of <base> to a fixpoint.
 
     <H, x> = <H, x*h> for h in H, so one x per left coset of H is tried,
     and each closure starts from the generators H was found with.
     """
-    triv = (G.identity,)
-    gens_of: dict[tuple[int, ...], list[int]] = {triv: []}
-    queue = [triv]
+    base = list(base or ())
+    start = generated_subgroup(G, base)
+    gens_of: dict[tuple[int, ...], list[int]] = {start: base}
+    queue = [start]
     while queue:
         h = queue.pop()
         tried = set(h)
@@ -818,14 +815,13 @@ def recognize(G: FiniteGroup) -> str:
             ref = mat2_group(p, kind)
             if ref.order == n and isomorphic(G, ref):
                 return name % p
-    if n % 2 == 0 and n >= 8:
-        rotors = [r for r in range(n) if G.element_order(r) == n // 2]
-        for r in rotors:
-            rot = set(generated_subgroup(G, [r]))
-            for s in range(n):
-                if G.element_order(s) == 2 and s not in rot and G.conjugate(s, r) == G.inv(r):
-                    return "D%d" % n
-            break
+    if n % 2 == 0 and n >= 8 and hist.get(n // 2, 0):
+        # the first element of order n/2 as the rotation
+        r = next(r for r in range(n) if G.element_order(r) == n // 2)
+        rot = set(generated_subgroup(G, [r]))
+        for s in range(n):
+            if G.element_order(s) == 2 and s not in rot and G.conjugate(s, r) == G.inv(r):
+                return "D%d" % n
     for k in (3, 4, 5):
         if n == math.factorial(k) and isomorphic(G, symmetric_group(k)):
             return "S%d" % k

@@ -14,6 +14,15 @@ induced by conjugation in G.  The objects of interest are:
     quotient of the common normalizer by the p'-part of the top
     centralizer (aut_l).
 
+Nothing scans G.  Conjugation acts on chains through one generating set
+of G: a breadth-first search finds a chain's orbit together with a
+transversal, and Schreier's lemma turns the transversal into generators of
+the stabilizer, the common normalizer of the chain's subgroups.  Aut_F is
+the closure of those generators' images on the top subgroup, and
+centralizers are tested against generators of the centralized subgroup.
+Only subgroups of S that contain Z(S) are enumerated, since a centric
+subgroup contains Z(S).
+
 The poset of chain classes, ordered by "contains a conjugate as a proper
 subchain", drives the decomposition diagrams.  An edge is marked iso when
 the subchain keeps the top subgroup and already has the same common
@@ -31,14 +40,14 @@ from .fingroup import (
     FiniteGroup,
     PermGroup,
     Subgroup,
+    TableGroup,
     all_subgroups,
     bfs_closure,
-    centralizer,
-    center_of_subgroup,
+    center,
     generated_subgroup,
     greedy_generators,
     normal_closure,
-    normalizer,
+    perm_closure,
     quotient,
     recognize,
     subgroup_as_group,
@@ -60,26 +69,136 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def sylow_members(G: FiniteGroup, p: int) -> tuple[int, ...]:
+def _chain(chain) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(m)) for m in chain)
+
+
+class ConjugationAction:
+    """Conjugation by G on chains of subgroups, through one generating set.
+
+    A chain is a tuple of sorted member tuples.  Its orbit is found by
+    breadth-first search under conjugation by the generators g_k of G (in
+    a finite group they generate G as a monoid), and each orbit point c
+    records an element u_c with c = u_c start u_c^-1: a new point
+    d = g_k c g_k^-1 gets u_d = g_k u_c.  By Schreier's lemma the elements
+    u_d^-1 g_k u_c over every point c and generator g_k generate the
+    stabilizer of the chain, the common normalizer of its subgroups.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.G = G
+        self.gens = greedy_generators(G)
+        # x -> g x g^-1 for each generator g, as lists over G's indices
+        self.maps = [[G.conjugate(g, x) for x in range(G.order)] for g in self.gens]
+        self._stabilizer: dict[tuple, tuple[tuple[int, ...], list[int]]] = {}
+
+    def orbit(self, chain):
+        """(orbit, transversal, arcs) of the chain's conjugation orbit.
+
+        orbit[0] is the chain itself, transversal[i] conjugates it onto
+        orbit[i], and each (i, k, j) in arcs records that g_k conjugates
+        orbit[i] onto the earlier-found orbit[j]; the search tree's own
+        arcs give trivial Schreier generators and are left out.
+        """
+        G = self.G
+        orbit = [_chain(chain)]
+        where = {orbit[0]: 0}
+        transversal = [G.identity]
+        arcs = []
+        i = 0
+        while i < len(orbit):
+            c = orbit[i]
+            for k, perm in enumerate(self.maps):
+                d = tuple(tuple(sorted(map(perm.__getitem__, m))) for m in c)
+                j = where.get(d)
+                if j is None:
+                    where[d] = len(orbit)
+                    orbit.append(d)
+                    transversal.append(G.mult(self.gens[k], transversal[i]))
+                else:
+                    arcs.append((i, k, j))
+            i += 1
+        return orbit, transversal, arcs
+
+    def stabilizer(self, chain) -> tuple[tuple[int, ...], list[int]]:
+        """Sorted members and generators of the chain's stabilizer,
+        memoised per chain.
+
+        Schreier generators are adjoined only when they lie outside the
+        closure so far, and the search stops once the closure has
+        |G|/|orbit| elements: it lies inside the stabilizer and has its
+        order, so the two are equal.  Raises ValueError if the generators
+        run out short of that order, which only happens when G is not a
+        group.
+        """
+        chain = _chain(chain)
+        out = self._stabilizer.get(chain)
+        if out is None:
+            G = self.G
+            orbit, transversal, arcs = self.orbit(chain)
+            target = G.order // len(orbit)
+            gens: list[int] = []
+            members = [G.identity]
+            have = {G.identity}
+            for i, k, j in arcs:
+                if len(members) >= target:
+                    break
+                s = G.mult(G.inv(transversal[j]), G.mult(self.gens[k], transversal[i]))
+                if s not in have:
+                    gens.append(s)
+                    members = bfs_closure(G.identity, gens, G.mult)
+                    have = set(members)
+            if len(members) * len(orbit) != G.order:
+                raise ValueError(
+                    "Schreier generators close to %d elements, not |G|/|orbit| = %d/%d: "
+                    "the input is not a group" % (len(members), G.order, len(orbit))
+                )
+            out = (tuple(sorted(members)), gens)
+            self._stabilizer[chain] = out
+        return out
+
+
+def sylow_members(G: FiniteGroup, p: int,
+                  action: ConjugationAction | None = None) -> tuple[int, ...]:
     """A Sylow p-subgroup, grown through normalizers.
 
     While P is smaller than the full p-part, p divides |N_G(P)/P|, so the
     normalizer contains an element of p-power order outside P; adjoining it
     keeps the subgroup a p-group (the quotient by P is cyclic of p-power
-    order).  Scanning in index order makes the result deterministic.
+    order).  Scanning in index order makes the result deterministic.  Each
+    normalizer is a stabilizer of the conjugation action.  Raises
+    ValueError when no such element exists, which only happens when G is
+    not a group.
     """
+    action = action if action is not None else ConjugationAction(G)
     target = p_part(G.order, p)
     members = (G.identity,)
     while len(members) < target:
         mset = set(members)
-        N = normalizer(G, Subgroup(G, members))
         x = next(
-            y
-            for y in N.members
-            if y not in mset and is_p_power(G.element_order(y), p)
+            (y for y in action.stabilizer((members,))[0]
+             if y not in mset and is_p_power(G.element_order(y), p)),
+            None,
         )
+        if x is None:
+            raise ValueError(
+                "no element of %d-power order extends a %d-subgroup of order %d: "
+                "the input is not a group" % (p, p, len(members))
+            )
         members = generated_subgroup(G, subgroup_generators(G, members) + [x])
     return members
+
+
+def _induced_perms(G: FiniteGroup, gens, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The permutations of the positions of members induced by conjugation
+    by <gens>: the closure of the generators' images (the identity when
+    gens is empty).  <gens> must normalize the subgroup."""
+    pos = {m: i for i, m in enumerate(members)}
+    images = []
+    for g in gens:
+        gi = G.inv(g)
+        images.append(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
+    return perm_closure(images or [tuple(range(len(members)))]).perms
 
 
 @dataclass
@@ -116,50 +235,33 @@ class ChainAutReport:
 class FusionData:
     """Fusion of G at p relative to a fixed Sylow subgroup.
 
-    G-conjugacy of subgroups and chains is decided on orbits, found by
-    breadth-first search under conjugation by one generating set of G, so
-    the work per orbit scales with its size, not with |G|.  Common
-    normalizers are memoised per chain.
+    G-conjugacy of subgroups and chains is decided on orbits of one
+    ConjugationAction, so the work per orbit scales with its size, not
+    with |G|.  Common normalizers are its stabilizers, memoised per chain.
     """
 
     def __init__(self, G: FiniteGroup, p: int, sylow: tuple[int, ...] | None = None):
         self.G = G
         self.p = p
-        self.S = tuple(sorted(sylow)) if sylow is not None else sylow_members(G, p)
+        self.action = ConjugationAction(G)
+        self.S = tuple(sorted(sylow)) if sylow is not None else sylow_members(G, p, self.action)
         if len(self.S) != p_part(G.order, p):
             raise ValueError("given subgroup is not Sylow: order %d" % len(self.S))
         self._sset = set(self.S)
-        # x -> g x g^-1 for each of one generating set of G, as lists over
-        # G's indices
-        self._conj = [[G.conjugate(g, x) for x in range(G.order)] for g in greedy_generators(G)]
-        self._inter_norm: dict[tuple, tuple[int, ...]] = {}
+        self._spos = {s: i for i, s in enumerate(self.S)}
+        self._names: dict[tuple[int, ...], str] = {}
 
     # -- conjugation -------------------------------------------------------
 
     def conjugation_orbit(self, chain) -> list[tuple[tuple[int, ...], ...]]:
         """The G-conjugates of a chain of subgroups, each a tuple of sorted
-        member tuples, by breadth-first search under conjugation by the
-        generators of G (in a finite group they generate G as a monoid)."""
-        start = tuple(tuple(sorted(m)) for m in chain)
-
-        def conj(c, perm):
-            return tuple(tuple(sorted(map(perm.__getitem__, m))) for m in c)
-
-        return bfs_closure(start, self._conj, conj)
+        member tuples."""
+        return self.action.orbit(chain)[0]
 
     def inter_norm(self, chain) -> tuple[int, ...]:
-        """Sorted members of the common normalizer of the chain's subgroups,
-        memoised per chain, so each subgroup's normalizer is scanned once."""
-        chain = tuple(tuple(sorted(m)) for m in chain)
-        out = self._inter_norm.get(chain)
-        if out is None:
-            if len(chain) == 1:
-                out = normalizer(self.G, Subgroup(self.G, chain[0])).members
-            else:
-                last = set(self.inter_norm(chain[-1:]))
-                out = tuple(g for g in self.inter_norm(chain[:-1]) if g in last)
-            self._inter_norm[chain] = out
-        return out
+        """Sorted members of the common normalizer of the chain's subgroups
+        (the chain's stabilizer), memoised per chain."""
+        return self.action.stabilizer(chain)[0]
 
     # -- single subgroups --------------------------------------------------
 
@@ -169,25 +271,29 @@ class FusionData:
         return sorted(c for (c,) in self.conjugation_orbit((members,)) if sset.issuperset(c))
 
     def aut_f_of(self, members) -> PermGroup:
-        """Conjugation action of N_G(P) on P, as permutations of P."""
-        G = self.G
+        """Conjugation action of N_G(P) on P, as permutations of P: the
+        closure of the images of the stabilizer's generators."""
         members = tuple(sorted(members))
-        pos = {m: i for i, m in enumerate(members)}
-        perms = set()
-        for g in self.inter_norm((members,)):
-            gi = G.inv(g)
-            perms.add(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
-        return PermGroup(sorted(perms))
+        gens = self.action.stabilizer((members,))[1]
+        return PermGroup(sorted(_induced_perms(self.G, gens, members)))
 
     def is_centric(self, members) -> bool:
-        """Every conjugate inside S contains its own S-centralizer."""
-        G = self.G
-        for c in self.conjugates_in_sylow(members):
-            cset = set(c)
-            for s in self.S:
-                if s in cset:
-                    continue
-                if all(G.mult(s, x) == G.mult(x, s) for x in c):
+        """Every conjugate inside S contains its own S-centralizer.
+
+        The conjugate u P u^-1 is generated by the conjugates of P's
+        generators, so an element of S centralizes it iff it commutes
+        with those; the products are read off the table of S."""
+        G, spos = self.G, self._spos
+        T = self.sylow_table.table
+        pgens = subgroup_generators(G, members)
+        orbit, transversal, _ = self.action.orbit((members,))
+        for (c,), u in zip(orbit, transversal):
+            if not self._sset.issuperset(c):
+                continue
+            cpos = {spos[x] for x in c}
+            cgens = [spos[G.conjugate(u, x)] for x in pgens]
+            for s, row in enumerate(T):
+                if s not in cpos and all(row[x] == T[x][s] for x in cgens):
                     return False
         return True
 
@@ -200,15 +306,10 @@ class FusionData:
         """
         G = self.G
         members = tuple(sorted(members))
-        pos = {m: i for i, m in enumerate(members)}
         A = self.aut_f_of(members)
-        inner = set()
-        for g in members:
-            gi = G.inv(g)
-            inner.add(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
-        inner_idx = tuple(sorted(A.index[q] for q in inner))
-        Out, _ = quotient(A, Subgroup(A, inner_idx))
-        gens = range(Out.order)
+        inner = _induced_perms(G, subgroup_generators(G, members), members)
+        Out, _ = quotient(A, Subgroup(A, tuple(sorted(A.index[q] for q in inner))))
+        gens = greedy_generators(Out)
         for x in range(Out.order):
             if Out.element_order(x) != self.p:
                 continue
@@ -220,12 +321,30 @@ class FusionData:
     # -- the centric-radical collection ------------------------------------
 
     @cached_property
+    def sylow_table(self) -> TableGroup:
+        """S as a table group; element i is self.S[i]."""
+        return subgroup_as_group(self.G, self.S)
+
+    def subgroup_name(self, members) -> str:
+        """recognize() of a subgroup of S, multiplied in S's table and
+        memoised per subgroup."""
+        members = tuple(sorted(members))
+        out = self._names.get(members)
+        if out is None:
+            spos = self._spos
+            out = recognize(subgroup_as_group(self.sylow_table, [spos[m] for m in members]))
+            self._names[members] = out
+        return out
+
+    @cached_property
     def sylow_subgroups(self) -> list[tuple[int, ...]]:
-        """All subgroups of S, as sorted member tuples in G's indexing."""
-        Sgrp = subgroup_as_group(self.G, self.S)
-        subs = all_subgroups(Sgrp)
+        """The subgroups of S that contain Z(S), as sorted member tuples in
+        G's indexing.  A centric subgroup contains its S-centralizer, hence
+        Z(S) (Broto-Levi-Oliver), so no centric subgroup is left out."""
+        Sgrp = self.sylow_table
+        zgens = subgroup_generators(Sgrp, center(Sgrp).members)
         return sorted(
-            tuple(sorted(self.S[i] for i in sub)) for sub in subs
+            tuple(sorted(self.S[i] for i in sub)) for sub in all_subgroups(Sgrp, base=zgens)
         )
 
     @cached_property
@@ -263,34 +382,29 @@ class FusionData:
 
     def chain_aut(self, chain) -> ChainAutReport:
         G, p = self.G, self.p
-        chain = tuple(tuple(sorted(m)) for m in chain)
-        inter_t = self.inter_norm(chain)
+        chain = _chain(chain)
+        inter_t, ngens = self.action.stabilizer(chain)
         top = chain[-1]
         bottom = chain[0]
-        pos_top = {m: i for i, m in enumerate(top)}
-        pos_bot = {m: i for i, m in enumerate(bottom)}
 
-        top_of = {}
-        for g in inter_t:
-            gi = G.inv(g)
-            tp = tuple(pos_top[G.mult(G.mult(g, x), gi)] for x in top)
-            top_of[tp] = g
-        aut_f = PermGroup(sorted(top_of))
-        bottoms = set()
-        for tp in top_of:
-            g = top_of[tp]
-            gi = G.inv(g)
-            bottoms.add(tuple(pos_bot[G.mult(G.mult(g, x), gi)] for x in bottom))
+        aut_f = PermGroup(sorted(_induced_perms(G, ngens, top)))
+        # restriction to the bottom is a homomorphism on aut_f, injective
+        # iff the same generators' images on the bottom close to |aut_f|
+        bottoms = _induced_perms(G, ngens, bottom)
         restriction_injective = len(bottoms) == aut_f.order
 
-        C = centralizer(G, top)
-        Z = center_of_subgroup(G, Subgroup(G, top))
+        # C_G(top) centralizes every member of the chain, so it lies in
+        # the common normalizer
+        tgens = subgroup_generators(G, top)
+        C = [g for g in inter_t if all(G.mult(g, x) == G.mult(x, g) for x in tgens)]
+        cset = set(C)
+        Z = [x for x in top if x in cset]
         nu = tuple(
-            x for x in C.members if G.element_order(x) % p != 0
+            x for x in C if G.element_order(x) % p != 0
         )
         nu = generated_subgroup(G, nu) if nu else (G.identity,)
         splits = (
-            len(Z) * len(nu) == C.order
+            len(Z) * len(nu) == len(C)
             and set(Z) & set(nu) == {G.identity}
             and all(G.element_order(x) % p != 0 for x in nu)
         )
@@ -306,7 +420,7 @@ class FusionData:
             aut_l=aut_l,
             z_order=len(Z),
             nu_prime_order=len(nu),
-            centralizer_order=C.order,
+            centralizer_order=len(C),
             centralizer_splits=splits,
             restriction_to_bottom_injective=restriction_injective,
             tag=recognize(aut_l),
@@ -345,7 +459,6 @@ class ChainPoset:
 
     def __init__(self, data: FusionData):
         self.data = data
-        G = data.G
         chains = data.chains()
         by_key: dict[tuple, list] = {}
         for c in chains:
@@ -361,9 +474,7 @@ class ChainPoset:
         for i, (key, rep, size) in enumerate(classes):
             cid = "c%d" % i
             key_to_id[key] = cid
-            names = tuple(
-                recognize(subgroup_as_group(G, m)) for m in rep
-            )
+            names = tuple(data.subgroup_name(m) for m in rep)
             self.classes.append(
                 ChainClass(cid, rep, key, size, names, data.chain_aut(rep))
             )

@@ -22,11 +22,28 @@ from fusionkit.cases import (
     run_suite,
 )
 from fusionkit.fingroup import subgroup
-from fusionkit.matgroup import closure, std_matrix
+from fusionkit.matgroup import closure, in_truncated_torus_extension, std_matrix
 
 
 def suite_ids(rep: VerificationReport) -> list[str]:
     return [c.check_id for c in rep.checks]
+
+
+@pytest.mark.parametrize("cfg", all_configs(), ids=lambda c: "%s-%d-%s" % (c.case, c.prime, c.az_index))
+def test_torus_extension_decided_on_generators(cfg):
+    # gamma.in_torus_extension tests only A and B; S_level is a group, so
+    # the verdict must be the one over every element of Gamma, on both
+    # sides of the determinant condition
+    A, B = gamma_matrices(cfg)
+    gam = closure([A, B])
+    assert len(all_configs()) == 12
+    for det_one in (True, False):
+        def member(x):
+            return in_truncated_torus_extension(x, cfg.prime, cfg.level, det_one=det_one)
+
+        on_gens = member(A) and member(B)
+        assert on_gens == all(member(gam.matrix(i)) for i in range(gam.order))
+        assert on_gens
 
 
 def test_config_validation():

@@ -216,6 +216,22 @@ def test_fusion_malformed_table_is_usage_error(tmp_path, doc):
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
 
+def test_fusion_on_a_non_associative_loop_is_usage_error(tmp_path):
+    # a Latin square with an identity: every row and column is a
+    # permutation, yet (a*b)*c != a*(b*c) for some triples; at p = 5 no
+    # element of 5-power order exists, so no Sylow subgroup can be grown
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    assert any(rows[rows[a][b]][c] != rows[a][rows[b][c]]
+               for a in range(5) for b in range(5) for c in range(5))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"kind": "group_table", "order": 5,
+                                "mult": [x for row in rows for x in row]}))
+    res = run_cli("fusion", "--input", str(path), "--prime", "5")
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
 def test_verify_json_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("verify", "--case", "sup", "--prime", "2", "--format", "json", "--out", str(a))

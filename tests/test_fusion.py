@@ -9,14 +9,22 @@ Agreement pins down the canonical-key quotient and the edge construction.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
+    Subgroup,
+    TableGroup,
+    all_subgroups,
+    center,
     conjugate_members,
+    generated_subgroup,
+    normalizer,
     recognize,
     subgroup_as_group,
     symmetric_group,
@@ -24,6 +32,7 @@ from fusionkit.fingroup import (
 from fusionkit.matgroup import closure, std_matrix
 from fusionkit.fusion import (
     ChainPoset,
+    ConjugationAction,
     FusionData,
     is_p_power,
     p_part,
@@ -205,6 +214,17 @@ def test_fusion_data_rejects_non_sylow():
         FusionData(S4, 2, sylow=(S4.identity,))
 
 
+def test_stabilizer_rejects_a_non_group():
+    # a Latin square with an identity, not associative: the orbit of {1}
+    # under its conjugation maps has 4 points, which do not divide |G| = 5,
+    # so no closure of Schreier generators has |G|/|orbit| elements
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    action = ConjugationAction(TableGroup(rows))
+    assert len(action.orbit(((1,),))[0]) == 4
+    with pytest.raises(ValueError, match="not a group"):
+        action.stabilizer(((1,),))
+
+
 def _fusion_model(name):
     """(G, p) for the differential tests of the orbit search."""
     from test_golden import relabeled
@@ -218,25 +238,152 @@ def _fusion_model(name):
     return relabeled(heisenberg_semidirect(3, "SL"), random.Random(1)), 3
 
 
-@pytest.mark.parametrize("name", ["S4", "O48", "Heis3:SL2(F3)"])
+MODELS = ["S4", "O48", "Heis3:SL2(F3)"]
+
+
+def _subgroups_of_S(fd: FusionData) -> list[tuple[int, ...]]:
+    """Every subgroup of S in G's indexing, also those without Z(S)."""
+    subs = all_subgroups(subgroup_as_group(fd.G, fd.S))
+    return sorted(tuple(sorted(fd.S[i] for i in sub)) for sub in subs)
+
+
+def _pairs(subs):
+    return [(P, Q) for P in subs for Q in subs if len(P) < len(Q) and set(P) < set(Q)]
+
+
+def _conjugation_table(G):
+    return [[G.conjugate(g, x) for x in range(G.order)] for g in range(G.order)]
+
+
+@pytest.mark.parametrize("name", MODELS)
 def test_orbit_search_matches_full_scan(name):
     # conjugates_in_sylow and chain_key against a scan over every g in G,
     # for every subgroup of S, every pair P < Q of them and every chain
     G, p = _fusion_model(name)
     fd = FusionData(G, p)
-    conj = [[G.conjugate(g, x) for x in range(G.order)] for g in range(G.order)]
+    conj = _conjugation_table(G)
 
     def scan(chain):
         return {tuple(tuple(sorted(c[x] for x in m)) for m in chain) for c in conj}
 
-    subs = fd.sylow_subgroups
+    subs = _subgroups_of_S(fd)
     sset = set(fd.S)
     for P in subs:
         conjugates = scan((P,))
         assert set(fd.conjugation_orbit((P,))) == conjugates
         assert fd.conjugates_in_sylow(P) == sorted(c for (c,) in conjugates if sset.issuperset(c))
-    pairs = [(P, Q) for P in subs for Q in subs if len(P) < len(Q) and set(P) < set(Q)]
+    pairs = _pairs(subs)
     chains = fd.chains()
     assert len(pairs) > 10 and len(chains) >= 2
     for chain in pairs + chains:
         assert fd.chain_key(chain) == min(scan(chain))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_stabilizers_match_full_scan(name):
+    # inter_norm (Schreier generators of the chain's stabilizer) against
+    # the elements of G that map every member set of the chain to itself,
+    # for every subgroup of S, every pair P < Q and every chain; and the
+    # kept generators generate it
+    G, p = _fusion_model(name)
+    fd = FusionData(G, p)
+    conj = _conjugation_table(G)
+    subs = _subgroups_of_S(fd)
+    for chain in [(P,) for P in subs] + _pairs(subs) + fd.chains():
+        sets = [set(m) for m in chain]
+        want = tuple(g for g in range(G.order)
+                     if all(sets[i] == {conj[g][x] for x in m} for i, m in enumerate(chain)))
+        assert fd.inter_norm(chain) == want
+        members, gens = fd.action.stabilizer(chain)
+        assert members == want and generated_subgroup(G, gens) == want
+
+
+def _conjugation_perms(G, elements, members):
+    """Conjugation by every element, as permutations of members' positions."""
+    pos = {m: i for i, m in enumerate(members)}
+    return {tuple(pos[G.conjugate(g, x)] for x in members) for g in elements}
+
+
+def _centric_by_scan(fd: FusionData, members) -> bool:
+    G = fd.G
+    for g in range(G.order):
+        c = set(G.conjugate(g, x) for x in members)
+        if not c <= set(fd.S):
+            continue
+        for s in fd.S:
+            if s not in c and all(G.mult(s, x) == G.mult(x, s) for x in c):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_aut_f_and_centric_match_full_scan(name):
+    # aut_f_of against conjugation by every element of the scanned
+    # normalizer, and is_centric against the definition over every g in G
+    # and every member of the conjugate, on every subgroup of S; the
+    # subgroups without Z(S) are never centric
+    G, p = _fusion_model(name)
+    fd = FusionData(G, p)
+    zset = set(center(subgroup_as_group(G, fd.S)).members)
+    zS = {fd.S[i] for i in zset}
+    subs = _subgroups_of_S(fd)
+    assert fd.sylow_subgroups == [P for P in subs if zS <= set(P)]
+    assert len(fd.sylow_subgroups) < len(subs)
+    verdicts = []
+    for P in subs:
+        N = normalizer(G, Subgroup(G, P)).members
+        assert fd.aut_f_of(P).perms == sorted(_conjugation_perms(G, N, P))
+        centric = _centric_by_scan(fd, P)
+        assert fd.is_centric(P) == centric
+        assert not centric or zS <= set(P)
+        verdicts.append(centric)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_chain_aut_matches_full_scan(name):
+    # aut_f, the restriction test, |Z(top)| and |C_G(top)| of chain_aut
+    # against scans: conjugation by every element of the scanned common
+    # normalizer, and centralizers over every element of G and of top
+    G, p = _fusion_model(name)
+    fd = FusionData(G, p)
+    S = tuple(sorted(fd.S))
+    chains = fd.chains() + [(P, S) for P in fd.sylow_subgroups if P != S]
+    for chain in chains:
+        rep = fd.chain_aut(chain)
+        top, bottom = chain[-1], chain[0]
+        N = [g for g in range(G.order)
+             if all(set(m) == {G.conjugate(g, x) for x in m} for m in chain)]
+        tops = _conjugation_perms(G, N, top)
+        assert rep.aut_f.perms == sorted(tops)
+        # restriction is injective iff distinct top actions stay distinct
+        # on the bottom
+        by_top = {}
+        for g in N:
+            by_top.setdefault(next(iter(_conjugation_perms(G, [g], top))),
+                              next(iter(_conjugation_perms(G, [g], bottom))))
+        assert rep.restriction_to_bottom_injective == (len(set(by_top.values())) == len(tops))
+        C = [g for g in range(G.order) if all(G.mult(g, x) == G.mult(x, g) for x in top)]
+        Z = [x for x in top if all(G.mult(x, y) == G.mult(y, x) for y in top)]
+        assert rep.centralizer_order == len(C)
+        assert rep.z_order == len(Z)
+    # both verdicts of the restriction test occur
+    assert {fd.chain_aut(c).restriction_to_bottom_injective for c in chains} == {True, False}
+
+
+def test_p5_sl_model_poset_pinned():
+    # the order-15000 model Heis(5) x| SL2(F5), run on the SemidirectGroup
+    # with no table: Gamma, S and Gamma < S, with |Aut_L| = p^3 p(p^2-1) at
+    # Gamma and p^3 p(p-1) at S and at Gamma < S
+    poset = FusionData(heisenberg_semidirect(5, "SL"), 5).sd_poset()
+    rows = [(list(c.names), [len(m) for m in c.rep], c.size,
+             c.report.aut_f_order, c.report.aut_l_order) for c in poset.classes]
+    assert rows == [
+        (["extraspecial(5^3, exp p)"], [125], 1, 3000, 15000),
+        (["unknown(order 625)"], [625], 1, 500, 2500),
+        (["extraspecial(5^3, exp p)", "unknown(order 625)"], [125, 625], 1, 500, 2500),
+    ]
+    assert poset.edges == [("c2", "c0", False), ("c2", "c1", True)]
+    text = json.dumps(poset.to_json_dict(), sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "49675224f56378595686f4e16e970eb2f06dde860683802a1dcb9bf20f46c020")
