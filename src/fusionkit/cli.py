@@ -283,7 +283,6 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     G, file_prime = group_from_json_dict(data, cap)
-    del data  # the table is built; the parsed document is no longer needed
     p = args.prime if args.prime is not None else file_prime
     if p is None:
         raise ValueError("no prime selected; pass --prime or store one in the input file")

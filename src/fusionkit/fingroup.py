@@ -77,13 +77,12 @@ class FiniteGroup:
 class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table.
 
-    The rows are kept as given, not copied.  Raises ValueError on a table
-    with no identity or a row without the identity; the group axioms are
-    not otherwise checked.
+    Raises ValueError on a table with no identity or a row without the
+    identity; the group axioms are not otherwise checked.
     """
 
     def __init__(self, table, labels=None):
-        self.table = table
+        self.table = [list(row) for row in table]
         self.order = len(self.table)
         assert all(len(row) == self.order for row in self.table)
         self.labels = list(labels) if labels else ["g%d" % i for i in range(self.order)]
