@@ -137,14 +137,16 @@ def inner_perms(gam: HeisenbergGroup) -> list[tuple[int, ...]]:
 
 
 def commuting_pair_scan(G: FiniteGroup) -> int:
-    """#{(a, b) : [a, b] != e}; equals |Aut| for these groups."""
+    """#{(a, b) : [a, b] != e}; equals |Aut| for these groups.
+
+    [a, b] = e iff ab = ba, a symmetric relation that holds on the
+    diagonal, so the pairs a < b are counted and doubled."""
     count = 0
     for a in range(G.order):
-        ai = G.inv(a)
-        for b in range(G.order):
-            if G.mult(G.mult(a, b), G.mult(ai, G.inv(b))) != G.identity:
+        for b in range(a + 1, G.order):
+            if G.mult(a, b) != G.mult(b, a):
                 count += 1
-    return count
+    return 2 * count
 
 
 @dataclass

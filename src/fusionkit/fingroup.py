@@ -5,14 +5,14 @@ A group object only needs the protocol
     mult(i, j) -> int  inv(i) -> int     label(i) -> str
 and everything here works on top of it: one breadth-first closure
 (bfs_closure, also behind the matrix and permutation closures),
-normalizers and centralizers by direct scan, conjugacy, normality decided
-on left-coset representatives (once per quotient), quotients of G or of a
-subgroup that multiply through coset representatives, certified generator
-homomorphisms, one generator-image backtracking search (behind isomorphism
-and automorphism_group), short-exact-sequence verification with
-exhaustive complement search, and structure recognition against natively
-built reference groups (2x2 matrix groups over F_p, symmetric and cyclic
-groups).
+normalizers and centralizers by direct scan, conjugates and normal
+closures, normality decided on left-coset representatives (once per
+quotient), quotients of G or of a subgroup that multiply through coset
+representatives, certified generator homomorphisms, one generator-image
+backtracking search (behind isomorphism and automorphism_group),
+short-exact-sequence verification with exhaustive complement search, and
+structure recognition against natively built reference groups (2x2 matrix
+groups over F_p, symmetric and cyclic groups).
 """
 
 from __future__ import annotations
@@ -144,25 +144,30 @@ def perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(a.__getitem__, b))
 
 
-def bfs_closure(identity, gens, mul, cap: int | None = None) -> list | None:
+def bfs_closure(identity, gens, mul, cap: int | None = None, key=None) -> list | None:
     """Closure of gens under right multiplication, breadth first.
 
     Returns the elements in discovery order, the identity first, found
     frontier by frontier as mul(x, g) for x in the frontier and g in gens,
     so the numbering is fixed by the generator order.  Returns None once
     the closure has more than cap elements.
+
+    Without key the products are their own dedupe keys.  With key,
+    key(x, g) must identify mul(x, g) among the group's elements without
+    forming it; the BFS then dedupes on keys and calls mul only for the
+    new elements, in the same order.
     """
     elements = [identity]
-    seen = {identity}
+    seen = {identity if key is None else key(identity, identity)}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
+                k = mul(x, g) if key is None else key(x, g)
+                if k not in seen:
+                    seen.add(k)
+                    new.append(k if key is None else mul(x, g))
                     if cap is not None and len(seen) > cap:
                         return None
         elements += new
@@ -247,10 +252,6 @@ def subgroup(G: FiniteGroup, gens) -> Subgroup:
     return Subgroup(G, generated_subgroup(G, gens))
 
 
-def whole_group(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, tuple(range(G.order)))
-
-
 def conjugate_members(G: FiniteGroup, g: int, members) -> tuple[int, ...]:
     gi = G.inv(g)
     return tuple(sorted(G.mult(G.mult(g, x), gi) for x in members))
@@ -297,28 +298,6 @@ def center(G: FiniteGroup) -> Subgroup:
     return centralizer(G, greedy_generators(G))
 
 
-def conjugacy_classes(G: FiniteGroup) -> list[list[int]]:
-    seen = [False] * G.order
-    classes = []
-    for i in range(G.order):
-        if seen[i]:
-            continue
-        orbit = {i}
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for g in range(G.order):
-                y = G.conjugate(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        cls = sorted(orbit)
-        for x in cls:
-            seen[x] = True
-        classes.append(cls)
-    return classes
-
-
 def normal_closure(G: FiniteGroup, gens, seed) -> tuple[int, ...]:
     """Smallest subgroup containing seed that conjugation by the given
     generators of G leaves invariant (= the normal closure when gens
@@ -333,15 +312,6 @@ def normal_closure(G: FiniteGroup, gens, seed) -> tuple[int, ...]:
                 orbit.add(y)
                 stack.append(y)
     return generated_subgroup(G, sorted(orbit))
-
-
-def derived_subgroup(G: FiniteGroup, gens=None) -> tuple[int, ...]:
-    gens = list(gens) if gens is not None else list(range(G.order))
-    seed = set()
-    for a in gens:
-        for b in gens:
-            seed.add(G.commutator(a, b))
-    return normal_closure(G, gens, sorted(seed))
 
 
 def all_subgroups(G: FiniteGroup, cap: int = 100000, base=None) -> list[tuple[int, ...]]:
@@ -853,8 +823,9 @@ def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
 def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup, int | None]:
     """The table group of a group_table document and its stored prime.
 
-    Raises ValueError on a malformed document, and on an order above cap
-    before the table is built."""
+    Raises ValueError on a malformed document (labels, when present, must
+    be a list of order strings), and on an order above cap before the
+    table is built."""
     if not isinstance(data, dict) or data.get("kind") != "group_table":
         raise ValueError("not a group_table document")
     for key, kind in (("order", int), ("mult", list)):
@@ -866,16 +837,15 @@ def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup
     flat = data["mult"]
     if len(flat) != n * n:
         raise ValueError("mult table has %d entries, expected %d" % (len(flat), n * n))
-    table = [flat[i * n:(i + 1) * n] for i in range(n)]
     labels = data.get("labels")
+    if "labels" in data and not (isinstance(labels, list) and len(labels) == n
+                                 and all(isinstance(x, str) for x in labels)):
+        raise ValueError("group_table labels must be a list of %d strings" % n)
+    table = [flat[i * n:(i + 1) * n] for i in range(n)]
     return TableGroup(table, labels), data.get("prime")
 
 
 # -- invariant helpers ------------------------------------------------------
-
-
-def class_equation(G: FiniteGroup) -> list[int]:
-    return sorted(len(c) for c in conjugacy_classes(G))
 
 
 def spot_check_associativity(G: FiniteGroup, trials: int = 200, seed: int = 5) -> bool:

@@ -16,7 +16,8 @@ Groups are built by breadth-first closure with a hard element cap; exceeding
 the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
 only compiles the generators to permutations of the orbit of the standard
 basis vectors (Seress, Permutation Group Algorithms, 2003); the closure and
-every group operation after it run on those integer tuples.
+every group operation after it run on those integer tuples, keyed by the
+images of the basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import functools
 from fractions import Fraction
 
 from .cyclo import CycNum, ConductorMismatch
-from .fingroup import PermGroup, bfs_closure, perm_mul
+from .fingroup import FiniteGroup, bfs_closure, perm_mul
 
 DEFAULT_CAP = 2_000_000
 
@@ -296,10 +297,12 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
 
     The generators are compiled once to permutations of their basis orbit
     and closed there: the action is faithful, so the closure is the same
-    BFS under an isomorphic product.  Element numbering is by discovery
-    order with the identity first, which makes it deterministic for a
-    fixed generator order.  If expected is given the cap defaults to twice
-    it; a closure passing the cap raises CapExceeded.
+    BFS under an isomorphic product.  The BFS dedupes on base images (see
+    MatrixGroup), so a whole orbit permutation is formed only for each new
+    element.  Element numbering is by discovery order with the identity
+    first, which makes it deterministic for a fixed generator order.  If
+    expected is given the cap defaults to twice it; a closure passing the
+    cap raises CapExceeded.
     """
     gens = list(gens)
     assert gens, "need at least one generator"
@@ -313,43 +316,52 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
     found = basis_orbit(gens, dim * cap)
     if found is not None:
         orbit, gen_perms = found
-        elements = bfs_closure(tuple(range(len(orbit))), gen_perms, perm_mul, cap)
+        elements = bfs_closure(tuple(range(len(orbit))), gen_perms, perm_mul, cap,
+                               key=lambda x, g: perm_mul(x, g[:dim]))
         if elements is not None:
             return MatrixGroup(dim, m, orbit, elements, gen_perms)
     raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
 
 
-class MatrixGroup(PermGroup):
+class MatrixGroup(FiniteGroup):
     """A finite group of CycMatrix elements, run on its permutation action
     on the orbit of the standard basis vectors.
 
-    The action is faithful because the orbit contains the basis: the first
-    dim entries of element i's tuple are the orbit positions of its
-    columns, which determine the matrix.  Group operations are those of
-    PermGroup; matrices are built only on request.
+    The orbit contains the basis, at positions 0..dim-1, so the first dim
+    entries of element i's tuple (its base images: the orbit positions of
+    its columns) determine the matrix and hence the element (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, section 4.4).
+    The one element dict, index, is keyed by base images: a product maps
+    only the dim base images of its right factor through its left factor,
+    and an inverse finds only the dim preimages of the basis positions.
+    Matrices are built only on request.
     """
 
     def __init__(self, dim: int, m: int, orbit, perms, gen_perms):
-        super().__init__(perms)
         self.dim = dim
         self.m = m
         self.orbit = orbit
-        self.generator_indices = [self.index[g] for g in gen_perms]
+        self.perms = perms
+        self.order = len(perms)
+        self.bases = [q[:dim] for q in perms]
+        self.index = {b: i for i, b in enumerate(self.bases)}
+        assert len(self.index) == self.order, "duplicate base images"
+        self.identity = self.index[tuple(range(dim))]
+        self.generator_indices = [self.index[g[:dim]] for g in gen_perms]
 
-    def label(self, i: int) -> str:
-        return "g%d" % i
+    def mult(self, i: int, j: int) -> int:
+        return self.index[perm_mul(self.perms[i], self.bases[j])]
+
+    def inv(self, i: int) -> int:
+        return self.index[tuple(map(self.perms[i].index, range(self.dim)))]
 
     def matrix(self, i: int) -> CycMatrix:
-        cols = [self.orbit[q] for q in self.perms[i][:self.dim]]
+        cols = [self.orbit[q] for q in self.bases[i]]
         return CycMatrix(self.dim, self.m, zip(*cols))
 
     @functools.cached_property
     def _orbit_pos(self) -> dict[tuple, int]:
         return {v: q for q, v in enumerate(self.orbit)}
-
-    @functools.cached_property
-    def _by_columns(self) -> dict[tuple[int, ...], int]:
-        return {q[:self.dim]: i for i, q in enumerate(self.perms)}
 
     def index_of(self, mat: CycMatrix) -> int | None:
         """The index of mat, or None when mat is not in the group."""
@@ -361,7 +373,7 @@ class MatrixGroup(PermGroup):
             if q is None:
                 return None
             cols.append(q)
-        return self._by_columns.get(tuple(cols))
+        return self.index.get(tuple(cols))
 
     def contains_matrix(self, mat: CycMatrix) -> bool:
         return self.index_of(mat) is not None

@@ -216,6 +216,18 @@ def test_fusion_malformed_table_is_usage_error(tmp_path, doc):
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("labels", [["e", "a"], "eab", None, ["e", "a", 2]],
+                         ids=["too-short", "not-a-list", "null", "not-strings"])
+def test_fusion_malformed_labels_is_usage_error(tmp_path, labels):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "group_table", "order": 3,
+                                "mult": [0, 1, 2, 1, 2, 0, 2, 0, 1], "labels": labels}))
+    res = run_cli("fusion", "--input", str(path), "--prime", "3")
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
 def test_fusion_on_a_non_associative_loop_is_usage_error(tmp_path):
     # a Latin square with an identity: every row and column is a
     # permutation, yet (a*b)*c != a*(b*c) for some triples; at p = 5 no

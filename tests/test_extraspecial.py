@@ -28,7 +28,9 @@ from fusionkit.fingroup import (
     mat2_group,
     perm_closure,
     spot_check_associativity,
+    symmetric_group,
 )
+from fusionkit.matgroup import closure, std_matrix
 
 
 def test_heisenberg_structure():
@@ -123,6 +125,32 @@ def test_commuting_pair_scan_matches_formulas():
         scan = commuting_pair_scan(gam)
         assert scan == p ** 3 * (p - 1) * (p * p - 1)
         assert scan == (p ** 3 - p) * (p ** 3 - p * p)
+
+
+def noncommuting_ordered_pairs(G) -> int:
+    """#{(a, b) : [a, b] != e}, forming every commutator."""
+    count = 0
+    for a in range(G.order):
+        ai = G.inv(a)
+        for b in range(G.order):
+            if G.mult(G.mult(a, b), G.mult(ai, G.inv(b))) != G.identity:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", ["Heis3", "Heis5", "S4", "Q8"])
+def test_commuting_pair_scan_matches_every_commutator(name):
+    if name.startswith("Heis"):
+        G = HeisenbergGroup(int(name[-1]))
+    elif name == "S4":
+        G = symmetric_group(4)
+    else:
+        G = closure([std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True)],
+                    expected=8)
+    # |G|^2 - |G| * (number of conjugacy classes)
+    expect = {"Heis3": 432, "Heis5": 12000, "S4": 456, "Q8": 24}[name]
+    assert noncommuting_ordered_pairs(G) == expect
+    assert commuting_pair_scan(G) == expect
 
 
 def test_aut_certificate_odd_primes():

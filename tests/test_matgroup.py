@@ -19,6 +19,7 @@ from fusionkit.fingroup import (
     generated_subgroup,
     isomorphic,
     perm_closure,
+    perm_mul,
     recognize,
     symmetric_group,
 )
@@ -218,6 +219,8 @@ def differential_generators(name: str) -> list[CycMatrix]:
     if name == "chain5":
         return [std_matrix(5, "A"), std_matrix(5, "B"), std_matrix(5, "D"),
                 std_matrix(5, "sigma", k=2)]
+    if name == "torus3full":  # fewer than dim columns leave the last entry free
+        return torus_extension_generators(3, 2, det_one=False)
     assert name == "torus3"
     return torus_extension_generators(3, 2)
 
@@ -260,6 +263,30 @@ def test_permutation_layer_matches_matrices(name):
             assert outside not in members
             assert G.index_of(outside) is None
             assert not G.contains_matrix(outside)
+
+
+@pytest.mark.parametrize("name", ["gamma2", "gamma3", "gamma5", "gamma7", "O48", "chain5",
+                                  "torus3", "torus3full"])
+def test_base_images_match_whole_permutations(name):
+    """Products, inverses and the closure on base images against the same
+    operations on whole orbit permutations, composed by perm_mul."""
+    gens = differential_generators(name)
+    G = closure(gens)
+    degree = len(G.orbit)
+    ident = tuple(range(degree))
+    gen_perms = [G.perms[g] for g in G.generator_indices]
+    # the keyed BFS discovers the elements in the order of the unkeyed one
+    assert bfs_closure(ident, gen_perms, perm_mul) == G.perms
+    whole = {q: i for i, q in enumerate(G.perms)}
+    rng = random.Random(20261019)
+    for _ in range(200):
+        i, j = rng.randrange(G.order), rng.randrange(G.order)
+        assert G.mult(i, j) == whole[perm_mul(G.perms[i], G.perms[j])]
+        assert perm_mul(G.perms[G.inv(i)], G.perms[i]) == ident
+    assert G.perms[G.identity] == ident
+    assert closure(gens, cap=G.order).perms == G.perms
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=G.order - 1)
 
 
 def test_group_inverse_and_negative_power_policy():
