@@ -157,17 +157,20 @@ def bfs_closure(identity, gens, mul, cap: int | None = None, key=None) -> list |
     forming it; the BFS then dedupes on keys and calls mul only for the
     new elements, in the same order.
     """
+    keyed = key is not None
+    if not keyed:
+        key = mul
     elements = [identity]
-    seen = {identity if key is None else key(identity, identity)}
+    seen = {key(identity, identity) if keyed else identity}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                k = mul(x, g) if key is None else key(x, g)
+                k = key(x, g)
                 if k not in seen:
                     seen.add(k)
-                    new.append(k if key is None else mul(x, g))
+                    new.append(mul(x, g) if keyed else k)
                     if cap is not None and len(seen) > cap:
                         return None
         elements += new
