@@ -826,9 +826,12 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> No
 def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dict:
     p = cfg.prime
     out: dict = {}
-    hberg = HeisenbergGroup(p)
 
+    # the certificate builds f_M for all of GL2(F_p) once; every action
+    # below is read off its GL product
     cert = aut_certificate(p)
+    sd_full = cert.gl_product
+    hberg, gl = sd_full.N, sd_full.H
     rep.add(
         "az.aut_count",
         "the noncommuting generator-pair scan counts the automorphism "
@@ -858,8 +861,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         for u in range(p):
             for v in range(p):
                 inner.append(pos[inner_perm(hberg, u, v)])
-        gl = mat2_group(p, "GL")
-        hint = [pos[section_perm(hberg, gl.elements[h])] for h in greedy_generators(gl)]
+        hint = [pos[sd_full.action[h]] for h in greedy_generators(gl)]
         ses = sesverify(
             aut,
             Subgroup(aut, tuple(sorted(set(inner)))),
@@ -893,7 +895,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         matrix=list(M),
         xi=xi,
     )
-    phi = section_perm(hberg, M)
+    phi = sd_full.action[gl.index[M]]
     a_idx, b_idx = hberg.encode(0, 1, 0), hberg.encode(0, 0, 1)
     phi_hom = propagate_hom(hberg, hberg, [a_idx, b_idx], [phi[a_idx], phi[b_idx]])
     phi_matches = phi_hom is not None and all(
@@ -929,8 +931,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         expected=ugl.order,
     )
 
-    sd_chain = heisenberg_semidirect(p, "UGL")
-    sd_full = heisenberg_semidirect(p, "GL")
+    sd_chain = heisenberg_semidirect(p, "UGL", sd_full)
     out["az_chain"] = sd_chain
     out["az_full"] = sd_full
     rep.add(

@@ -24,17 +24,17 @@ the certificate in aut_certificate checks all of this explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .fingroup import (
     FiniteGroup,
     Mat2Group,
-    PermGroup,
     SemidirectGroup,
+    bfs_closure,
     greedy_generators,
-    hom_by_generators,
     mat2_group,
-    perm_closure,
+    propagate_hom,
     smallest_primitive_root,
 )
 
@@ -47,6 +47,12 @@ class HeisenbergGroup(FiniteGroup):
         self.p = p
         self.order = p ** 3
         self.identity = 0
+        # one int object per index, shared by every permutation tuple built
+        # on this group (an int above 256 is otherwise a fresh object)
+        self.indices = list(range(self.order))
+        # central_shift[k][x] is the index of z^k * x
+        pp = p * p
+        self.central_shift = [self.indices[k * pp:] + self.indices[:k * pp] for k in range(p)]
         self.a_index = self.encode(0, 1, 0)
         self.b_index = self.encode(0, 0, 1)
         self.z_index = self.encode(1, 0, 0)
@@ -105,16 +111,20 @@ def section_perm(gam: HeisenbergGroup, M: tuple[int, int, int, int]) -> tuple[in
     det = (m00 * m11 - m01 * m10) % p
     assert det != 0, "singular substitution"
     h = half_inverse(p)
-    # s_M(i, j) and M*(i, j) depend only on the middle coordinates: evaluate
-    # them once per (i, j), then add det*c to the central coordinate, in
-    # index order x = c*p^2 + i*p + j
-    middle = [
-        (h * (m00 * m10 * i * i + m01 * m11 * j * j) + m10 * m01 * i * j,
-         (m00 * i + m01 * j) % p * p + (m10 * i + m11 * j) % p)
-        for i in range(p) for j in range(p)
-    ]
     pp = p * p
-    return tuple((det * c + s) % p * pp + tail for c in range(p) for s, tail in middle)
+    # s_M(i, j) and M*(i, j) depend only on the middle coordinates: the
+    # images of block c = 0 (index x = i*p + j) are evaluated once per
+    # (i, j).  Block c multiplies every image by z^(det*c), so it reads the
+    # same positions off central_shift[det*c].
+    block0 = itemgetter(*[
+        (h * (m00 * m10 * i * i + m01 * m11 * j * j) + m10 * m01 * i * j) % p * pp
+        + (m00 * i + m01 * j) % p * p + (m10 * i + m11 * j) % p
+        for i in range(p) for j in range(p)
+    ])
+    out: list[int] = []
+    for c in range(p):
+        out += block0(gam.central_shift[det * c % p])
+    return tuple(out)
 
 
 def section_perms(gam: HeisenbergGroup, H: Mat2Group) -> list[tuple[int, ...]]:
@@ -123,12 +133,13 @@ def section_perms(gam: HeisenbergGroup, H: Mat2Group) -> list[tuple[int, ...]]:
 
 
 def inner_perm(gam: HeisenbergGroup, u: int, v: int) -> tuple[int, ...]:
-    """Conjugation by any element with middle coordinates (u, v)."""
-    p = gam.p
+    """Conjugation by any element with middle coordinates (u, v): it sends
+    (c, i, j) to (c + v*i - u*j, i, j), that is x to z^(v*i - u*j) * x."""
+    p, shift = gam.p, gam.central_shift
     out = []
     for x in range(gam.order):
-        c, i, j = gam.decode(x)
-        out.append(gam.encode(c + v * i - u * j, i, j))
+        _, i, j = gam.decode(x)
+        out.append(shift[(v * i - u * j) % p][x])
     return tuple(out)
 
 
@@ -139,14 +150,23 @@ def inner_perms(gam: HeisenbergGroup) -> list[tuple[int, ...]]:
 def commuting_pair_scan(G: FiniteGroup) -> int:
     """#{(a, b) : [a, b] != e}; equals |Aut| for these groups.
 
-    [a, b] = e iff ab = ba, a symmetric relation that holds on the
-    diagonal, so the pairs a < b are counted and doubled."""
-    count = 0
-    for a in range(G.order):
-        for b in range(a + 1, G.order):
-            if G.mult(a, b) != G.mult(b, a):
-                count += 1
-    return 2 * count
+    b commutes with a iff b lies in C_G(a), of order |G|/|a^G|.  Summed
+    over one conjugacy class that is |G|, so the commuting ordered pairs
+    number |G|*k(G) for k(G) classes, and the others |G|^2 - |G|*k(G).  The
+    classes are the orbits of conjugation by greedy_generators(G), each
+    closed breadth first: |G|*|gens| conjugations in all."""
+    conj = [(g, G.inv(g)) for g in greedy_generators(G)]
+
+    def act(x, g):
+        return G.mult(G.mult(g[0], x), g[1])
+
+    seen: set[int] = set()
+    classes = 0
+    for x in range(G.order):
+        if x not in seen:
+            classes += 1
+            seen.update(bfs_closure(x, conj, act))
+    return G.order * (G.order - classes)
 
 
 @dataclass
@@ -161,6 +181,9 @@ class AutCertificate:
     closure_matches: bool
     section_is_gl2_image: bool
     product_equals_scan: bool
+    sections_are_automorphisms: bool
+    # Gamma x| GL2(F_p) through the certified section f_M
+    gl_product: SemidirectGroup = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -169,6 +192,7 @@ class AutCertificate:
             and self.intersection_trivial
             and self.closure_matches
             and self.section_is_gl2_image
+            and self.sections_are_automorphisms
             and self.product_equals_scan
         )
 
@@ -176,14 +200,23 @@ class AutCertificate:
 def aut_certificate(p: int) -> AutCertificate:
     """Certify |Aut| and the inner-by-GL2 structure without materializing Aut.
 
-    Checks, in order: the commuting-pair scan agrees with both closed
-    formulas; the f_M permutations are pairwise distinct, closed under
-    composition (closure from generators reproduces the full set), and form
-    a certified isomorphic image of GL2(F_p); they meet the inner
-    permutations only in the identity; and inner_order * section_order
-    equals the scan count.  Since every automorphism is determined by its
-    generator-pair image, the scan count is an upper bound for |Aut|, so the
-    exhibited product accounts for all of Aut.
+    Checks, in order:
+    - the commuting-pair count agrees with both closed formulas;
+    - in one pass over the f_M: f_I is the identity and
+      f_{x*g} = f_x o f_g for every x in GL2(F_p) and every greedy
+      generator g.  By induction on word length M -> f_M is then a
+      homomorphism on <gens> = GL2(F_p), so its image is the closure of
+      the generators' images (closure_matches), and with the f_M pairwise
+      distinct it is an isomorphic image of GL2(F_p)
+      (section_is_gl2_image);
+    - each generator's f_g is a bijection that equals, on all of Gamma,
+      the homomorphism propagate_hom extends from f_g(a), f_g(b); so f_g
+      is an automorphism, and through the homomorphism so is every f_M;
+    - the f_M meet the inner permutations only in the identity;
+    - inner_order * section_order equals the count.
+    Since every automorphism is determined by its generator-pair image, the
+    count is an upper bound for |Aut|, so the exhibited product accounts
+    for all of Aut.
     """
     gam = HeisenbergGroup(p)
     scan = commuting_pair_scan(gam)
@@ -192,22 +225,36 @@ def aut_certificate(p: int) -> AutCertificate:
 
     H = mat2_group(p, "GL")
     perms = section_perms(gam, H)
-    distinct = len(set(perms)) == H.order
+    section = set(perms)
+    distinct = len(section) == H.order
 
+    ident = tuple(gam.indices)
     gl_gens = greedy_generators(H)
-    closure = perm_closure([perms[g] for g in gl_gens])
-    closure_matches = distinct and closure.order == H.order and set(closure.perms) == set(perms)
+    # after_g(f) is f o f_g, fingroup's perm_mul(f, f_g)
+    after = [(g, itemgetter(*perms[g])) for g in gl_gens]
+    is_hom = perms[H.identity] == ident and all(
+        perms[H.mult(x, g)] == after_g(perms[x])
+        for x in range(H.order)
+        for g, after_g in after
+    )
 
-    K = PermGroup(perms)
-    iso = hom_by_generators(H, K, gl_gens, gl_gens)
-    section_is_gl2_image = iso is not None and iso.is_bijective()
+    a, b = gam.a_index, gam.b_index
+    automorphic = True
+    for g in gl_gens:
+        f = perms[g]
+        images = propagate_hom(gam, gam, [a, b], [f[a], f[b]])
+        automorphic = (
+            automorphic
+            and images is not None
+            and all(images.get(x) == fx for x, fx in enumerate(f))
+            and len(set(f)) == gam.order
+        )
 
     inner = inner_perms(gam)
-    ident = tuple(range(gam.order))
-    inter = set(perms) & set(inner)
-    intersection_trivial = inter == {ident}
+    intersection_trivial = section & set(inner) == {ident}
 
     inner_order = len(set(inner))
+    certified = is_hom and distinct
     return AutCertificate(
         p=p,
         scan_count=scan,
@@ -216,17 +263,29 @@ def aut_certificate(p: int) -> AutCertificate:
         inner_order=inner_order,
         section_order=H.order,
         intersection_trivial=intersection_trivial,
-        closure_matches=closure_matches,
-        section_is_gl2_image=section_is_gl2_image,
+        closure_matches=certified,
+        section_is_gl2_image=certified,
         product_equals_scan=inner_order * H.order == scan,
+        sections_are_automorphisms=automorphic,
+        gl_product=SemidirectGroup(gam, H, perms),
     )
 
 
-def heisenberg_semidirect(p: int, kind: str) -> SemidirectGroup:
-    """Gamma x| H for H one of GL / SL / USL / UGL acting through f_M."""
-    gam = HeisenbergGroup(p)
+def heisenberg_semidirect(p: int, kind: str,
+                          gl_product: SemidirectGroup | None = None) -> SemidirectGroup:
+    """Gamma x| H for H one of GL / SL / USL / UGL acting through f_M.
+
+    Given gl_product, the GL product at the same p (such as
+    AutCertificate.gl_product), each f_M is read off its action by matrix
+    instead of being rebuilt."""
     H = mat2_group(p, kind)
-    return SemidirectGroup(gam, H, section_perms(gam, H))
+    if gl_product is None:
+        gam = HeisenbergGroup(p)
+        return SemidirectGroup(gam, H, section_perms(gam, H))
+    gl = gl_product.H
+    return SemidirectGroup(
+        gl_product.N, H, [gl_product.action[gl.index[M]] for M in H.elements]
+    )
 
 
 def primitive_scaling_matrix(p: int) -> tuple[int, int, int, int]:

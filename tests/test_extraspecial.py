@@ -8,9 +8,14 @@ constructions and the counting certificate both rest on.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from fusionkit import extraspecial
+from fusionkit.cases import CaseConfig, run_suite
 from fusionkit.extraspecial import (
+    AutCertificate,
     HeisenbergGroup,
     aut_certificate,
     commuting_pair_scan,
@@ -23,8 +28,12 @@ from fusionkit.extraspecial import (
     section_perms,
 )
 from fusionkit.fingroup import (
+    PermGroup,
     automorphism_group,
     center,
+    cyclic_group,
+    greedy_generators,
+    hom_by_generators,
     mat2_group,
     perm_closure,
     spot_check_associativity,
@@ -138,17 +147,20 @@ def noncommuting_ordered_pairs(G) -> int:
     return count
 
 
-@pytest.mark.parametrize("name", ["Heis3", "Heis5", "S4", "Q8"])
+@pytest.mark.parametrize("name", ["Heis3", "Heis5", "Heis7", "S4", "Q8", "C12"])
 def test_commuting_pair_scan_matches_every_commutator(name):
     if name.startswith("Heis"):
         G = HeisenbergGroup(int(name[-1]))
     elif name == "S4":
         G = symmetric_group(4)
+    elif name == "C12":
+        G = cyclic_group(12)
     else:
         G = closure([std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True)],
                     expected=8)
     # |G|^2 - |G| * (number of conjugacy classes)
-    expect = {"Heis3": 432, "Heis5": 12000, "S4": 456, "Q8": 24}[name]
+    expect = {"Heis3": 432, "Heis5": 12000, "Heis7": 98784, "S4": 456, "Q8": 24,
+              "C12": 0}[name]
     assert noncommuting_ordered_pairs(G) == expect
     assert commuting_pair_scan(G) == expect
 
@@ -163,6 +175,125 @@ def test_aut_certificate_odd_primes():
         assert cert.section_order == p * (p * p - 1) * (p - 1)
         assert cert.intersection_trivial and cert.closure_matches
         assert cert.section_is_gl2_image and cert.product_equals_scan
+
+
+def _two_pass_certificate(p: int) -> dict:
+    """The certificate's fields by the earlier route: the sections of the
+    greedy generators closed with perm_closure, and a hom_by_generators
+    check onto the PermGroup of all sections.  A corrupted section that
+    breaks either construction counts as a failed check.  The automorphism
+    test multiplies out every pair of Gamma for each generator's section."""
+    gam = HeisenbergGroup(p)
+    H = mat2_group(p, "GL")
+    perms = extraspecial.section_perms(gam, H)
+    distinct = len(set(perms)) == H.order
+    gl_gens = greedy_generators(H)
+    try:
+        closure_set = set(perm_closure([perms[g] for g in gl_gens], cap=H.order).perms)
+        closure_matches = distinct and closure_set == set(perms)
+    except RuntimeError:  # more than |H| elements
+        closure_matches = False
+    try:
+        iso = hom_by_generators(H, PermGroup(perms), gl_gens, gl_gens)
+        section_is_gl2_image = iso is not None and iso.is_bijective()
+    except (AssertionError, KeyError):  # duplicate section, or product missing
+        section_is_gl2_image = False
+    automorphic = all(
+        sorted(f) == list(range(gam.order))
+        and all(f[gam.mult(x, y)] == gam.mult(f[x], f[y])
+                for x in range(gam.order) for y in range(gam.order))
+        for f in (perms[g] for g in gl_gens)
+    )
+    inner = inner_perms(gam)
+    scan = noncommuting_ordered_pairs(gam)
+    return {
+        "p": p,
+        "scan_count": scan,
+        "closed_formula": p ** 3 * (p - 1) * (p * p - 1),
+        "factored_formula": (p ** 3 - p) * (p ** 3 - p * p),
+        "inner_order": len(set(inner)),
+        "section_order": H.order,
+        "intersection_trivial": set(perms) & set(inner) == {tuple(range(gam.order))},
+        "closure_matches": closure_matches,
+        "section_is_gl2_image": section_is_gl2_image,
+        "product_equals_scan": len(set(inner)) * H.order == scan,
+        "sections_are_automorphisms": automorphic,
+    }
+
+
+def _certificate_fields(cert: AutCertificate) -> dict:
+    return {f.name: getattr(cert, f.name) for f in fields(cert) if f.compare}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_aut_certificate_matches_two_pass_route(p):
+    cert = aut_certificate(p)
+    old = _two_pass_certificate(p)
+    assert _certificate_fields(cert) == old
+    assert cert.ok and AutCertificate(**old, gl_product=None).ok
+
+
+def _swap_two_images(f):
+    g = list(f)
+    g[1], g[2] = g[2], g[1]
+    return tuple(g)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("corruption", ["swap", "copy"])
+def test_corrupted_section_fails_both_routes(p, corruption, monkeypatch):
+    H = mat2_group(p, "GL")
+    gens = greedy_generators(H)
+    # a section that is neither the identity nor a generator's, so the
+    # generators still close to the true sections
+    k = next(x for x in range(H.order) if x != H.identity and x not in gens)
+    build = extraspecial.section_perms
+
+    def corrupted(gam, H):
+        perms = build(gam, H)
+        perms[k] = _swap_two_images(perms[k]) if corruption == "swap" else perms[gens[0]]
+        return perms
+
+    monkeypatch.setattr(extraspecial, "section_perms", corrupted)
+    assert not aut_certificate(p).ok
+    assert not AutCertificate(**_two_pass_certificate(p), gl_product=None).ok
+
+
+def test_non_automorphic_generator_section_fails(monkeypatch):
+    # a generator's f_g with two images swapped is no automorphism
+    H = mat2_group(3, "GL")
+    g = greedy_generators(H)[0]
+    build = extraspecial.section_perms
+
+    def corrupted(gam, H):
+        perms = build(gam, H)
+        perms[g] = _swap_two_images(perms[g])
+        return perms
+
+    monkeypatch.setattr(extraspecial, "section_perms", corrupted)
+    cert = aut_certificate(3)
+    assert not cert.sections_are_automorphisms and not cert.ok
+
+
+@pytest.mark.parametrize("kind", ["GL", "SL", "USL", "UGL"])
+def test_semidirect_from_certificate_matches_rebuilt(kind):
+    cert = aut_certificate(3)
+    assert cert.gl_product.action == heisenberg_semidirect(3, "GL").action
+    assert (heisenberg_semidirect(3, kind, cert.gl_product).action
+            == heisenberg_semidirect(3, kind).action)
+
+
+def test_az_suite_builds_the_sections_once(monkeypatch):
+    calls = []
+    build = extraspecial.section_perms
+
+    def counted(gam, H):
+        calls.append(H.kind)
+        return build(gam, H)
+
+    monkeypatch.setattr(extraspecial, "section_perms", counted)
+    assert run_suite(CaseConfig("az", 5, az_index=29)).all_ok
+    assert calls == ["GL"]
 
 
 def test_aut_group_materialized_at_p3():
