@@ -1141,8 +1141,9 @@ def run_suite(cfg: CaseConfig, extended: bool = False) -> VerificationReport:
     """The full verification suite for one configuration.
 
     extended=True additionally runs the p = 7 normalizer tower, which
-    closes a 14406-element matrix group and embeds it in an 800k-element
-    semidirect product; everything else runs unconditionally.
+    closes a 14406-element matrix group and embeds it in the semidirect
+    product Gamma x| SL2(F_7) of order p^4 (p^2 - 1) = 115248; everything
+    else runs unconditionally.
     """
     rep = VerificationReport(cfg)
     gam = verify_gamma(cfg, rep)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -90,6 +91,8 @@ def _context(m: int) -> _Context:
 
 
 def _normalize(den: int, num: list[int]) -> tuple[int, tuple[int, ...]]:
+    if den == 1:
+        return 1, tuple(num)
     if den < 0:
         den = -den
         num = [-x for x in num]
@@ -101,7 +104,7 @@ def _normalize(den: int, num: list[int]) -> tuple[int, tuple[int, ...]]:
     if g > 1:
         den //= g
         num = [x // g for x in num]
-    if all(x == 0 for x in num):
+    if not any(num):
         den = 1
     return den, tuple(num)
 
@@ -168,11 +171,11 @@ class CycNum:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.num)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.num[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
@@ -190,6 +193,9 @@ class CycNum:
     def __add__(self, other: "CycNum") -> "CycNum":
         self._check(other)
         d1, d2 = self.den, other.den
+        if d1 == d2 == 1:
+            # what _normalize returns for an integral sum
+            return CycNum(self.m, 1, tuple(map(operator.add, self.num, other.num)))
         g = math.gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
         num = [a * m1 + b * m2 for a, b in zip(self.num, other.num)]

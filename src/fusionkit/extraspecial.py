@@ -53,6 +53,8 @@ class HeisenbergGroup(FiniteGroup):
         # central_shift[k][x] is the index of z^k * x
         pp = p * p
         self.central_shift = [self.indices[k * pp:] + self.indices[:k * pp] for k in range(p)]
+        # coords[x] = decode(x), in the order of encode
+        self.coords = [(c, i, j) for c in range(p) for i in range(p) for j in range(p)]
         self.a_index = self.encode(0, 1, 0)
         self.b_index = self.encode(0, 0, 1)
         self.z_index = self.encode(1, 0, 0)
@@ -62,19 +64,16 @@ class HeisenbergGroup(FiniteGroup):
         return (c % p * p + i % p) * p + j % p
 
     def decode(self, x: int) -> tuple[int, int, int]:
-        p = self.p
-        x, j = divmod(x, p)
-        c, i = divmod(x, p)
-        return c, i, j
+        return self.coords[x]
 
     def mult(self, x: int, y: int) -> int:
-        p = self.p
-        c1, i1, j1 = self.decode(x)
-        c2, i2, j2 = self.decode(y)
+        coords = self.coords
+        c1, i1, j1 = coords[x]
+        c2, i2, j2 = coords[y]
         return self.encode(c1 + c2 + j1 * i2, i1 + i2, j1 + j2)
 
     def inv(self, x: int) -> int:
-        c, i, j = self.decode(x)
+        c, i, j = self.coords[x]
         return self.encode(i * j - c, -i, -j)
 
     def element_order(self, x: int) -> int:
@@ -147,6 +146,12 @@ def inner_perms(gam: HeisenbergGroup) -> list[tuple[int, ...]]:
     return [inner_perm(gam, u, v) for u in range(gam.p) for v in range(gam.p)]
 
 
+def conjugation_perm(gam: HeisenbergGroup, g: int) -> tuple[int, ...]:
+    """x -> g * x * g^-1, multiplied out in Gamma."""
+    g_inv = gam.inv(g)
+    return tuple(gam.mult(gam.mult(g, x), g_inv) for x in gam.indices)
+
+
 def commuting_pair_scan(G: FiniteGroup) -> int:
     """#{(a, b) : [a, b] != e}; equals |Aut| for these groups.
 
@@ -182,6 +187,7 @@ class AutCertificate:
     section_is_gl2_image: bool
     product_equals_scan: bool
     sections_are_automorphisms: bool
+    inner_are_conjugations: bool
     # Gamma x| GL2(F_p) through the certified section f_M
     gl_product: SemidirectGroup = field(repr=False, compare=False)
 
@@ -193,6 +199,7 @@ class AutCertificate:
             and self.closure_matches
             and self.section_is_gl2_image
             and self.sections_are_automorphisms
+            and self.inner_are_conjugations
             and self.product_equals_scan
         )
 
@@ -212,6 +219,12 @@ def aut_certificate(p: int) -> AutCertificate:
     - each generator's f_g is a bijection that equals, on all of Gamma,
       the homomorphism propagate_hom extends from f_g(a), f_g(b); so f_g
       is an automorphism, and through the homomorphism so is every f_M;
+    - the inner permutation of (u, v) is conjugation by a at (1, 0) and
+      by b at (0, 1), and inner(u+1, v) = inner(u, v) o inner(1, 0) and
+      inner(0, v+1) = inner(0, v) o inner(0, 1) (indices mod p).  At
+      (0, 0) the first equation makes inner(0, 0) the identity, so
+      inner(u, v) is conjugation by b^v a^u and the inner permutations
+      are Inn(Gamma);
     - the f_M meet the inner permutations only in the identity;
     - inner_order * section_order equals the count.
     Since every automorphism is determined by its generator-pair image, the
@@ -250,7 +263,16 @@ def aut_certificate(p: int) -> AutCertificate:
             and len(set(f)) == gam.order
         )
 
-    inner = inner_perms(gam)
+    inner = inner_perms(gam)  # (u, v) at u*p + v
+    alpha, beta = inner[p], inner[1]
+    after_alpha, after_beta = itemgetter(*alpha), itemgetter(*beta)
+    inner_are_conjugations = (
+        alpha == conjugation_perm(gam, a)
+        and beta == conjugation_perm(gam, b)
+        and all(inner[(u + 1) % p * p + v] == after_alpha(inner[u * p + v])
+                for u in range(p) for v in range(p))
+        and all(inner[(v + 1) % p] == after_beta(inner[v]) for v in range(p))
+    )
     intersection_trivial = section & set(inner) == {ident}
 
     inner_order = len(set(inner))
@@ -267,6 +289,7 @@ def aut_certificate(p: int) -> AutCertificate:
         section_is_gl2_image=certified,
         product_equals_scan=inner_order * H.order == scan,
         sections_are_automorphisms=automorphic,
+        inner_are_conjugations=inner_are_conjugations,
         gl_product=SemidirectGroup(gam, H, perms),
     )
 

@@ -58,18 +58,19 @@ class CycMatrix:
         assert self.dim == other.dim
         n = self.dim
         zero = CycNum.zero(self.m)
+        # the nonzero (j, y) of each row of the right factor, found once
+        right = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in other.rows]
         out = []
-        for i in range(n):
-            acc = [zero] * n
-            for k, x in enumerate(self.rows[i]):
+        for row in self.rows:
+            # each entry starts from its first term: zero + t is t
+            acc: list = [None] * n
+            for x, terms in zip(row, right):
                 if x.is_zero:
                     continue
-                brow = other.rows[k]
-                for j in range(n):
-                    y = brow[j]
-                    if not y.is_zero:
-                        acc[j] = acc[j] + x * y
-            out.append(acc)
+                for j, y in terms:
+                    s = acc[j]
+                    acc[j] = x * y if s is None else s + x * y
+            out.append([zero if s is None else s for s in acc])
         return CycMatrix(n, self.m, out)
 
     def __eq__(self, other) -> bool:
@@ -87,13 +88,15 @@ class CycMatrix:
     def apply(self, v: tuple) -> tuple:
         """The matrix-vector product self * v."""
         zero = CycNum.zero(self.m)
+        terms = [(k, y) for k, y in enumerate(v) if not y.is_zero]
         out = []
         for row in self.rows:
-            acc = zero
-            for x, y in zip(row, v):
-                if not x.is_zero and not y.is_zero:
-                    acc = acc + x * y
-            out.append(acc)
+            acc = None
+            for k, y in terms:
+                x = row[k]
+                if not x.is_zero:
+                    acc = x * y if acc is None else acc + x * y
+            out.append(zero if acc is None else acc)
         return tuple(out)
 
     def scalar_mul(self, c: CycNum) -> "CycMatrix":

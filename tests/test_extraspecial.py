@@ -55,6 +55,25 @@ def test_heisenberg_structure():
         assert comm in G.central_indices() and comm != G.identity
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_coordinate_table_matches_defining_formula(p):
+    G = HeisenbergGroup(p)
+
+    def coords(x):  # the encoding (c*p + i)*p + j, undone by divmod
+        rest, j = divmod(x, p)
+        c, i = divmod(rest, p)
+        return c, i, j
+
+    for x in range(G.order):
+        c, i, j = coords(x)
+        assert G.decode(x) == (c, i, j)
+        assert G.encode(*G.decode(x)) == x
+        assert coords(G.inv(x)) == ((i * j - c) % p, -i % p, -j % p)
+        for y in range(G.order):
+            c2, i2, j2 = coords(y)
+            assert coords(G.mult(x, y)) == ((c + c2 + j * i2) % p, (i + i2) % p, (j + j2) % p)
+
+
 def test_half_inverse():
     for p in (3, 5, 7, 11):
         assert (2 * half_inverse(p)) % p == 1
@@ -182,7 +201,9 @@ def _two_pass_certificate(p: int) -> dict:
     greedy generators closed with perm_closure, and a hom_by_generators
     check onto the PermGroup of all sections.  A corrupted section that
     breaks either construction counts as a failed check.  The automorphism
-    test multiplies out every pair of Gamma for each generator's section."""
+    test multiplies out every pair of Gamma for each generator's section,
+    and each inner permutation is compared with its conjugation multiplied
+    out."""
     gam = HeisenbergGroup(p)
     H = mat2_group(p, "GL")
     perms = extraspecial.section_perms(gam, H)
@@ -204,7 +225,11 @@ def _two_pass_certificate(p: int) -> dict:
                 for x in range(gam.order) for y in range(gam.order))
         for f in (perms[g] for g in gl_gens)
     )
-    inner = inner_perms(gam)
+    inner = extraspecial.inner_perms(gam)
+    conjugations = [
+        tuple(gam.mult(gam.mult(g, x), gam.inv(g)) for x in range(gam.order))
+        for g in (gam.encode(0, u, v) for u in range(p) for v in range(p))
+    ]
     scan = noncommuting_ordered_pairs(gam)
     return {
         "p": p,
@@ -218,6 +243,7 @@ def _two_pass_certificate(p: int) -> dict:
         "section_is_gl2_image": section_is_gl2_image,
         "product_equals_scan": len(set(inner)) * H.order == scan,
         "sections_are_automorphisms": automorphic,
+        "inner_are_conjugations": inner == conjugations,
     }
 
 
@@ -257,6 +283,50 @@ def test_corrupted_section_fails_both_routes(p, corruption, monkeypatch):
     monkeypatch.setattr(extraspecial, "section_perms", corrupted)
     assert not aut_certificate(p).ok
     assert not AutCertificate(**_two_pass_certificate(p), gl_product=None).ok
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("uv", [(0, 0), (1, 0), (0, 1), (2, 1), "column"])
+def test_corrupted_inner_permutation_fails_both_routes(p, uv, monkeypatch):
+    # two images swapped in the inner permutation of (u, v): the identity,
+    # a generating conjugation, or one that only the edge equations reach.
+    # "column" swaps two values in every inner(u, 2) at once, which keeps
+    # inner(u+1, 2) = inner(u, 2) o inner(1, 0) and breaks only
+    # inner(0, 3) = inner(0, 2) o inner(0, 1)
+    build = extraspecial.inner_perms
+
+    def corrupted(gam):
+        perms = build(gam)
+        if uv == "column":
+            swap = {1: 2, 2: 1}
+            for u in range(p):
+                perms[u * p + 2] = tuple(swap.get(y, y) for y in perms[u * p + 2])
+        else:
+            k = uv[0] * p + uv[1]
+            perms[k] = _swap_two_images(perms[k])
+        return perms
+
+    monkeypatch.setattr(extraspecial, "inner_perms", corrupted)
+    cert = aut_certificate(p)
+    assert not cert.inner_are_conjugations and not cert.ok
+    assert not AutCertificate(**_two_pass_certificate(p), gl_product=None).ok
+
+
+def test_inner_permutations_must_be_conjugations(monkeypatch):
+    # x -> z^(u*i^2 + v*j) * x over (u, v): a group of p^2 permutations
+    # that passes the edge equations and meets the sections only in the
+    # identity, but (1, 0) gives no automorphism
+    def quadratic_twists(gam):
+        p, shift = gam.p, gam.central_shift
+        return [tuple(shift[(u * i * i + v * j) % p][x]
+                      for x, (_, i, j) in enumerate(map(gam.decode, range(gam.order))))
+                for u in range(p) for v in range(p)]
+
+    monkeypatch.setattr(extraspecial, "inner_perms", quadratic_twists)
+    cert = aut_certificate(3)
+    assert cert.inner_order == 9 and cert.intersection_trivial and cert.product_equals_scan
+    assert not cert.inner_are_conjugations and not cert.ok
+    assert not AutCertificate(**_two_pass_certificate(3), gl_product=None).ok
 
 
 def test_non_automorphic_generator_section_fails(monkeypatch):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -287,6 +288,73 @@ def test_base_images_match_whole_permutations(name):
     assert closure(gens, cap=G.order).perms == G.perms
     with pytest.raises(CapExceeded):
         closure(gens, cap=G.order - 1)
+
+
+def _dense_mul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
+    """Schoolbook product: every term summed into CycNum.zero."""
+    n, zero = A.dim, CycNum.zero(A.m)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = zero
+            for k in range(n):
+                s = s + A.rows[i][k] * B.rows[k][j]
+            row.append(s)
+        rows.append(row)
+    return CycMatrix(n, A.m, rows)
+
+
+def _dense_apply(A: CycMatrix, v: tuple) -> tuple:
+    out = []
+    for row in A.rows:
+        s = CycNum.zero(A.m)
+        for x, y in zip(row, v):
+            s = s + x * y
+        out.append(s)
+    return tuple(out)
+
+
+def _random_entry(rng: random.Random, m: int) -> CycNum:
+    kind = rng.randrange(3)
+    if kind == 0:  # a signed root of unity
+        return CycNum.zeta(m, rng.randrange(m)) * CycNum.rational(m, rng.choice((1, -1)))
+    if kind == 1:  # a rational
+        return CycNum.rational(m, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return CycNum.from_coeffs(m, [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                                  for _ in range(rng.randint(1, m))])
+
+
+def _random_matrix(rng: random.Random, n: int, m: int, shape: str) -> CycMatrix:
+    zero = CycNum.zero(m)
+    if shape == "monomial":
+        perm = rng.sample(range(n), n)
+        rows = [[_random_entry(rng, m) if j == perm[i] else zero for j in range(n)]
+                for i in range(n)]
+    else:
+        density = 0.3 if shape == "sparse" else 1.0
+        rows = [[_random_entry(rng, m) if rng.random() < density else zero for _ in range(n)]
+                for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        rows[rng.randrange(n)] = [zero] * n
+    return CycMatrix(n, m, rows)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 9])
+def test_sparse_product_matches_dense_schoolbook(m):
+    """CycMatrix products and apply against the dense schoolbook sums, on
+    monomial, sparse and dense matrices with zero rows and rational
+    entries; the entries are canonical, so equal values compare equal."""
+    rng = random.Random(20261020 + m)
+    shapes = ("monomial", "sparse", "dense")
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = _random_matrix(rng, n, m, rng.choice(shapes))
+        B = _random_matrix(rng, n, m, rng.choice(shapes))
+        assert A * B == _dense_mul(A, B)
+        v = _random_matrix(rng, n, m, rng.choice(shapes)).rows[0]
+        assert A.apply(v) == _dense_apply(A, v)
+        assert A.apply(tuple(CycNum.zero(m) for _ in range(n))) == (CycNum.zero(m),) * n
 
 
 def test_group_inverse_and_negative_power_policy():
