@@ -291,8 +291,8 @@ def test_corrupted_inner_permutation_fails_both_routes(p, uv, monkeypatch):
     # two images swapped in the inner permutation of (u, v): the identity,
     # a generating conjugation, or one that only the edge equations reach.
     # "column" swaps two values in every inner(u, 2) at once, which keeps
-    # inner(u+1, 2) = inner(u, 2) o inner(1, 0) and breaks only
-    # inner(0, 3) = inner(0, 2) o inner(0, 1)
+    # inner(u+1, 2) = inner(u, 2) o inner(1, 0) and breaks only the
+    # equations inner(0, v+1) = inner(0, v) o inner(0, 1) at v = 1 and 2
     build = extraspecial.inner_perms
 
     def corrupted(gam):
