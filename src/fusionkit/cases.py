@@ -38,7 +38,6 @@ from .extraspecial import (
     section_perm,
 )
 from .fingroup import (
-    Subgroup,
     automorphism_group,
     centralizer,
     cyclic_group,
@@ -233,6 +232,12 @@ def gamma_matrices(cfg: CaseConfig) -> tuple[CycMatrix, CycMatrix]:
     return A, B
 
 
+def d_sigma_matrices(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The upper-triangular 2x2 matrices, as (a, b, c, d), that D and
+    sigma_k stand for: [[1,2],[0,1]] and diag(k, k^-1)."""
+    return (1, 2, 0, 1), (k, 0, 0, pow(k, -1, p))
+
+
 def unitary_inverse(mat: CycMatrix) -> CycMatrix:
     """Inverse via the conjugate transpose; valid for unitary matrices
     (checked), which covers the whole standard catalog."""
@@ -324,8 +329,8 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
     rep.add(
         "gamma.center",
         "the center consists of the p scalar matrices of p-power order",
-        list(cent.members) == scal and len(scal) == p,
-        center_size=cent.order,
+        list(cent) == scal and len(scal) == p,
+        center_size=len(cent),
         scalars=len(scal),
     )
     # S_level is a group, so it contains every element of <A, B> iff it
@@ -349,14 +354,12 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
     )
     if p != 2:
         hberg = HeisenbergGroup(p)
-        a_idx = hberg.encode(0, 1, 0)
-        b_idx = hberg.encode(0, 0, 1)
-        iso = hom_by_generators(hberg, gam, [a_idx, b_idx], gam.generator_indices)
+        iso = hom_by_generators(hberg, gam, [hberg.a_index, hberg.b_index], gam.generator_indices)
         rep.add(
             "gamma.coordinates",
             "central/row/column coordinates give a certified isomorphism "
             "onto the matrix group",
-            iso is not None and iso.is_bijective(),
+            iso is not None and len(set(iso)) == len(iso),
         )
     return gam
 
@@ -475,17 +478,14 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
     )
     usl = mat2_group(p, "USL")
     iso = hom_by_generators(
-        usl,
-        im,
-        [usl.index[(1, 2, 0, 1)], usl.index[(g, 0, 0, pow(g, -1, p))]],
-        im.generator_indices,
+        usl, im, [usl.index[M] for M in d_sigma_matrices(p, g)], im.generator_indices
     )
     rep.add(
         "rho.usl_iso",
         "the image is certified isomorphic to the upper-triangular "
         "determinant-one group, by D <-> [[1,2],[0,1]] and "
         "sigma_g <-> diag(g, g^-1)",
-        iso is not None and iso.is_bijective(),
+        iso is not None and len(set(iso)) == len(iso),
     )
 
     # conj[0] is conjugation by D and conj[k] by sigma_k; on_gam[k] is
@@ -510,12 +510,7 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
     )
 
     hberg = HeisenbergGroup(p)
-    images = propagate_hom(
-        hberg,
-        gam,
-        [hberg.encode(0, 1, 0), hberg.encode(0, 0, 1)],
-        gam.generator_indices,
-    )
+    images = propagate_hom(hberg, gam, [hberg.a_index, hberg.b_index], gam.generator_indices)
     ok_induced = images is not None and len(images) == gam.order and None not in on_gam
     if ok_induced:
         back = {v: k for k, v in images.items()}
@@ -523,9 +518,9 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         def induced_perm(h: list[int]) -> tuple[int, ...]:
             return tuple(back[h[images[x]]] for x in range(hberg.order))
 
-        ok_d = induced_perm(on_gam[0]) == section_perm(hberg, (1, 2, 0, 1))
+        ok_d = induced_perm(on_gam[0]) == section_perm(hberg, d_sigma_matrices(p, g)[0])
         ok_s = all(
-            induced_perm(on_gam[k]) == section_perm(hberg, (k, 0, 0, pow(k, -1, p)))
+            induced_perm(on_gam[k]) == section_perm(hberg, d_sigma_matrices(p, k)[1])
             for k in range(1, p)
         )
         ok_induced = ok_d and ok_s
@@ -567,10 +562,9 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         )
         a_i, b_i, d_i, sg_i = n_chain.generator_indices
         gam_members = generated_subgroup(n_chain, [a_i, b_i])
-        gam_sub = Subgroup(n_chain, gam_members)
         ses = sesverify(
             n_chain,
-            gam_sub,
+            gam_members,
             Q_expected=mat2_group(p, "USL"),
             hint_lifts=[d_i, sg_i],
         )
@@ -584,7 +578,8 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
             "normalizer.chain_quotient",
             "the quotient is certified isomorphic to the upper-triangular "
             "determinant-one group",
-            ses.quotient_iso is not None and ses.quotient_iso.is_bijective(),
+            ses.quotient_iso is not None
+            and len(set(ses.quotient_iso)) == len(ses.quotient_iso),
         )
         rep.add(
             "normalizer.chain_split",
@@ -620,13 +615,11 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
             n_full,
             n_chain.generator_indices,
             [
-                n_full.encode(hberg.encode(0, 1, 0), sl.identity),
-                n_full.encode(hberg.encode(0, 0, 1), sl.identity),
-                n_full.encode(hberg.identity, sl.index[(1, 2, 0, 1)]),
-                n_full.encode(hberg.identity, sl.index[(g, 0, 0, pow(g, -1, p))]),
-            ],
+                n_full.encode(hberg.a_index, sl.identity),
+                n_full.encode(hberg.b_index, sl.identity),
+            ] + [n_full.encode(hberg.identity, sl.index[M]) for M in d_sigma_matrices(p, g)],
         )
-        ok = emb is not None and len(set(emb.images)) == n_chain.order
+        ok = emb is not None and len(set(emb)) == n_chain.order
         rep.add(
             "normalizer.chain_embedding",
             "the chain-level normalizer embeds in the full model with "
@@ -656,9 +649,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         tag=tag,
     )
     gam_members = generated_subgroup(chain2, chain2.generator_indices[:2])
-    ses = sesverify(
-        chain2, Subgroup(chain2, gam_members), Q_expected=cyclic_group(2)
-    )
+    ses = sesverify(chain2, gam_members, Q_expected=cyclic_group(2))
     out["chain_ses"] = ses
     profile = ses.lift_order_profiles[0] if ses.lift_order_profiles else {}
     rep.add(
@@ -688,7 +679,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         tag=tag,
     )
     gam_in_full = generated_subgroup(full2, full2.generator_indices[:2])
-    q48, _ = quotient(full2, Subgroup(full2, gam_in_full))
+    q48, _ = quotient(full2, gam_in_full)
     rep.add(
         "normalizer.o48_quotient",
         "the quotient by the quaternion core is the symmetric group on "
@@ -782,7 +773,7 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> No
     core = generated_subgroup(chain_u, chain_u.generator_indices[:3])
     ses = sesverify(
         chain_u,
-        Subgroup(chain_u, core),
+        core,
         Q_expected=cyclic_group(2),
         hint_lifts=[chain_u.index_of(x)] if witness_ok else None,
     )
@@ -801,7 +792,7 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> No
         order=full_u.order,
     )
     core_f = generated_subgroup(full_u, full_u.generator_indices[:3])
-    qf, _ = quotient(full_u, Subgroup(full_u, core_f))
+    qf, _ = quotient(full_u, core_f)
     rep.add(
         "normalizer.u2_full_quotient",
         "its quotient by the scalar-extended core is the symmetric group "
@@ -864,7 +855,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         hint = [pos[sd_full.action[h]] for h in greedy_generators(gl)]
         ses = sesverify(
             aut,
-            Subgroup(aut, tuple(sorted(set(inner)))),
+            tuple(sorted(set(inner))),
             Q_expected=gl,
             hint_lifts=hint,
         )
@@ -875,7 +866,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
             "with the coordinate section as complement",
             ses.split is True
             and ses.quotient_iso is not None
-            and ses.quotient_iso.is_bijective(),
+            and len(set(ses.quotient_iso)) == len(ses.quotient_iso),
             aut_order=aut.order,
         )
     else:
@@ -896,7 +887,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         xi=xi,
     )
     phi = sd_full.action[gl.index[M]]
-    a_idx, b_idx = hberg.encode(0, 1, 0), hberg.encode(0, 0, 1)
+    a_idx, b_idx = hberg.a_index, hberg.b_index
     phi_hom = propagate_hom(hberg, hberg, [a_idx, b_idx], [phi[a_idx], phi[b_idx]])
     phi_matches = phi_hom is not None and all(
         phi_hom[i] == phi[i] for i in range(hberg.order)
@@ -916,11 +907,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
 
     usl = mat2_group(p, "USL")
     ugl = mat2_group(p, "UGL")
-    gens = [
-        ugl.index[(1, 2, 0, 1)],
-        ugl.index[(smallest_primitive_root(p), 0, 0, pow(smallest_primitive_root(p), -1, p))],
-        ugl.index[M],
-    ]
+    gens = [ugl.index[mat] for mat in (*d_sigma_matrices(p, xi), M)]
     gen_span = generated_subgroup(ugl, gens)
     rep.add(
         "az.adams_extends",

@@ -35,7 +35,7 @@ from .cases import (
     gamma_matrices,
     run_suite,
 )
-from .extraspecial import aut_certificate, commuting_pair_scan
+from .extraspecial import aut_certificate, aut_order_formulas, commuting_pair_scan
 from .fingroup import automorphism_group, group_from_json_dict, group_to_json
 from .fusion import FusionData
 from .matgroup import DEFAULT_CAP, CapExceeded, closure
@@ -217,8 +217,7 @@ def cmd_aut_gamma(args: argparse.Namespace) -> int:
         A, B = gamma_matrices(CaseConfig("sup", 2))
         gam = closure([A, B], expected=8)
         scan = commuting_pair_scan(gam)
-        closed = p ** 3 * (p - 1) * (p * p - 1)
-        factored = (p ** 3 - p) * (p ** 3 - p * p)
+        closed, factored = aut_order_formulas(p)
         aut = automorphism_group(gam)
         ok = scan == closed == factored == aut.order
         data = {

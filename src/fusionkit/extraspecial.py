@@ -57,7 +57,6 @@ class HeisenbergGroup(FiniteGroup):
         self.coords = [(c, i, j) for c in range(p) for i in range(p) for j in range(p)]
         self.a_index = self.encode(0, 1, 0)
         self.b_index = self.encode(0, 0, 1)
-        self.z_index = self.encode(1, 0, 0)
 
     def encode(self, c: int, i: int, j: int) -> int:
         p = self.p
@@ -174,6 +173,12 @@ def commuting_pair_scan(G: FiniteGroup) -> int:
     return G.order * (G.order - classes)
 
 
+def aut_order_formulas(p: int) -> tuple[int, int]:
+    """|Aut| of the extraspecial group of order p^3 by the two closed
+    formulas, p^3(p-1)(p^2-1) and (p^3-p)(p^3-p^2), in that order."""
+    return p ** 3 * (p - 1) * (p * p - 1), (p ** 3 - p) * (p ** 3 - p * p)
+
+
 @dataclass
 class AutCertificate:
     p: int
@@ -233,8 +238,7 @@ def aut_certificate(p: int) -> AutCertificate:
     """
     gam = HeisenbergGroup(p)
     scan = commuting_pair_scan(gam)
-    closed = p ** 3 * (p - 1) * (p * p - 1)
-    factored = (p ** 3 - p) * (p ** 3 - p * p)
+    closed, factored = aut_order_formulas(p)
 
     H = mat2_group(p, "GL")
     perms = section_perms(gam, H)

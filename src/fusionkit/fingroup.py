@@ -3,16 +3,21 @@
 A group object only needs the protocol
     order : int        identity : int
     mult(i, j) -> int  inv(i) -> int     label(i) -> str
-and everything here works on top of it: one breadth-first closure
-(bfs_closure, also behind the matrix and permutation closures),
-normalizers and centralizers by direct scan, conjugates and normal
-closures, normality decided on left-coset representatives (once per
-quotient), quotients of G or of a subgroup that multiply through coset
-representatives, certified generator homomorphisms, one generator-image
-backtracking search (behind isomorphism and automorphism_group),
-short-exact-sequence verification with exhaustive complement search, and
-structure recognition against natively built reference groups (2x2 matrix
-groups over F_p, symmetric and cyclic groups).
+and everything here works on top of it.  A subgroup is the sorted tuple of
+its member indices, and a homomorphism the list of its images in the
+source's index order.  On top of that sit one breadth-first closure
+(bfs_closure, also behind the matrix and permutation closures), one
+generator-growing loop (grow_generators, behind small generating sets and
+the stabilizer generators in fusion), centralizers (the center tested on a
+generating set), normal closures, normality decided on left-coset
+representatives (once per quotient), quotients of G or of a subgroup that
+multiply through coset representatives, certified generator
+homomorphisms, one generator-image backtracking search (behind isomorphism
+and automorphism_group), short-exact-sequence verification with
+exhaustive complement search, and structure recognition against natively
+built reference groups (2x2 matrix groups over F_p, symmetric and cyclic
+groups).  normalizer scans G; it is the reference that fusion's
+stabilizers are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FiniteGroup:
@@ -47,9 +52,6 @@ class FiniteGroup:
 
     def conjugate(self, g: int, x: int) -> int:
         return self.mult(self.mult(g, x), self.inv(g))
-
-    def commutator(self, a: int, b: int) -> int:
-        return self.mult(self.mult(a, b), self.mult(self.inv(a), self.inv(b)))
 
     def orders_histogram(self) -> dict[int, int]:
         hist: dict[int, int] = {}
@@ -231,19 +233,6 @@ class SemidirectGroup(FiniteGroup):
 # -- subgroup machinery -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup = field(compare=False, hash=False)
-    members: tuple[int, ...] = ()
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-
 def generated_subgroup(G: FiniteGroup, gens,
                        cap: int | None = None) -> tuple[int, ...] | None:
     """Sorted member indices of <gens>, or None if it has more than cap."""
@@ -251,52 +240,60 @@ def generated_subgroup(G: FiniteGroup, gens,
     return None if members is None else tuple(sorted(members))
 
 
-def subgroup(G: FiniteGroup, gens) -> Subgroup:
-    return Subgroup(G, generated_subgroup(G, gens))
+def grow_generators(G: FiniteGroup, candidates, target: int) -> tuple[list[int], list[int]]:
+    """Adjoin each candidate that lies outside the closure so far, until
+    the closure has target elements or the candidates run out.
 
-
-def conjugate_members(G: FiniteGroup, g: int, members) -> tuple[int, ...]:
-    gi = G.inv(g)
-    return tuple(sorted(G.mult(G.mult(g, x), gi) for x in members))
+    Returns the generators and the closure they ended with, in bfs_closure
+    order.  The order is tested right after each adjoined candidate, before
+    the next is drawn, so a lazy iterable computes none past the target."""
+    gens: list[int] = []
+    members = [G.identity]
+    have = {G.identity}
+    candidates = iter(candidates)
+    while len(members) < target:
+        x = next(candidates, None)
+        if x is None:
+            break
+        if x not in have:
+            gens.append(x)
+            members = bfs_closure(G.identity, gens, G.mult)
+            have = set(members)
+    return gens, members
 
 
 def subgroup_generators(G: FiniteGroup, members) -> list[int]:
     """A small generating set for a subgroup given by its member indices."""
-    total = len(set(members))
-    gens: list[int] = []
-    have = {G.identity}
-    for x in members:
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(generated_subgroup(G, gens))
-        if len(have) == total:
-            break
-    return gens
+    return grow_generators(G, members, len(set(members)))[0]
 
 
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
+def greedy_generators(G: FiniteGroup) -> list[int]:
+    """Each element outside the closure of the earlier ones, in index order."""
+    return subgroup_generators(G, range(G.order))
+
+
+def normalizer(G: FiniteGroup, members) -> tuple[int, ...]:
     # g normalizes H iff it conjugates a generating set into H: conjugation
     # is injective, so the image is a subgroup of H of full size
-    hset = set(H.members)
-    hgens = subgroup_generators(G, H.members) or [G.identity]
+    hset = set(members)
+    hgens = subgroup_generators(G, members) or [G.identity]
     out = []
     for g in range(G.order):
         gi = G.inv(g)
         if all(G.mult(G.mult(g, x), gi) in hset for x in hgens):
             out.append(g)
-    return Subgroup(G, tuple(out))
+    return tuple(out)
 
 
-def centralizer(G: FiniteGroup, members) -> Subgroup:
+def centralizer(G: FiniteGroup, members) -> tuple[int, ...]:
     out = []
     for g in range(G.order):
         if all(G.mult(g, x) == G.mult(x, g) for x in members):
             out.append(g)
-    return Subgroup(G, tuple(out))
+    return tuple(out)
 
 
-def center(G: FiniteGroup) -> Subgroup:
+def center(G: FiniteGroup) -> tuple[int, ...]:
     # what commutes with a generating set commutes with the whole group
     return centralizer(G, greedy_generators(G))
 
@@ -364,18 +361,18 @@ def left_cosets(G: FiniteGroup, members, within=None) -> tuple[list[int], list[i
     return coset_of, reps
 
 
-def _normal_by_reps(G: FiniteGroup, N: Subgroup, reps) -> bool:
+def _normal_by_reps(G: FiniteGroup, members, reps) -> bool:
     """N is normal in the group its cosets cover iff r x r^-1 lies in N
     for every left-coset representative r and every generator x of N: with
     g = r*n, g N g^-1 = r N r^-1, and conjugation is injective, so the image
     of a generating set inside N forces r N r^-1 = N."""
-    nset = set(N.members)
-    ngens = subgroup_generators(G, N.members)
+    nset = set(members)
+    ngens = subgroup_generators(G, members)
     return all(G.conjugate(r, x) in nset for r in reps for x in ngens)
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return _normal_by_reps(G, H, left_cosets(G, H.members)[1])
+def is_normal(G: FiniteGroup, members) -> bool:
+    return _normal_by_reps(G, members, left_cosets(G, members)[1])
 
 
 class CosetGroup(FiniteGroup):
@@ -399,17 +396,18 @@ class CosetGroup(FiniteGroup):
         return self.G.label(self.reps[a]) + "N"
 
 
-def quotient(G: FiniteGroup, N: Subgroup, within=None) -> tuple[CosetGroup, list[int]]:
-    """H/N on the left cosets, with the projection, where H is G or the
-    subgroup of G whose members are within.
+def quotient(G: FiniteGroup, members, within=None) -> tuple[CosetGroup, list[int]]:
+    """H/N on the left cosets, with the projection, where N is the
+    subgroup with the given members and H is G or the subgroup of G whose
+    members are within.
 
     Cosets are numbered as in quotient(subgroup_as_group(G, within), ...),
     so the two give the same multiplication, inverses and labels.  The
     projection is a list over G's indices, -1 outside H.  Raises ValueError
     when N is not normal in H.
     """
-    coset_of, reps = left_cosets(G, N.members, within)
-    if not _normal_by_reps(G, N, reps):
+    coset_of, reps = left_cosets(G, members, within)
+    if not _normal_by_reps(G, members, reps):
         raise ValueError("quotient requires a normal subgroup")
     return CosetGroup(G, coset_of, reps), coset_of
 
@@ -422,19 +420,6 @@ def subgroup_as_group(G: FiniteGroup, members) -> TableGroup:
 
 
 # -- homomorphisms ----------------------------------------------------------
-
-
-@dataclass
-class GroupMap:
-    src: FiniteGroup
-    dst: FiniteGroup
-    images: list[int]
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == self.src.order == len(self.images)
 
 
 def propagate_hom(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx):
@@ -464,24 +449,16 @@ def propagate_hom(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx):
     return images
 
 
-def hom_by_generators(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx):
-    """Certified homomorphism G -> H from generator images, or None."""
+def hom_by_generators(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx) -> list[int] | None:
+    """The images, in G's index order, of the certified homomorphism G -> H
+    with the given generator images, or None when there is none.  Raises
+    ValueError when the generators do not generate G."""
     images = propagate_hom(G, H, gen_idx, img_idx)
     if images is None:
         return None
     if len(images) != G.order:
         raise ValueError("generators do not generate the source group")
-    return GroupMap(G, H, [images[i] for i in range(G.order)])
-
-
-def greedy_generators(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    members = {G.identity}
-    while len(members) < G.order:
-        nxt = next(i for i in range(G.order) if i not in members)
-        gens.append(nxt)
-        members = set(generated_subgroup(G, gens))
-    return gens
+    return [images[i] for i in range(G.order)]
 
 
 def generator_image_maps(G: FiniteGroup, H: FiniteGroup):
@@ -511,12 +488,12 @@ def generator_image_maps(G: FiniteGroup, H: FiniteGroup):
     return extend([])
 
 
-def isomorphism(G: FiniteGroup, H: FiniteGroup):
-    """The first isomorphism G -> H found by generator_image_maps, or None."""
+def isomorphism(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
+    """The images of the first isomorphism G -> H found by
+    generator_image_maps, or None."""
     if G.order != H.order or G.orders_histogram() != H.orders_histogram():
         return None
-    images = next(generator_image_maps(G, H), None)
-    return None if images is None else GroupMap(G, H, list(images))
+    return next(generator_image_maps(G, H), None)
 
 
 def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
@@ -538,9 +515,7 @@ def automorphism_group(G: FiniteGroup) -> PermGroup:
 @dataclass
 class SesReport:
     is_normal: bool
-    quotient_group: CosetGroup | None
-    projection: list[int] | None
-    quotient_iso: GroupMap | None
+    quotient_iso: tuple[int, ...] | None
     complement: tuple[int, ...] | None
     lift_order_profiles: list[dict[int, int]]
     tuples_checked: int
@@ -553,10 +528,11 @@ class SesReport:
         return False if self.exhausted else None
 
 
-def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None,
+def sesverify(G: FiniteGroup, members, Q_expected: FiniteGroup | None = None,
               hint_lifts=None) -> SesReport:
-    """Verify 1 -> N -> G -> Q -> 1: normality, quotient recognition, and a
-    complement search over all lifts of a quotient generating tuple.
+    """Verify 1 -> N -> G -> Q -> 1 for the subgroup N with the given
+    members: normality, quotient recognition, and a complement search over
+    all lifts of a quotient generating tuple.
 
     Any complement contains a lift of each quotient generator with matching
     element order, so enumerating those lift tuples is exhaustive: complement
@@ -564,9 +540,9 @@ def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None
     hint_lifts, when given, are tried before the search.
     """
     try:
-        Q, proj = quotient(G, N)
+        Q, proj = quotient(G, members)
     except ValueError:
-        return SesReport(False, None, None, None, None, [], 0, True)
+        return SesReport(False, None, None, [], 0, True)
     iso = isomorphism(Q, Q_expected) if Q_expected is not None else None
     qgens = greedy_generators(Q)
     cosets: dict[int, list[int]] = {}
@@ -584,7 +560,7 @@ def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None
         profiles.append(prof)
         cand_lists.append([x for x in pool if G.element_order(x) == need])
 
-    nset = set(N.members)
+    nset = set(members)
 
     def try_tuple(lifts):
         got = generated_subgroup(G, lifts, cap=Q.order)
@@ -600,7 +576,7 @@ def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None
         checked += 1
         got = try_tuple(list(hint_lifts))
         if got is not None:
-            return SesReport(True, Q, proj, iso, got, profiles, checked, False)
+            return SesReport(True, iso, got, profiles, checked, False)
 
     def rec(depth: int, chosen: list[int]):
         nonlocal checked
@@ -614,7 +590,7 @@ def sesverify(G: FiniteGroup, N: Subgroup, Q_expected: FiniteGroup | None = None
         return None
 
     comp = rec(0, [])
-    return SesReport(True, Q, proj, iso, comp, profiles, checked, comp is None)
+    return SesReport(True, iso, comp, profiles, checked, comp is None)
 
 
 # -- reference groups -------------------------------------------------------
@@ -771,14 +747,14 @@ def recognize(G: FiniteGroup) -> str:
         return "Q%d" % n
     if n == 48 and hist.get(2, 0) == 1:
         zc = center(G)
-        if zc.order == 2:
+        if len(zc) == 2:
             Q, _ = quotient(G, zc)
             if isomorphic(Q, symmetric_group(4)):
                 return "O48"
     for p in (3, 5, 7):
         if n == p ** 3:
             zc = center(G)
-            if zc.order == p and not G.is_abelian():
+            if len(zc) == p and not G.is_abelian():
                 e = G.exponent()
                 return "extraspecial(%d^3, exp %s)" % (p, "p" if e == p else "p^2")
     for p in (2, 3, 5, 7):

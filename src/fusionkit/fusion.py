@@ -39,13 +39,12 @@ from .fingroup import (
     CosetGroup,
     FiniteGroup,
     PermGroup,
-    Subgroup,
     TableGroup,
     all_subgroups,
-    bfs_closure,
     center,
     generated_subgroup,
     greedy_generators,
+    grow_generators,
     normal_closure,
     perm_closure,
     quotient,
@@ -124,30 +123,21 @@ class ConjugationAction:
         """Sorted members and generators of the chain's stabilizer,
         memoised per chain.
 
-        Schreier generators are adjoined only when they lie outside the
-        closure so far, and the search stops once the closure has
-        |G|/|orbit| elements: it lies inside the stabilizer and has its
-        order, so the two are equal.  Raises ValueError if the generators
-        run out short of that order, which only happens when G is not a
-        group.
+        Schreier generators are computed one at a time and adjoined only
+        when they lie outside the closure so far, and the search stops once
+        the closure has |G|/|orbit| elements: it lies inside the stabilizer
+        and has its order, so the two are equal.  Raises ValueError if the
+        generators run out short of that order, which only happens when G
+        is not a group.
         """
         chain = _chain(chain)
         out = self._stabilizer.get(chain)
         if out is None:
             G = self.G
             orbit, transversal, arcs = self.orbit(chain)
-            target = G.order // len(orbit)
-            gens: list[int] = []
-            members = [G.identity]
-            have = {G.identity}
-            for i, k, j in arcs:
-                if len(members) >= target:
-                    break
-                s = G.mult(G.inv(transversal[j]), G.mult(self.gens[k], transversal[i]))
-                if s not in have:
-                    gens.append(s)
-                    members = bfs_closure(G.identity, gens, G.mult)
-                    have = set(members)
+            schreier = (G.mult(G.inv(transversal[j]), G.mult(self.gens[k], transversal[i]))
+                        for i, k, j in arcs)
+            gens, members = grow_generators(G, schreier, G.order // len(orbit))
             if len(members) * len(orbit) != G.order:
                 raise ValueError(
                     "Schreier generators close to %d elements, not |G|/|orbit| = %d/%d: "
@@ -265,11 +255,6 @@ class FusionData:
 
     # -- single subgroups --------------------------------------------------
 
-    def conjugates_in_sylow(self, members) -> list[tuple[int, ...]]:
-        """Distinct G-conjugates of the subgroup that lie inside S, sorted."""
-        sset = self._sset
-        return sorted(c for (c,) in self.conjugation_orbit((members,)) if sset.issuperset(c))
-
     def aut_f_of(self, members) -> PermGroup:
         """Conjugation action of N_G(P) on P, as permutations of P: the
         closure of the images of the stabilizer's generators."""
@@ -308,7 +293,7 @@ class FusionData:
         members = tuple(sorted(members))
         A = self.aut_f_of(members)
         inner = _induced_perms(G, subgroup_generators(G, members), members)
-        Out, _ = quotient(A, Subgroup(A, tuple(sorted(A.index[q] for q in inner))))
+        Out, _ = quotient(A, tuple(sorted(A.index[q] for q in inner)))
         gens = greedy_generators(Out)
         for x in range(Out.order):
             if Out.element_order(x) != self.p:
@@ -342,7 +327,7 @@ class FusionData:
         G's indexing.  A centric subgroup contains its S-centralizer, hence
         Z(S) (Broto-Levi-Oliver), so no centric subgroup is left out."""
         Sgrp = self.sylow_table
-        zgens = subgroup_generators(Sgrp, center(Sgrp).members)
+        zgens = subgroup_generators(Sgrp, center(Sgrp))
         return sorted(
             tuple(sorted(self.S[i] for i in sub)) for sub in all_subgroups(Sgrp, base=zgens)
         )
@@ -409,7 +394,7 @@ class FusionData:
             and all(G.element_order(x) % p != 0 for x in nu)
         )
 
-        aut_l, _ = quotient(G, Subgroup(G, nu), inter_t)
+        aut_l, _ = quotient(G, nu, inter_t)
         if splits:
             assert aut_l.order == len(Z) * aut_f.order
 
@@ -500,9 +485,6 @@ class ChainPoset:
             src_len = len(next(c.rep for c in self.classes if c.id == src))
             dst_len = len(next(c.rep for c in self.classes if c.id == dst))
             assert dst_len < src_len, "poset edges must shorten chains"
-
-    def class_by_id(self, cid: str) -> ChainClass:
-        return next(c for c in self.classes if c.id == cid)
 
     def to_json_dict(self) -> dict:
         from . import SCHEMA_VERSION

@@ -260,12 +260,6 @@ def std_matrix(p: int, which: str, k: int | None = None, conductor: int | None =
     raise ValueError("unknown standard matrix %r" % which)
 
 
-def minus_identity(p: int, conductor: int | None = None) -> CycMatrix:
-    m = conductor if conductor is not None else (8 if p == 2 else p)
-    one = CycNum.one(m)
-    return CycMatrix.identity(p, m).scalar_mul(-one)
-
-
 # -- closure ----------------------------------------------------------------
 
 

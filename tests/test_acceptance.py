@@ -35,12 +35,12 @@ from fusionkit.extraspecial import (
 from fusionkit.fingroup import (
     automorphism_group,
     cyclic_group,
+    generated_subgroup,
     group_from_json_dict,
     group_to_json_dict,
     hom_by_generators,
     mat2_group,
     sesverify,
-    subgroup,
     symmetric_group,
 )
 from fusionkit.matgroup import closure, std_matrix
@@ -115,7 +115,7 @@ def test_criterion_03_chain_normalizer():
         assert n_chain.order == expect
         gam = closure([A, B], expected=p ** 3)
         members = sorted(n_chain.index_of(gam.matrix(i)) for i in range(gam.order))
-        ses = sesverify(n_chain, subgroup(n_chain, members),
+        ses = sesverify(n_chain, generated_subgroup(n_chain, members),
                         Q_expected=mat2_group(p, "USL"))
         assert ses.is_normal
         assert ses.quotient_iso is not None
@@ -130,7 +130,7 @@ def test_criterion_03_extended_p7():
     assert n_chain.order == 7 ** 4 * 6
     gam = closure([A, B], expected=343)
     members = sorted(n_chain.index_of(gam.matrix(i)) for i in range(gam.order))
-    ses = sesverify(n_chain, subgroup(n_chain, members),
+    ses = sesverify(n_chain, generated_subgroup(n_chain, members),
                     Q_expected=mat2_group(7, "USL"))
     assert ses.split is True
     elapsed = time.perf_counter() - start
@@ -160,7 +160,7 @@ def test_criterion_04_full_normalizer():
             imgs.append(full.encode(gam.identity, sl.index[M]))
         f = hom_by_generators(chain, full, gens, imgs)
         assert f is not None
-        assert len(set(f.images)) == chain.order
+        assert len(set(f)) == chain.order
         assert full.order == (p + 1) * chain.order
     assert heisenberg_semidirect(3, "SL").order == 648
     verdict(4, "orders p^4(p^2-1) with the chain normalizer at index p+1 "
@@ -177,7 +177,7 @@ def test_criterion_05_p2_suite():
     assert q16.order == 16
     q8 = closure([A, B], expected=8)
     members = sorted(q16.index_of(q8.matrix(i)) for i in range(q8.order))
-    ses = sesverify(q16, subgroup(q16, members), Q_expected=cyclic_group(2))
+    ses = sesverify(q16, generated_subgroup(q16, members), Q_expected=cyclic_group(2))
     assert ses.split is False and ses.exhausted
     o48 = closure([A, B, F, H], expected=48)
     assert o48.order == 48
@@ -208,7 +208,7 @@ def test_criterion_06_aut_oracle():
         aut2.index[tuple(q8.mult(q8.mult(g, x), q8.inv(g)) for x in range(8))]
         for g in range(8)
     }
-    ses2 = sesverify(aut2, subgroup(aut2, sorted(inner2)),
+    ses2 = sesverify(aut2, generated_subgroup(aut2, sorted(inner2)),
                      Q_expected=mat2_group(2, "SL"))
     assert ses2.split is True
 
@@ -221,7 +221,7 @@ def test_criterion_06_aut_oracle():
     inner = {aut3.index[q] for q in inner_perms(gam3)}
     assert len(section) == 48 and aut3.identity in section
     assert section & inner == {aut3.identity}
-    ses3 = sesverify(aut3, subgroup(aut3, sorted(inner)), Q_expected=gl3)
+    ses3 = sesverify(aut3, generated_subgroup(aut3, sorted(inner)), Q_expected=gl3)
     assert ses3.is_normal and ses3.quotient_iso is not None
     assert ses3.split is True
 

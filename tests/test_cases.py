@@ -21,7 +21,7 @@ from fusionkit.cases import (
     gamma_matrices,
     run_suite,
 )
-from fusionkit.fingroup import subgroup
+from fusionkit.fingroup import generated_subgroup
 from fusionkit.matgroup import closure, in_truncated_torus_extension, std_matrix
 
 
@@ -140,7 +140,7 @@ def test_q16_nonsplit_profile():
     q16 = closure([A, B, F], expected=16)
     q8 = closure([A, B], expected=8)
     members = sorted(q16.index_of(q8.matrix(i)) for i in range(q8.order))
-    ses = sesverify(q16, subgroup(q16, members), Q_expected=cyclic_group(2))
+    ses = sesverify(q16, generated_subgroup(q16, members), Q_expected=cyclic_group(2))
     assert ses.is_normal and ses.split is False and ses.exhausted
     # every lift of the nontrivial coset has order 4 or 8: no involution
     assert ses.lift_order_profiles == [{4: 4, 8: 4}]

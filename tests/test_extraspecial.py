@@ -47,7 +47,7 @@ def test_heisenberg_structure():
         G = HeisenbergGroup(p)
         assert G.order == p ** 3
         assert spot_check_associativity(G)
-        assert center(G).members == tuple(sorted(G.central_indices()))
+        assert center(G) == tuple(sorted(G.central_indices()))
         assert all(G.element_order(x) == p for x in range(1, G.order))
         # defining commutator: [a, b] is the central generator
         a, b = G.a_index, G.b_index
@@ -216,7 +216,7 @@ def _two_pass_certificate(p: int) -> dict:
         closure_matches = False
     try:
         iso = hom_by_generators(H, PermGroup(perms), gl_gens, gl_gens)
-        section_is_gl2_image = iso is not None and iso.is_bijective()
+        section_is_gl2_image = iso is not None and len(set(iso)) == len(iso)
     except (AssertionError, KeyError):  # duplicate section, or product missing
         section_is_gl2_image = False
     automorphic = all(
@@ -381,12 +381,12 @@ def test_semidirect_orders():
 
 
 def test_semidirect_is_a_group_with_normal_core():
-    from fusionkit.fingroup import is_normal, subgroup
+    from fusionkit.fingroup import generated_subgroup, is_normal
 
     G = heisenberg_semidirect(3, "USL")
     assert spot_check_associativity(G)
     core = [G.encode(n, G.H.identity) for n in range(27)]
-    assert is_normal(G, subgroup(G, core))
+    assert is_normal(G, generated_subgroup(G, core))
 
 
 def test_primitive_scaling_matrix():

@@ -18,11 +18,9 @@ import pytest
 
 from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
-    Subgroup,
     TableGroup,
     all_subgroups,
     center,
-    conjugate_members,
     generated_subgroup,
     normalizer,
     recognize,
@@ -55,6 +53,12 @@ def test_sylow_members_s4():
     assert recognize(subgroup_as_group(S4, S)) == "D8"
     S3part = sylow_members(S4, 3)
     assert len(S3part) == 3
+
+
+def conjugate_members(G, g: int, members) -> tuple[int, ...]:
+    """The sorted members of g H g^-1, multiplied out."""
+    gi = G.inv(g)
+    return tuple(sorted(G.mult(G.mult(g, x), gi) for x in members))
 
 
 def oracle_poset(fd: FusionData):
@@ -257,7 +261,7 @@ def _conjugation_table(G):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_orbit_search_matches_full_scan(name):
-    # conjugates_in_sylow and chain_key against a scan over every g in G,
+    # conjugation_orbit and chain_key against a scan over every g in G,
     # for every subgroup of S, every pair P < Q of them and every chain
     G, p = _fusion_model(name)
     fd = FusionData(G, p)
@@ -267,11 +271,8 @@ def test_orbit_search_matches_full_scan(name):
         return {tuple(tuple(sorted(c[x] for x in m)) for m in chain) for c in conj}
 
     subs = _subgroups_of_S(fd)
-    sset = set(fd.S)
     for P in subs:
-        conjugates = scan((P,))
-        assert set(fd.conjugation_orbit((P,))) == conjugates
-        assert fd.conjugates_in_sylow(P) == sorted(c for (c,) in conjugates if sset.issuperset(c))
+        assert set(fd.conjugation_orbit((P,))) == scan((P,))
     pairs = _pairs(subs)
     chains = fd.chains()
     assert len(pairs) > 10 and len(chains) >= 2
@@ -324,14 +325,14 @@ def test_aut_f_and_centric_match_full_scan(name):
     # subgroups without Z(S) are never centric
     G, p = _fusion_model(name)
     fd = FusionData(G, p)
-    zset = set(center(subgroup_as_group(G, fd.S)).members)
+    zset = set(center(subgroup_as_group(G, fd.S)))
     zS = {fd.S[i] for i in zset}
     subs = _subgroups_of_S(fd)
     assert fd.sylow_subgroups == [P for P in subs if zS <= set(P)]
     assert len(fd.sylow_subgroups) < len(subs)
     verdicts = []
     for P in subs:
-        N = normalizer(G, Subgroup(G, P)).members
+        N = normalizer(G, P)
         assert fd.aut_f_of(P).perms == sorted({_conjugation_perm(G, g, P) for g in N})
         centric = _centric_by_scan(fd, P)
         assert fd.is_centric(P) == centric

@@ -31,7 +31,6 @@ from fusionkit.matgroup import (
     in_truncated_torus_extension,
     legendre_symbol,
     min_level,
-    minus_identity,
     scalar_indices,
     std_matrix,
     torus_extension_generators,
@@ -365,12 +364,6 @@ def test_group_inverse_and_negative_power_policy():
     i = G.index_of(A)
     inv = G.matrix(G.inv(i))
     assert inv * A == CycMatrix.identity(3, A.m)
-
-
-def test_minus_identity():
-    M = minus_identity(3)
-    assert M * M == CycMatrix.identity(3, M.m)
-    assert M.trace() == CycNum.rational(M.m, -3)
 
 
 def test_torus_truncation_orders():

@@ -1,0 +1,63 @@
+"""Every definition in src/fusionkit is reached from src/.
+
+The test parses the package with ast.  A top-level function or class, or a
+method whose name is not a dunder, counts as used when some Name or
+Attribute node anywhere in src/ carries its name.  Code that no command
+reaches is deleted; the few definitions that only tests use stay in KEPT,
+each with the reason it stays.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fusionkit"
+
+KEPT = {
+    "normalizer": "scan oracle for the stabilizers in test_fusion; perfbench's tracer names it",
+    "spot_check_associativity": "checks the hand-built group models in the tests",
+    "HeisenbergGroup.central_indices": "oracle for center() on the coordinate model",
+    "CycNum.as_rational": "reads exact values back in the cyclotomic tests",
+    "CycNum.lift": "oracle for conductor changes in the cyclotomic tests",
+    "CycNum.to_complex": "floating-point cross-check in the cyclotomic tests",
+    "VerificationReport.failed_ids": "names the failed checks in test assertions",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions_and_uses(src: Path = SRC) -> tuple[list[str], set[str]]:
+    """The qualified names defined in src (functions, classes, non-dunder
+    methods) and every name that a Name or Attribute node uses."""
+    defs: list[str] = []
+    used: set[str] = set()
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, funcs + (ast.ClassDef,)):
+                defs.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defs += ["%s.%s" % (node.name, item.name) for item in node.body
+                         if isinstance(item, funcs) and not _is_dunder(item.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return defs, used
+
+
+def test_every_definition_is_used_in_src():
+    defs, used = definitions_and_uses()
+    unused = [d for d in defs if d.rsplit(".", 1)[-1] not in used and d not in KEPT]
+    assert unused == []
+
+
+def test_kept_definitions_are_still_defined_and_unused():
+    # a KEPT entry that src/ starts using, or that is deleted, leaves the list
+    defs, used = definitions_and_uses()
+    assert sorted(d for d in KEPT if d in defs and d.rsplit(".", 1)[-1] not in used) == sorted(KEPT)
