@@ -210,6 +210,14 @@ class CycNum:
 
     def __mul__(self, other: "CycNum") -> "CycNum":
         self._check(other)
+        a, b = self.num, other.num
+        if not any(b[1:]):
+            a, b = b, a
+        if not any(a[1:]):
+            # a rational operand only scales the other numerator: the
+            # convolution gives the same vector and has nothing to reduce
+            den, tup = _normalize(self.den * other.den, [a[0] * y for y in b])
+            return CycNum(self.m, den, tup)
         ctx = _context(self.m)
         phi = ctx.phi
         conv = [0] * (2 * phi - 1)

@@ -3,16 +3,21 @@
 A group object only needs the protocol
     order : int        identity : int
     mult(i, j) -> int  inv(i) -> int     label(i) -> str
-and everything here works on top of it.  A subgroup is the sorted tuple of
+and everything here works on top of it; right_mult(g), the step x -> x*g,
+defaults to mult and may be a lookup.  A subgroup is the sorted tuple of
 its member indices, and a homomorphism the list of its images in the
-source's index order.  On top of that sit one breadth-first closure
-(bfs_closure, also behind the matrix and permutation closures), one
+source's index order.  Permutation tuples compose in one kernel, perm_mul
+(operator.itemgetter, so the composition runs in C), or in a getter built
+once for a fixed right factor (right_mul_by).  On top of that sit one
+breadth-first closure (bfs_closure, also behind the matrix and permutation
+closures; keyed, it returns the closure's Cayley graph as well), one
 generator-growing loop (grow_generators, behind small generating sets and
 the stabilizer generators in fusion), centralizers (the center tested on a
 generating set), normal closures, normality decided on left-coset
 representatives (once per quotient), quotients of G or of a subgroup that
 multiply through coset representatives, certified generator
-homomorphisms, one generator-image backtracking search (behind isomorphism
+homomorphisms (propagate_hom, stepping through the source's right_mult),
+one generator-image backtracking search (behind isomorphism
 and automorphism_group), short-exact-sequence verification with
 exhaustive complement search, and structure recognition against natively
 built reference groups (2x2 matrix groups over F_p, symmetric and cyclic
@@ -22,10 +27,12 @@ stabilizers are tested against.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class FiniteGroup:
@@ -42,6 +49,11 @@ class FiniteGroup:
 
     def label(self, i: int) -> str:
         return "g%d" % i
+
+    def right_mult(self, g: int):
+        """The function x -> mult(x, g), for stepping along generator g."""
+        mult = self.mult
+        return lambda x: mult(x, g)
 
     def element_order(self, i: int) -> int:
         n, j = 1, i
@@ -143,10 +155,18 @@ class PermGroup(FiniteGroup):
 
 def perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product a*b of permutation tuples: x -> a[b[x]]."""
-    return tuple(map(a.__getitem__, b))
+    if len(b) < 2:
+        # itemgetter returns a bare int for one index and raises on none
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
 
 
-def bfs_closure(identity, gens, mul, cap: int | None = None, key=None) -> list | None:
+def right_mul_by(b: tuple[int, ...]):
+    """The function a -> perm_mul(a, b), built once for a fixed right factor."""
+    return itemgetter(*b) if len(b) > 1 else functools.partial(perm_mul, b=b)
+
+
+def bfs_closure(identity, gens, mul, cap: int | None = None, key=None):
     """Closure of gens under right multiplication, breadth first.
 
     Returns the elements in discovery order, the identity first, found
@@ -154,16 +174,24 @@ def bfs_closure(identity, gens, mul, cap: int | None = None, key=None) -> list |
     so the numbering is fixed by the generator order.  Returns None once
     the closure has more than cap elements.
 
-    Without key the products are their own dedupe keys.  With key,
-    key(x, g) must identify mul(x, g) among the group's elements without
-    forming it; the BFS then dedupes on keys and calls mul only for the
-    new elements, in the same order.
+    Without key the products are their own dedupe keys.  With key, a pair
+    (the identity's key, a function f), f(x, g) must identify mul(x, g)
+    among the group's elements without forming it.  The BFS then dedupes
+    on keys, calls mul only for the new elements, in the same order, and
+    returns (elements, index, right): index maps each key to the position
+    of its element, and right[k][x] is the position of x*gens[k].  right
+    is the Cayley graph of the closure (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1): every product that the
+    BFS looks up, kept.
     """
     keyed = key is not None
-    if not keyed:
-        key = mul
+    if keyed:
+        first, key = key
+        seen = {first: 0}
+    else:
+        key, seen = mul, {identity}
     elements = [identity]
-    seen = {key(identity, identity) if keyed else identity}
+    graph: list[int] = []
     frontier = [identity]
     while frontier:
         new = []
@@ -171,13 +199,22 @@ def bfs_closure(identity, gens, mul, cap: int | None = None, key=None) -> list |
             for g in gens:
                 k = key(x, g)
                 if k not in seen:
-                    seen.add(k)
-                    new.append(mul(x, g) if keyed else k)
+                    if keyed:
+                        seen[k] = len(seen)
+                        new.append(mul(x, g))
+                    else:
+                        seen.add(k)
+                        new.append(k)
                     if cap is not None and len(seen) > cap:
                         return None
+                if keyed:
+                    graph.append(seen[k])
         elements += new
         frontier = new
-    return elements
+    if not keyed:
+        return elements
+    n = len(gens)
+    return elements, seen, [graph[k::n] for k in range(n)]
 
 
 def perm_closure(perms, cap: int = 2_000_000) -> PermGroup:
@@ -427,18 +464,20 @@ def propagate_hom(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx):
 
     Enforces f(x*g) = f(x)*f(g) for every reached x and every generator g,
     which by induction on word length makes a returned map a certified
-    homomorphism on the generated subgroup.
+    homomorphism on the generated subgroup.  x*g is read through
+    G.right_mult(g), which a closed group answers from its Cayley graph.
     """
     images = {G.identity: H.identity}
     frontier = [G.identity]
-    pairs = list(zip(gen_idx, img_idx))
+    steps = [(G.right_mult(g), fg) for g, fg in zip(gen_idx, img_idx)]
+    hmult = H.mult
     while frontier:
         new = []
         for x in frontier:
             fx = images[x]
-            for g, fg in pairs:
-                y = G.mult(x, g)
-                fy = H.mult(fx, fg)
+            for step, fg in steps:
+                y = step(x)
+                fy = hmult(fx, fg)
                 old = images.get(y)
                 if old is None:
                     images[y] = fy
@@ -552,13 +591,12 @@ def sesverify(G: FiniteGroup, members, Q_expected: FiniteGroup | None = None,
     cand_lists = []
     for qg in qgens:
         need = Q.element_order(qg)
-        pool = cosets[qg]
+        lifts = [(x, G.element_order(x)) for x in cosets[qg]]
         prof: dict[int, int] = {}
-        for x in pool:
-            o = G.element_order(x)
+        for _, o in lifts:
             prof[o] = prof.get(o, 0) + 1
         profiles.append(prof)
-        cand_lists.append([x for x in pool if G.element_order(x) == need])
+        cand_lists.append([x for x, o in lifts if o == need])
 
     nset = set(members)
 

@@ -463,7 +463,6 @@ class ChainPoset:
             self.classes.append(
                 ChainClass(cid, rep, key, size, names, data.chain_aut(rep))
             )
-        self._key_to_id = key_to_id
 
         self.edges: list[tuple[str, str, bool]] = []
         for cls in self.classes:

@@ -17,7 +17,9 @@ the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
 only compiles the generators to permutations of the orbit of the standard
 basis vectors (Seress, Permutation Group Algorithms, 2003); the closure and
 every group operation after it run on those integer tuples, keyed by the
-images of the basis.
+images of the basis and composed by fingroup's itemgetter kernel.  The
+closure records right multiplication by each generator (its Cayley
+graph), which MatrixGroup.right_mult hands to propagate_hom.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 from fractions import Fraction
 
 from .cyclo import CycNum, ConductorMismatch
-from .fingroup import FiniteGroup, bfs_closure, perm_mul
+from .fingroup import FiniteGroup, bfs_closure, perm_mul, right_mul_by
 
 DEFAULT_CAP = 2_000_000
 
@@ -296,10 +298,11 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
     and closed there: the action is faithful, so the closure is the same
     BFS under an isomorphic product.  The BFS dedupes on base images (see
     MatrixGroup), so a whole orbit permutation is formed only for each new
-    element.  Element numbering is by discovery order with the identity
-    first, which makes it deterministic for a fixed generator order.  If
-    expected is given the cap defaults to twice it; a closure passing the
-    cap raises CapExceeded.
+    element, and it keeps the index of every product x*g it looks up.
+    Element numbering is by discovery order with the identity first, which
+    makes it deterministic for a fixed generator order.  If expected is
+    given the cap defaults to twice it; a closure passing the cap raises
+    CapExceeded.
     """
     gens = list(gens)
     assert gens, "need at least one generator"
@@ -313,10 +316,12 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
     found = basis_orbit(gens, dim * cap)
     if found is not None:
         orbit, gen_perms = found
-        elements = bfs_closure(tuple(range(len(orbit))), gen_perms, perm_mul, cap,
-                               key=lambda x, g: perm_mul(x, g[:dim]))
-        if elements is not None:
-            return MatrixGroup(dim, m, orbit, elements, gen_perms)
+        # one getter pair per generator: the base images of x*g, and x*g
+        pairs = [(right_mul_by(g[:dim]), right_mul_by(g)) for g in gen_perms]
+        closed = bfs_closure(tuple(range(len(orbit))), pairs, lambda x, g: g[1](x), cap,
+                             key=(tuple(range(dim)), lambda x, g: g[0](x)))
+        if closed is not None:
+            return MatrixGroup(dim, m, orbit, *closed)
     raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
 
 
@@ -331,23 +336,31 @@ class MatrixGroup(FiniteGroup):
     The one element dict, index, is keyed by base images: a product maps
     only the dim base images of its right factor through its left factor,
     and an inverse finds only the dim preimages of the basis positions.
-    Matrices are built only on request.
+    The closure's Cayley graph is kept: cayley[k][x] is the index of
+    x * generator k, which right_mult reads back.  Matrices are built only
+    on request.
     """
 
-    def __init__(self, dim: int, m: int, orbit, perms, gen_perms):
+    def __init__(self, dim: int, m: int, orbit, perms, index, cayley):
         self.dim = dim
         self.m = m
         self.orbit = orbit
         self.perms = perms
         self.order = len(perms)
-        self.bases = [q[:dim] for q in perms]
-        self.index = {b: i for i, b in enumerate(self.bases)}
-        assert len(self.index) == self.order, "duplicate base images"
-        self.identity = self.index[tuple(range(dim))]
-        self.generator_indices = [self.index[g[:dim]] for g in gen_perms]
+        self.index = index
+        self.bases = list(index)
+        self.cayley = cayley
+        self.identity = 0  # the BFS starts at the identity
+        self.generator_indices = [row[0] for row in cayley]
 
     def mult(self, i: int, j: int) -> int:
         return self.index[perm_mul(self.perms[i], self.bases[j])]
+
+    def right_mult(self, g: int):
+        """A closure generator's Cayley row as a lookup, else mult."""
+        if g in self.generator_indices:
+            return self.cayley[self.generator_indices.index(g)].__getitem__
+        return super().right_mult(g)
 
     def inv(self, i: int) -> int:
         return self.index[tuple(map(self.perms[i].index, range(self.dim)))]

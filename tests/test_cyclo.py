@@ -170,3 +170,39 @@ def test_half_turns_and_quarter_turns():
     z8 = CycNum.zeta(8)
     assert z8 * z8 == CycNum.zeta(4).lift(8)
     assert close((z8 ** 2).to_complex(), cmath.exp(2j * cmath.pi / 4))
+
+
+def _convolution_product(x: CycNum, y: CycNum) -> CycNum:
+    """x*y by the full convolution of the coefficient vectors, reduced by
+    long division by Phi_m: the path every product takes when neither
+    operand is rational."""
+    m = x.m
+    poly = cyclotomic_polynomial(m)
+    conv = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            conv[i + j] += a * b
+    for t in range(len(conv) - 1, len(poly) - 2, -1):
+        c = conv[t]
+        if c:
+            for k, q in enumerate(poly):
+                conv[t - len(poly) + 1 + k] -= c * q
+    return CycNum.from_coeffs(m, conv[:len(poly) - 1])
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 8, 9])
+def test_rational_operand_product_matches_convolution(m):
+    rng = random.Random(9000 + m)
+    scalars = [CycNum.rational(m, q) for q in
+               (1, -1, 0, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 6))]
+    half = CycNum.rational(m, Fraction(1, 2))
+    others = scalars + [random_cyc(rng, m) for _ in range(6)]
+    others += [random_cyc(rng, m) * half for _ in range(3)]
+    others.append(CycNum.zeta(m) + CycNum.rational(m, Fraction(-2, 9)))
+    assert all(c.is_rational for c in scalars)
+    # every ordered pair: a rational operand on either side, or on neither
+    for x in others:
+        for y in others:
+            got, want = x * y, _convolution_product(x, y)
+            # the same canonical value: denominator and numerator
+            assert (got.den, got.num) == (want.den, want.num)

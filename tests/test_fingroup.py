@@ -7,6 +7,8 @@ Frozen names and orders below are classical facts (orders of symmetric and
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fusionkit.fingroup import (
@@ -30,9 +32,11 @@ from fusionkit.fingroup import (
     normal_closure,
     normalizer,
     perm_closure,
+    perm_mul,
     propagate_hom,
     quotient,
     recognize,
+    right_mul_by,
     sesverify,
     smallest_primitive_root,
     spot_check_associativity,
@@ -130,6 +134,20 @@ def test_all_subgroups_over_a_base():
     for base in ([], [S4.identity], *([x] for x in range(24)), greedy_generators(S4)):
         K = set(generated_subgroup(S4, base))
         assert all_subgroups(S4, base=base) == [s for s in subs if K <= set(s)]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 98, 343])
+def test_perm_mul_matches_map_composition(degree):
+    """perm_mul and a getter built for a fixed right factor against
+    composition by map, including the one-point and empty permutations
+    on which itemgetter alone would return an int or raise."""
+    rng = random.Random(4100 + degree)
+    for _ in range(10):
+        a = tuple(rng.sample(range(degree), degree))
+        b = tuple(rng.sample(range(degree), degree))
+        want = tuple(map(a.__getitem__, b))
+        for got in (perm_mul(a, b), right_mul_by(b)(a)):
+            assert type(got) is tuple and got == want
 
 
 def test_propagate_hom_builds_full_certificate():

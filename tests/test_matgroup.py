@@ -17,10 +17,12 @@ from fusionkit.cyclo import CycNum
 from fusionkit.fingroup import (
     TableGroup,
     bfs_closure,
+    cyclic_group,
     generated_subgroup,
     isomorphic,
     perm_closure,
     perm_mul,
+    propagate_hom,
     recognize,
     symmetric_group,
 )
@@ -287,6 +289,76 @@ def test_base_images_match_whole_permutations(name):
     assert closure(gens, cap=G.order).perms == G.perms
     with pytest.raises(CapExceeded):
         closure(gens, cap=G.order - 1)
+
+
+DIFFERENTIAL_GROUPS = ["gamma2", "gamma3", "gamma5", "gamma7", "O48", "chain5", "torus3",
+                       "torus3full"]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_cayley_rows_match_products(name):
+    """The Cayley graph the closure keeps: cayley[k][x] is x times
+    generator k, as mult computes it, and right_mult reads it back."""
+    G = closure(differential_generators(name))
+    assert len(G.cayley) == len(G.generator_indices)
+    for k, g in enumerate(G.generator_indices):
+        assert G.cayley[k] == [G.mult(x, g) for x in range(G.order)]
+        step = G.right_mult(g)
+        assert [step(x) for x in range(G.order)] == G.cayley[k]
+
+
+def _propagate_by_mult(G, H, gen_idx, img_idx):
+    """propagate_hom's BFS with every step x*g taken by G.mult: the oracle
+    for the steps read from the Cayley graph."""
+    images = {G.identity: H.identity}
+    frontier = [G.identity]
+    pairs = list(zip(gen_idx, img_idx))
+    while frontier:
+        new = []
+        for x in frontier:
+            fx = images[x]
+            for g, fg in pairs:
+                y = G.mult(x, g)
+                fy = H.mult(fx, fg)
+                old = images.get(y)
+                if old is None:
+                    images[y] = fy
+                    new.append(y)
+                elif old != fy:
+                    return None
+        frontier = new
+    return images
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_propagate_hom_on_cayley_rows_matches_mult_bfs(name):
+    G = closure(differential_generators(name))
+    gens = G.generator_indices
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(3):
+        # conjugation by c, a homomorphism G -> G
+        c = rng.randrange(G.order)
+        cases.append((G, gens, [G.conjugate(c, g) for g in gens]))
+    # random generator images, nearly always no homomorphism
+    cases.append((G, gens, [rng.randrange(G.order) for _ in gens]))
+    # elements that are not closure generators step by mult
+    others = [rng.randrange(G.order) for _ in range(2)]
+    cases.append((G, others, others))
+    # an image whose order does not divide the generator's order: a
+    # relation of G fails in the image, so there is no homomorphism
+    n = G.element_order(gens[0])
+    q = next(q for q in (3, 5, 7) if n % q)
+    Cq = cyclic_group(q)
+    cases.append((Cq, gens, [1] + [0] * (len(gens) - 1)))
+    for H, gen_idx, img_idx in cases:
+        got = propagate_hom(G, H, gen_idx, img_idx)
+        want = _propagate_by_mult(G, H, gen_idx, img_idx)
+        assert got == want
+        # the same discovery order as well as the same map
+        assert (got is None) or list(got) == list(want)
+    assert propagate_hom(G, cases[-1][0], gens, cases[-1][2]) is None
+    assert all(propagate_hom(G, G, gens, imgs) is not None for _, _, imgs in cases[:3])
 
 
 def _dense_mul(A: CycMatrix, B: CycMatrix) -> CycMatrix:

@@ -2,9 +2,12 @@
 
 The test parses the package with ast.  A top-level function or class, or a
 method whose name is not a dunder, counts as used when some Name or
-Attribute node anywhere in src/ carries its name.  Code that no command
-reaches is deleted; the few definitions that only tests use stay in KEPT,
-each with the reason it stays.
+Attribute node anywhere in src/ carries its name.  An instance attribute,
+set by a `self.<name> = ...` assignment in a method, counts as read when
+some Attribute node in src/ loads that name (an augmented assignment
+loads it too).  Code that no command reaches is deleted; the few
+definitions that only tests use stay in KEPT, each with the reason it
+stays.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ KEPT = {
     "CycNum.lift": "oracle for conductor changes in the cyclotomic tests",
     "CycNum.to_complex": "floating-point cross-check in the cyclotomic tests",
     "VerificationReport.failed_ids": "names the failed checks in test assertions",
+}
+
+KEPT_ATTRIBUTES = {
+    "Mat2Group.kind": "perfbench/tracer.py reads it by name to key repeated calls; "
+                      "test_extraspecial reads it",
 }
 
 
@@ -61,3 +69,37 @@ def test_kept_definitions_are_still_defined_and_unused():
     # a KEPT entry that src/ starts using, or that is deleted, leaves the list
     defs, used = definitions_and_uses()
     assert sorted(d for d in KEPT if d in defs and d.rsplit(".", 1)[-1] not in used) == sorted(KEPT)
+
+
+def instance_attributes_and_reads(src: Path = SRC) -> tuple[list[str], set[str]]:
+    """The `Class.name` of every `self.<name> = ...` assignment in a method
+    of a top-level class in src, and every attribute name that src loads."""
+    attrs: list[str] = []
+    reads: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    attrs.append("%s.%s" % (cls.name, node.attr))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                reads.add(node.target.attr)
+    return sorted(set(attrs)), reads
+
+
+def test_every_instance_attribute_is_read_in_src():
+    attrs, reads = instance_attributes_and_reads()
+    unread = [a for a in attrs if a.rsplit(".", 1)[-1] not in reads and a not in KEPT_ATTRIBUTES]
+    assert unread == []
+
+
+def test_kept_attributes_are_still_set_and_unread():
+    attrs, reads = instance_attributes_and_reads()
+    kept = [a for a in KEPT_ATTRIBUTES if a in attrs and a.rsplit(".", 1)[-1] not in reads]
+    assert sorted(kept) == sorted(KEPT_ATTRIBUTES)
