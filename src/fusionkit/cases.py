@@ -28,12 +28,14 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from . import SCHEMA_VERSION
 from .cyclo import CycNum
 from .diagram import Diagram, contract_iso_edges
 from .extraspecial import (
     HeisenbergGroup,
     aut_certificate,
     heisenberg_semidirect,
+    inner_perm,
     primitive_scaling_matrix,
     section_perm,
 )
@@ -167,8 +169,6 @@ class VerificationReport:
         return [c.check_id for c in self.checks if c.status == "fail"]
 
     def to_json_dict(self) -> dict:
-        from . import SCHEMA_VERSION
-
         cfg = self.config
         return {
             "schema_version": SCHEMA_VERSION,
@@ -843,8 +843,6 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
     out["aut_certificate"] = cert
 
     if p == 3:
-        from .extraspecial import inner_perm
-
         aut = automorphism_group(hberg)
         pos = {q: i for i, q in enumerate(aut.perms)}
         inner = []

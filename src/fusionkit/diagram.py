@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import SCHEMA_VERSION
+
 
 @dataclass
 class DiagramNode:
@@ -63,8 +65,6 @@ class Diagram:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        from . import SCHEMA_VERSION
-
         nodes = []
         for key in sorted(self.nodes):
             n = self.nodes[key]

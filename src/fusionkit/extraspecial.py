@@ -78,9 +78,6 @@ class HeisenbergGroup(FiniteGroup):
     def element_order(self, x: int) -> int:
         return 1 if x == self.identity else self.p
 
-    def exponent(self) -> int:
-        return self.p
-
     def label(self, x: int) -> str:
         c, i, j = self.decode(x)
         if (c, i, j) == (0, 0, 0):
@@ -169,7 +166,7 @@ def commuting_pair_scan(G: FiniteGroup) -> int:
     for x in range(G.order):
         if x not in seen:
             classes += 1
-            seen.update(bfs_closure(x, conj, act))
+            seen.update(bfs_closure([x], conj, act)[0])
     return G.order * (G.order - classes)
 
 

@@ -9,30 +9,33 @@ its member indices, and a homomorphism the list of its images in the
 source's index order.  Permutation tuples compose in one kernel, perm_mul
 (operator.itemgetter, so the composition runs in C), or in a getter built
 once for a fixed right factor (right_mul_by).  On top of that sit one
-breadth-first closure (bfs_closure, also behind the matrix and permutation
-closures; keyed, it returns the closure's Cayley graph as well), one
-generator-growing loop (grow_generators, behind small generating sets and
-the stabilizer generators in fusion), centralizers (the center tested on a
-generating set), normal closures, normality decided on left-coset
-representatives (once per quotient), quotients of G or of a subgroup that
-multiply through coset representatives, certified generator
-homomorphisms (propagate_hom, stepping through the source's right_mult),
-one generator-image backtracking search (behind isomorphism
-and automorphism_group), short-exact-sequence verification with
-exhaustive complement search, and structure recognition against natively
-built reference groups (2x2 matrix groups over F_p, symmetric and cyclic
-groups).  normalizer scans G; it is the reference that fusion's
-stabilizers are tested against.
+breadth-first walk (bfs_closure: every closure and orbit in the package,
+each returned with its Schreier graph), one generator-growing loop
+(grow_generators, behind small generating sets and the stabilizer
+generators in fusion), centralizers (the center tested on a generating
+set), normal closures, normality decided on left-coset representatives
+(once per quotient), quotients of G or of a subgroup that multiply
+through coset representatives, certified generator homomorphisms
+(propagate_hom, stepping through the source's right_mult), one
+generator-image backtracking search (behind isomorphism and
+automorphism_group), short-exact-sequence verification with an exhaustive
+complement search over the product of the lift lists, and structure
+recognition against natively built reference groups (2x2 matrix groups
+over F_p, symmetric and cyclic groups).  normalizer scans G; it is the
+reference that fusion's stabilizers are tested against.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
+
+from . import SCHEMA_VERSION
 
 
 class FiniteGroup:
@@ -71,13 +74,6 @@ class FiniteGroup:
             o = self.element_order(i)
             hist[o] = hist.get(o, 0) + 1
         return hist
-
-    def exponent(self) -> int:
-        e = 1
-        for i in range(self.order):
-            o = self.element_order(i)
-            e = e * o // math.gcd(e, o)
-        return e
 
     def is_abelian(self) -> bool:
         n = self.order
@@ -166,64 +162,57 @@ def right_mul_by(b: tuple[int, ...]):
     return itemgetter(*b) if len(b) > 1 else functools.partial(perm_mul, b=b)
 
 
-def bfs_closure(identity, gens, mul, cap: int | None = None, key=None):
-    """Closure of gens under right multiplication, breadth first.
+def bfs_closure(starts, gens, image, cap: int | None = None, key=None):
+    """The orbit of the distinct start points under the generators,
+    breadth first (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005, section 4.1).
 
-    Returns the elements in discovery order, the identity first, found
-    frontier by frontier as mul(x, g) for x in the frontier and g in gens,
-    so the numbering is fixed by the generator order.  Returns None once
-    the closure has more than cap elements.
+    Returns (points, index, graph): the points in discovery order, the
+    starts first and then image(x, g) for each x in turn and g in gens, so
+    the numbering is fixed by the generator order; index maps each point's
+    key to its position; and graph[k][i] is the position of
+    image(points[i], gens[k]), the orbit's Schreier graph (for a closure
+    under right multiplication from the identity, its Cayley graph).
+    Returns None once there are more than cap points.
 
-    Without key the products are their own dedupe keys.  With key, a pair
-    (the identity's key, a function f), f(x, g) must identify mul(x, g)
-    among the group's elements without forming it.  The BFS then dedupes
-    on keys, calls mul only for the new elements, in the same order, and
-    returns (elements, index, right): index maps each key to the position
-    of its element, and right[k][x] is the position of x*gens[k].  right
-    is the Cayley graph of the closure (Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, section 4.1): every product that the
-    BFS looks up, kept.
+    Without key every point is its own key.  With key, a pair (the start
+    points' keys, a function f), f(x, g) must name image(x, g) without
+    forming it; image is then called only for the new points.
     """
-    keyed = key is not None
-    if keyed:
-        first, key = key
-        seen = {first: 0}
+    if key is None:
+        keys, key = starts, image
+
+        def form(x, g, k):
+            return k
     else:
-        key, seen = mul, {identity}
-    elements = [identity]
+        keys, key = key
+
+        def form(x, g, k):
+            return image(x, g)
+    points = list(starts)
+    index = {k: i for i, k in enumerate(keys)}
     graph: list[int] = []
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                k = key(x, g)
-                if k not in seen:
-                    if keyed:
-                        seen[k] = len(seen)
-                        new.append(mul(x, g))
-                    else:
-                        seen.add(k)
-                        new.append(k)
-                    if cap is not None and len(seen) > cap:
-                        return None
-                if keyed:
-                    graph.append(seen[k])
-        elements += new
-        frontier = new
-    if not keyed:
-        return elements
+    for x in points:  # grows while it is walked
+        for g in gens:
+            k = key(x, g)
+            j = index.get(k)
+            if j is None:
+                if len(points) == cap:  # never equal when cap is None
+                    return None
+                j = index[k] = len(points)
+                points.append(form(x, g, k))
+            graph.append(j)
     n = len(gens)
-    return elements, seen, [graph[k::n] for k in range(n)]
+    return points, index, [graph[k::n] for k in range(n)]
 
 
 def perm_closure(perms, cap: int = 2_000_000) -> PermGroup:
     """BFS closure of permutation generators (identity first)."""
     gens = [tuple(p) for p in perms]
-    elements = bfs_closure(tuple(range(len(gens[0]))), gens, perm_mul, cap)
-    if elements is None:
+    found = bfs_closure([tuple(range(len(gens[0])))], gens, perm_mul, cap)
+    if found is None:
         raise RuntimeError("permutation closure exceeded cap %d" % cap)
-    return PermGroup(elements)
+    return PermGroup(found[0])
 
 
 class SemidirectGroup(FiniteGroup):
@@ -273,8 +262,8 @@ class SemidirectGroup(FiniteGroup):
 def generated_subgroup(G: FiniteGroup, gens,
                        cap: int | None = None) -> tuple[int, ...] | None:
     """Sorted member indices of <gens>, or None if it has more than cap."""
-    members = bfs_closure(G.identity, list(gens), G.mult, cap)
-    return None if members is None else tuple(sorted(members))
+    found = bfs_closure([G.identity], list(gens), G.mult, cap)
+    return None if found is None else tuple(sorted(found[0]))
 
 
 def grow_generators(G: FiniteGroup, candidates, target: int) -> tuple[list[int], list[int]]:
@@ -294,8 +283,7 @@ def grow_generators(G: FiniteGroup, candidates, target: int) -> tuple[list[int],
             break
         if x not in have:
             gens.append(x)
-            members = bfs_closure(G.identity, gens, G.mult)
-            have = set(members)
+            members, have, _ = bfs_closure([G.identity], gens, G.mult)
     return gens, members
 
 
@@ -339,15 +327,7 @@ def normal_closure(G: FiniteGroup, gens, seed) -> tuple[int, ...]:
     """Smallest subgroup containing seed that conjugation by the given
     generators of G leaves invariant (= the normal closure when gens
     generate G)."""
-    orbit = set(seed)
-    stack = list(seed)
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = G.conjugate(g, x)
-            if y not in orbit:
-                orbit.add(y)
-                stack.append(y)
+    orbit = bfs_closure(seed, gens, lambda x, g: G.conjugate(g, x))[0]
     return generated_subgroup(G, sorted(orbit))
 
 
@@ -612,22 +592,16 @@ def sesverify(G: FiniteGroup, members, Q_expected: FiniteGroup | None = None,
     checked = 0
     if hint_lifts:
         checked += 1
-        got = try_tuple(list(hint_lifts))
+        got = try_tuple(hint_lifts)
         if got is not None:
             return SesReport(True, iso, got, profiles, checked, False)
 
-    def rec(depth: int, chosen: list[int]):
-        nonlocal checked
-        if depth == len(qgens):
-            checked += 1
-            return try_tuple(chosen)
-        for cand in cand_lists[depth]:
-            res = rec(depth + 1, chosen + [cand])
-            if res is not None:
-                return res
-        return None
-
-    comp = rec(0, [])
+    comp = None
+    for lifts in itertools.product(*cand_lists):
+        checked += 1
+        comp = try_tuple(lifts)
+        if comp is not None:
+            break
     return SesReport(True, iso, comp, profiles, checked, comp is None)
 
 
@@ -640,8 +614,6 @@ def cyclic_group(n: int) -> TableGroup:
 
 
 def symmetric_group(n: int) -> PermGroup:
-    import itertools
-
     perms = sorted(itertools.permutations(range(n)))
     return PermGroup(perms)
 
@@ -792,9 +764,10 @@ def recognize(G: FiniteGroup) -> str:
     for p in (3, 5, 7):
         if n == p ** 3:
             zc = center(G)
-            if len(zc) == p and not G.is_abelian():
-                e = G.exponent()
-                return "extraspecial(%d^3, exp %s)" % (p, "p" if e == p else "p^2")
+            if len(zc) == p:
+                # G is not abelian (see above), and the exponent of a
+                # p-group is its largest element order
+                return "extraspecial(%d^3, exp %s)" % (p, "p" if max(hist) == p else "p^2")
     for p in (2, 3, 5, 7):
         for kind, name in (("SL", "SL2(F%d)"), ("GL", "GL2(F%d)"),
                            ("USL", "U(SL2(F%d))"), ("UGL", "U(GL2(F%d))")):
@@ -818,8 +791,6 @@ def recognize(G: FiniteGroup) -> str:
 
 
 def group_to_json_dict(G: FiniteGroup, prime: int | None = None) -> dict:
-    from . import SCHEMA_VERSION
-
     n = G.order
     data = {
         "schema_version": SCHEMA_VERSION,

@@ -15,13 +15,13 @@ induced by conjugation in G.  The objects of interest are:
     centralizer (aut_l).
 
 Nothing scans G.  Conjugation acts on chains through one generating set
-of G: a breadth-first search finds a chain's orbit together with a
-transversal, and Schreier's lemma turns the transversal into generators of
-the stabilizer, the common normalizer of the chain's subgroups.  Aut_F is
-the closure of those generators' images on the top subgroup, and
-centralizers are tested against generators of the centralized subgroup.
-Only subgroups of S that contain Z(S) are enumerated, since a centric
-subgroup contains Z(S).
+of G: fingroup's breadth-first walk finds a chain's orbit and its Schreier
+graph, the graph gives a transversal, and Schreier's lemma turns the
+transversal into generators of the stabilizer, the common normalizer of
+the chain's subgroups.  Aut_F is the closure of those generators' images
+on the top subgroup, and centralizers are tested against generators of
+the centralized subgroup.  Only subgroups of S that contain Z(S) are
+enumerated, since a centric subgroup contains Z(S).
 
 The poset of chain classes, ordered by "contains a conjugate as a proper
 subchain", drives the decomposition diagrams.  An edge is marked iso when
@@ -31,9 +31,11 @@ normalizer, in which case the two aut_l groups are literally equal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import SCHEMA_VERSION
 from .diagram import Diagram, contract_iso_edges
 from .fingroup import (
     CosetGroup,
@@ -41,6 +43,7 @@ from .fingroup import (
     PermGroup,
     TableGroup,
     all_subgroups,
+    bfs_closure,
     center,
     generated_subgroup,
     greedy_generators,
@@ -100,23 +103,18 @@ class ConjugationAction:
         arcs give trivial Schreier generators and are left out.
         """
         G = self.G
-        orbit = [_chain(chain)]
-        where = {orbit[0]: 0}
+        orbit, _, graph = bfs_closure([_chain(chain)], self.maps,
+                                      lambda c, perm: _chain(map(perm.__getitem__, m) for m in c))
         transversal = [G.identity]
         arcs = []
-        i = 0
-        while i < len(orbit):
-            c = orbit[i]
-            for k, perm in enumerate(self.maps):
-                d = tuple(tuple(sorted(map(perm.__getitem__, m))) for m in c)
-                j = where.get(d)
-                if j is None:
-                    where[d] = len(orbit)
-                    orbit.append(d)
+        for i in range(len(orbit)):
+            for k, row in enumerate(graph):
+                # the walk numbers new points in this same order, so an arc
+                # finds a new point when it points at the next position
+                if row[i] == len(transversal):
                     transversal.append(G.mult(self.gens[k], transversal[i]))
                 else:
-                    arcs.append((i, k, j))
-            i += 1
+                    arcs.append((i, k, row[i]))
         return orbit, transversal, arcs
 
     def stabilizer(self, chain) -> tuple[tuple[int, ...], list[int]]:
@@ -419,8 +417,6 @@ class FusionData:
 
 def proper_subchains(chain):
     """All nonempty proper subchains, by deleting entries."""
-    import itertools
-
     n = len(chain)
     out = []
     for r in range(1, n):
@@ -486,8 +482,6 @@ class ChainPoset:
             assert dst_len < src_len, "poset edges must shorten chains"
 
     def to_json_dict(self) -> dict:
-        from . import SCHEMA_VERSION
-
         nodes = []
         for cls in self.classes:
             nodes.append(

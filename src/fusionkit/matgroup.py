@@ -10,7 +10,6 @@ studies at an odd prime p (conductor p^level) and at p = 2 (conductor 8):
   tau     negation involution (2,p)(3,p-1)..., fixing 1
   F       diag(z8, z8^-1), the extra diagonal normalizer generator at p = 2
   H       rotation by pi/4 (entries 1/sqrt2), the second p = 2 generator
-  zetaI   the scalar matrix z * I
 
 Groups are built by breadth-first closure with a hard element cap; exceeding
 the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
@@ -18,13 +17,14 @@ only compiles the generators to permutations of the orbit of the standard
 basis vectors (Seress, Permutation Group Algorithms, 2003); the closure and
 every group operation after it run on those integer tuples, keyed by the
 images of the basis and composed by fingroup's itemgetter kernel.  The
-closure records right multiplication by each generator (its Cayley
-graph), which MatrixGroup.right_mult hands to propagate_hom.
+orbit and the closure are both walks of fingroup.bfs_closure: the orbit's
+Schreier graph gives the generator permutations, and the closure's Cayley
+graph, right multiplication by each generator, is what
+MatrixGroup.right_mult hands to propagate_hom.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .cyclo import CycNum, ConductorMismatch
@@ -225,8 +225,6 @@ def std_matrix(p: int, which: str, k: int | None = None, conductor: int | None =
         if p == 2 and det_one:
             mat = mat.scalar_mul(CycNum.zeta(m, m // 4))
         return mat
-    if which == "zetaI":
-        return CycMatrix.identity(p, m).scalar_mul(z)
     if which == "D":
         if p == 2:
             raise ValueError("D is defined for odd p only")
@@ -265,40 +263,16 @@ def std_matrix(p: int, which: str, k: int | None = None, conductor: int | None =
 # -- closure ----------------------------------------------------------------
 
 
-def basis_orbit(gens, cap: int) -> tuple[list[tuple], list[tuple[int, ...]]] | None:
-    """The orbit of the standard basis vectors under the generators, with
-    each generator as a permutation tuple of it.
-
-    The basis vectors take positions 0..dim-1 and the rest follow in
-    breadth-first order; a generator's tuple maps the position of v to
-    that of g*v.  Returns None once the orbit has more than cap vectors.
-    """
-    dim, m = gens[0].dim, gens[0].m
-    one, zero = CycNum.one(m), CycNum.zero(m)
-    orbit = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
-    pos = {v: i for i, v in enumerate(orbit)}
-    images: list[list[int]] = [[] for _ in gens]
-    for v in orbit:  # grows while it is walked
-        for g, img in zip(gens, images):
-            w = g.apply(v)
-            q = pos.get(w)
-            if q is None:
-                if len(orbit) == cap:
-                    return None
-                q = pos[w] = len(orbit)
-                orbit.append(w)
-            img.append(q)
-    return orbit, [tuple(img) for img in images]
-
-
 def closure(gens, cap: int | None = None, expected: int | None = None) -> "MatrixGroup":
     """Breadth-first multiplicative closure of the generators.
 
-    The generators are compiled once to permutations of their basis orbit
-    and closed there: the action is faithful, so the closure is the same
-    BFS under an isomorphic product.  The BFS dedupes on base images (see
-    MatrixGroup), so a whole orbit permutation is formed only for each new
-    element, and it keeps the index of every product x*g it looks up.
+    The generators are compiled once to permutations of the orbit of the
+    standard basis vectors (the basis first, then the orbit's walk order):
+    the rows of the orbit's Schreier graph.  The closure runs there: the
+    action is faithful, so it is the same walk under an isomorphic product.
+    It dedupes on base images (see MatrixGroup), so a whole orbit
+    permutation is formed only for each new element, and it keeps the
+    index of every product x*g it looks up.
     Element numbering is by discovery order with the identity first, which
     makes it deterministic for a fixed generator order.  If expected is
     given the cap defaults to twice it; a closure passing the cap raises
@@ -312,16 +286,18 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
             raise ConductorMismatch("generators disagree in dim or conductor")
     if cap is None:
         cap = 2 * expected if expected is not None else DEFAULT_CAP
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    basis = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
     # the orbit is the union of dim orbits of size at most |G|
-    found = basis_orbit(gens, dim * cap)
+    found = bfs_closure(basis, gens, lambda v, g: g.apply(v), dim * cap)
     if found is not None:
-        orbit, gen_perms = found
+        orbit, orbit_index, gen_perms = found
         # one getter pair per generator: the base images of x*g, and x*g
         pairs = [(right_mul_by(g[:dim]), right_mul_by(g)) for g in gen_perms]
-        closed = bfs_closure(tuple(range(len(orbit))), pairs, lambda x, g: g[1](x), cap,
-                             key=(tuple(range(dim)), lambda x, g: g[0](x)))
+        closed = bfs_closure([tuple(range(len(orbit)))], pairs, lambda x, g: g[1](x), cap,
+                             key=([tuple(range(dim))], lambda x, g: g[0](x)))
         if closed is not None:
-            return MatrixGroup(dim, m, orbit, *closed)
+            return MatrixGroup(dim, m, orbit, orbit_index, *closed)
     raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
 
 
@@ -336,15 +312,17 @@ class MatrixGroup(FiniteGroup):
     The one element dict, index, is keyed by base images: a product maps
     only the dim base images of its right factor through its left factor,
     and an inverse finds only the dim preimages of the basis positions.
+    orbit_index maps each orbit vector to its position.
     The closure's Cayley graph is kept: cayley[k][x] is the index of
     x * generator k, which right_mult reads back.  Matrices are built only
     on request.
     """
 
-    def __init__(self, dim: int, m: int, orbit, perms, index, cayley):
+    def __init__(self, dim: int, m: int, orbit, orbit_index, perms, index, cayley):
         self.dim = dim
         self.m = m
         self.orbit = orbit
+        self.orbit_index = orbit_index
         self.perms = perms
         self.order = len(perms)
         self.index = index
@@ -369,17 +347,13 @@ class MatrixGroup(FiniteGroup):
         cols = [self.orbit[q] for q in self.bases[i]]
         return CycMatrix(self.dim, self.m, zip(*cols))
 
-    @functools.cached_property
-    def _orbit_pos(self) -> dict[tuple, int]:
-        return {v: q for q, v in enumerate(self.orbit)}
-
     def index_of(self, mat: CycMatrix) -> int | None:
         """The index of mat, or None when mat is not in the group."""
         if mat.dim != self.dim or mat.m != self.m:
             return None
         cols = []
         for col in zip(*mat.rows):
-            q = self._orbit_pos.get(col)
+            q = self.orbit_index.get(col)
             if q is None:
                 return None
             cols.append(q)

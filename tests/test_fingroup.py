@@ -17,6 +17,7 @@ from fusionkit.fingroup import (
     abelian_factor_orders,
     all_subgroups,
     automorphism_group,
+    bfs_closure,
     center,
     centralizer,
     cyclic_group,
@@ -101,6 +102,55 @@ def test_normal_closure():
     t = next(g for g in range(24) if S4.element_order(g) == 2
              and sum(1 for i in range(4) if S4.perms[g][i] != i) == 2)
     assert len(normal_closure(S4, greedy_generators(S4), [t])) == 24
+
+
+def _walk_case(name):
+    """(starts, gens, image, key, the point's key) for test_bfs_closure."""
+    S4 = symmetric_group(4)
+
+    def conj(x, g):
+        return S4.conjugate(g, x)
+
+    def of_order(n):
+        return next(g for g in range(24) if S4.element_order(g) == n)
+
+    if name == "closure":  # S5 from the identity, under right multiplication
+        return [tuple(range(5))], [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], perm_mul, None, None
+    if name == "orbit":  # two starts in two conjugacy classes: 6 + 8 points
+        return [of_order(2), of_order(3)], greedy_generators(S4), conj, None, None
+    if name == "one-class orbit":  # two starts in the same class
+        t = [g for g in range(24) if S4.element_order(g) == 3]
+        return t[:2], greedy_generators(S4), conj, None, None
+    # keyed: S5 again, each permutation named by its first four images
+    assert name == "keyed"
+    return ([tuple(range(5))], [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], perm_mul,
+            ([tuple(range(4))], lambda x, g: perm_mul(x, g)[:4]), lambda x: x[:4])
+
+
+@pytest.mark.parametrize("name", ["closure", "orbit", "one-class orbit", "keyed"])
+def test_bfs_closure(name):
+    # the walk's points, index and graph against image() itself, and the
+    # cap boundary: exactly cap points are admitted, and one more is not
+    starts, gens, image, key, name_of = _walk_case(name)
+    name_of = name_of or (lambda x: x)
+    points, index, graph = bfs_closure(starts, gens, image, key=key)
+    assert points[:len(starts)] == starts
+    assert len(set(points)) == len(points)
+    assert index == {name_of(x): i for i, x in enumerate(points)}
+    assert len(graph) == len(gens)
+    for row, g in zip(graph, gens):
+        assert [points[j] for j in row] == [image(x, g) for x in points]
+    # breadth first: the first arc (i, k) into each later point leaves an
+    # earlier point, and these first arcs come in the points' order
+    first: dict[int, tuple[int, int]] = {}
+    for i, k, j in sorted((i, k, j) for k, row in enumerate(graph) for i, j in enumerate(row)):
+        first.setdefault(j, (i, k))
+    found = [first[j] for j in range(len(starts), len(points))]
+    assert found == sorted(found)
+    assert all(i < j for j, (i, _) in enumerate(found, len(starts)))
+    assert len(points) == {"closure": 120, "orbit": 14, "one-class orbit": 8, "keyed": 120}[name]
+    assert bfs_closure(starts, gens, image, cap=len(points), key=key)[0] == points
+    assert bfs_closure(starts, gens, image, cap=len(points) - 1, key=key) is None
 
 
 def test_all_subgroups_of_s4():
@@ -201,6 +251,67 @@ def test_sesverify_nonsplit_case():
     # every nontrivial coset lift has order 4: that is the obstruction
     for prof in rep.lift_order_profiles:
         assert set(prof) == {4}
+
+
+def _first_complement_by_nested_loops(G, members):
+    """(complement, tuples tried) of the lift tuples of the quotient's
+    greedy generators, order-matched, in nested-loop order: the oracle for
+    sesverify's search without a hint."""
+    Q, proj = quotient(G, members)
+    qgens = greedy_generators(Q)
+    lifts = [[x for x in range(G.order)
+              if proj[x] == qg and G.element_order(x) == Q.element_order(qg)]
+             for qg in qgens]
+    tried = 0
+
+    def search(chosen):
+        nonlocal tried
+        if len(chosen) < len(qgens):
+            for x in lifts[len(chosen)]:
+                found = search(chosen + [x])
+                if found is not None:
+                    return found
+            return None
+        tried += 1
+        K = generated_subgroup(G, chosen)
+        return K if len(K) == Q.order and set(K) & set(members) == {G.identity} else None
+
+    return search([]), tried
+
+
+def _ses_case(name):
+    from test_matgroup import quaternion_oracle
+
+    if name == "S3>C3":
+        S3 = symmetric_group(3)
+        return S3, generated_subgroup(S3, [g for g in range(6) if S3.element_order(g) == 3])
+    if name == "S4>V4":
+        S4 = symmetric_group(4)
+        return S4, generated_subgroup(S4, [g for g in range(24) if S4.element_order(g) == 2
+                                           and all(S4.perms[g][i] != i for i in range(4))])
+    if name == "Q8>Z":
+        Q8 = quaternion_oracle()
+        return Q8, generated_subgroup(Q8, [0, 1])
+    # direct products index (a, b) as a * |B| + b
+    if name == "Q8xC2>((-1,c))":
+        return direct_product(quaternion_oracle(), cyclic_group(2)), (0, 1 * 2 + 1)
+    assert name == "C4xC4>((2,2))"
+    return direct_product(cyclic_group(4), cyclic_group(4)), (0, 2 * 4 + 2)
+
+
+# (splits, lift tuples tried): the last two search past a failed tuple
+SES_CASES = {"S3>C3": (True, 1), "S4>V4": (True, 1), "Q8>Z": (False, 0),
+             "Q8xC2>((-1,c))": (True, 5), "C4xC4>((2,2))": (False, 4)}
+
+
+@pytest.mark.parametrize("name", SES_CASES)
+def test_complement_search_matches_nested_loop_oracle(name):
+    G, N = _ses_case(name)
+    rep = sesverify(G, N)
+    want, tried = _first_complement_by_nested_loops(G, N)
+    assert (rep.complement, rep.tuples_checked) == (want, tried)
+    assert rep.exhausted == (want is None)
+    assert (want is not None, tried) == SES_CASES[name]
 
 
 def brute_force_normal(G, members) -> bool:

@@ -259,10 +259,35 @@ def _conjugation_table(G):
     return [[G.conjugate(g, x) for x in range(G.order)] for g in range(G.order)]
 
 
+def _orbit_by_while_loop(action: ConjugationAction, chain):
+    """ConjugationAction.orbit as a queue walked by a while loop, the
+    transversal and the non-tree arcs recorded as each image is found: the
+    oracle for the orbit read off the walk's Schreier graph."""
+    G = action.G
+    orbit = [tuple(tuple(sorted(m)) for m in chain)]
+    where = {orbit[0]: 0}
+    transversal = [G.identity]
+    arcs = []
+    i = 0
+    while i < len(orbit):
+        for k, perm in enumerate(action.maps):
+            d = tuple(tuple(sorted(perm[x] for x in m)) for m in orbit[i])
+            j = where.get(d)
+            if j is None:
+                where[d] = len(orbit)
+                orbit.append(d)
+                transversal.append(G.mult(action.gens[k], transversal[i]))
+            else:
+                arcs.append((i, k, j))
+        i += 1
+    return orbit, transversal, arcs
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_orbit_search_matches_full_scan(name):
     # conjugation_orbit and chain_key against a scan over every g in G,
-    # for every subgroup of S, every pair P < Q of them and every chain
+    # for every subgroup of S, every pair P < Q of them and every chain;
+    # the orbit, transversal and arcs against the while-loop oracle
     G, p = _fusion_model(name)
     fd = FusionData(G, p)
     conj = _conjugation_table(G)
@@ -278,6 +303,14 @@ def test_orbit_search_matches_full_scan(name):
     assert len(pairs) > 10 and len(chains) >= 2
     for chain in pairs + chains:
         assert fd.chain_key(chain) == min(scan(chain))
+    for chain in [(P,) for P in subs] + chains:
+        orbit, transversal, arcs = fd.action.orbit(chain)
+        assert (orbit, transversal, arcs) == _orbit_by_while_loop(fd.action, chain)
+        # transversal[i] conjugates the chain onto orbit[i]
+        assert [tuple(tuple(sorted(conj[u][x] for x in m)) for m in orbit[0])
+                for u in transversal] == orbit
+        # one tree arc into each point after the first, the rest are arcs
+        assert len(arcs) == len(orbit) * len(fd.action.gens) - (len(orbit) - 1)
 
 
 @pytest.mark.parametrize("name", MODELS)

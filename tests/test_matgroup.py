@@ -236,10 +236,15 @@ def test_permutation_layer_matches_matrices(name):
     gens = differential_generators(name)
     G = closure(gens)
     ident = CycMatrix.identity(gens[0].dim, gens[0].m)
-    mats = bfs_closure(ident, gens, operator.mul)
+    mats = bfs_closure([ident], gens, operator.mul)[0]
     # same discovery order, so the same numbering
     assert [G.matrix(i) for i in range(G.order)] == mats
     assert [mats[i] for i in G.generator_indices] == gens
+    # the generator permutations are the basis orbit's Schreier graph:
+    # position q goes to the position of g*v for the vector v at q
+    assert [G.orbit_index[v] for v in G.orbit] == list(range(len(G.orbit)))
+    for g, i in zip(gens, G.generator_indices):
+        assert [G.orbit_index[g.apply(v)] for v in G.orbit] == list(G.perms[i])
     rng = random.Random(20261018)
     for _ in range(30):
         i, j = rng.randrange(G.order), rng.randrange(G.order)
@@ -277,8 +282,16 @@ def test_base_images_match_whole_permutations(name):
     degree = len(G.orbit)
     ident = tuple(range(degree))
     gen_perms = [G.perms[g] for g in G.generator_indices]
-    # the keyed BFS discovers the elements in the order of the unkeyed one
-    assert bfs_closure(ident, gen_perms, perm_mul) == G.perms
+    # the keyed BFS discovers the elements in the order of the unkeyed
+    # one, and both record the same Cayley graph
+    perms, index, graph = bfs_closure([ident], gen_perms, perm_mul)
+    assert perms == G.perms and graph == G.cayley
+    assert index == {q: i for i, q in enumerate(perms)}
+    for row, g in zip(graph, gen_perms):
+        assert [perms[j] for j in row] == [perm_mul(q, g) for q in perms]
+    # exactly cap points are admitted, and one more returns None
+    assert bfs_closure([ident], gen_perms, perm_mul, cap=G.order)[0] == perms
+    assert bfs_closure([ident], gen_perms, perm_mul, cap=G.order - 1) is None
     whole = {q: i for i, q in enumerate(G.perms)}
     rng = random.Random(20261019)
     for _ in range(200):

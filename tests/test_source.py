@@ -7,7 +7,8 @@ set by a `self.<name> = ...` assignment in a method, counts as read when
 some Attribute node in src/ loads that name (an augmented assignment
 loads it too).  Code that no command reaches is deleted; the few
 definitions that only tests use stay in KEPT, each with the reason it
-stays.
+stays.  Every name a module imports at top level is used in that module,
+so a deletion leaves no dead import behind.
 """
 
 from __future__ import annotations
@@ -103,3 +104,26 @@ def test_kept_attributes_are_still_set_and_unread():
     attrs, reads = instance_attributes_and_reads()
     kept = [a for a in KEPT_ATTRIBUTES if a in attrs and a.rsplit(".", 1)[-1] not in reads]
     assert sorted(kept) == sorted(KEPT_ATTRIBUTES)
+
+
+def unused_imports(src: Path = SRC) -> list[str]:
+    """`module: name` for each name that a module imports at top level
+    (a `from __future__` import excepted) and no Name node in the module
+    uses; an attribute chain such as `functools.partial` uses its first
+    name, and `import a.b` binds `a`."""
+    unused: list[str] = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names: list[str] = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s: %s" % (path.name, n) for n in names if n not in used]
+    return unused
+
+
+def test_every_top_level_import_is_used():
+    assert unused_imports() == []
