@@ -11,6 +11,15 @@ Subpackages:
   cli          command line entry point
 """
 
+import json
+
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION"]
+
+def canonical_json(data: dict) -> str:
+    """The byte-stable artifact encoding: sorted keys, no spaces, one
+    trailing newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+__all__ = ["SCHEMA_VERSION", "canonical_json"]

@@ -23,12 +23,11 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, canonical_json
 from .cyclo import CycNum
 from .diagram import Diagram, contract_iso_edges
 from .extraspecial import (
@@ -59,12 +58,14 @@ from .matgroup import (
     CycMatrix,
     MatrixGroup,
     closure,
+    default_conductor,
     in_truncated_torus_extension,
     min_level,
     scalar_indices,
     std_matrix,
     torus_extension_generators,
     torus_extension_group,
+    torus_order,
 )
 
 CASES = ("up", "sup", "az")
@@ -113,9 +114,7 @@ class CaseConfig:
 
     @property
     def conductor(self) -> int:
-        if self.prime == 2:
-            return max(8, 2 ** self.level)
-        return self.prime ** self.level
+        return default_conductor(self.prime, self.level)
 
     @property
     def torus_det_one(self) -> bool:
@@ -191,7 +190,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json_dict())
 
     def to_text(self) -> str:
         cfg = self.config
@@ -422,7 +421,7 @@ def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
 # -- rho --------------------------------------------------------------------
 
 
-def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> MatrixGroup:
+def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> None:
     """The diagonal/scaling normalizer piece at odd p: relations, image
     order, the certified isomorphism from the upper-triangular group, and
     the induced coordinate matrices."""
@@ -531,27 +530,24 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> Ma
         "diag(k, k^-1)",
         ok_induced,
     )
-    return im
 
 
 # -- normalizers ------------------------------------------------------------
 
 
-def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
+def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> None:
     """The chain-level and full normalizer models with their extension
     certificates.  Odd p: closure with the diagonal/scaling piece, split
     extension by the upper-triangular group, and the abstract semidirect
     product with the special linear group.  p = 2: the quaternion tower."""
     p, m = cfg.prime, cfg.conductor
     A, B = gamma_matrices(cfg)
-    out: dict = {}
 
     if p != 2:
         D = std_matrix(p, "D", conductor=m)
         g = smallest_primitive_root(p)
         sg = std_matrix(p, "sigma", k=g, conductor=m)
         n_chain = closure([A, B, D, sg], cap=4 * p ** 4 * (p - 1))
-        out["n_chain"] = n_chain
         rep.add(
             "normalizer.chain_order",
             "the p-group together with the diagonal/scaling piece closes "
@@ -568,7 +564,6 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
             Q_expected=mat2_group(p, "USL"),
             hint_lifts=[d_i, sg_i],
         )
-        out["chain_ses"] = ses
         rep.add(
             "normalizer.chain_normal",
             "the p-group is normal in the chain-level normalizer",
@@ -589,7 +584,6 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         )
 
         n_full = heisenberg_semidirect(p, "SL")
-        out["n_full"] = n_full
         rep.add(
             "normalizer.full_order",
             "the semidirect product with the special linear group, built "
@@ -626,13 +620,12 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
             ok and n_full.order == (p + 1) * n_chain.order,
             index=(n_full.order // n_chain.order) if ok else None,
         )
-        return out
+        return
 
     # p = 2
     F = std_matrix(2, "F", conductor=m)
     H = std_matrix(2, "H", conductor=m)
     chain2 = closure([A, B, F], cap=64)
-    out["n_chain"] = chain2
     rep.add(
         "normalizer.q16_order",
         "adjoining the eighth-root diagonal matrix F gives a group of "
@@ -649,7 +642,6 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
     )
     gam_members = generated_subgroup(chain2, chain2.generator_indices[:2])
     ses = sesverify(chain2, gam_members, Q_expected=cyclic_group(2))
-    out["chain_ses"] = ses
     profile = ses.lift_order_profiles[0] if ses.lift_order_profiles else {}
     rep.add(
         "normalizer.q16_nonsplit",
@@ -661,7 +653,6 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
         tuples_checked=ses.tuples_checked,
     )
     full2 = closure([A, B, F, H], cap=128)
-    out["n_full"] = full2
     rep.add(
         "normalizer.o48_order",
         "adjoining the Fourier-type matrix H as well gives a group of "
@@ -687,8 +678,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport) -> dict:
     )
 
     if cfg.case == "up":
-        _verify_u2_models(cfg, rep, out)
-    return out
+        _verify_u2_models(cfg, rep)
 
 
 def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
@@ -737,7 +727,7 @@ def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
         )
 
 
-def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> None:
+def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport) -> None:
     """Scalar-extended p = 2 models for the full unitary family: the
     quaternion core gains the 2^level-torsion scalars, the chain extension
     now splits (witnessed by an explicit involution), and the torus side
@@ -806,16 +796,13 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport, out: dict) -> No
         tor.order == 2 ** (2 * n + 1),
         order=tor.order,
     )
-    out["u2_chain"] = chain_u
-    out["u2_full"] = full_u
 
 
 # -- the az family ----------------------------------------------------------
 
 
-def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dict:
+def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> None:
     p = cfg.prime
-    out: dict = {}
 
     # the certificate builds f_M for all of GL2(F_p) once; every action
     # below is read off its GL product
@@ -840,16 +827,14 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         inner=cert.inner_order,
         section=cert.section_order,
     )
-    out["aut_certificate"] = cert
 
     if p == 3:
         aut = automorphism_group(hberg)
-        pos = {q: i for i, q in enumerate(aut.perms)}
         inner = []
         for u in range(p):
             for v in range(p):
-                inner.append(pos[inner_perm(hberg, u, v)])
-        hint = [pos[sd_full.action[h]] for h in greedy_generators(gl)]
+                inner.append(aut.index[inner_perm(hberg, u, v)])
+        hint = [aut.index[sd_full.action[h]] for h in greedy_generators(gl)]
         ses = sesverify(
             aut,
             tuple(sorted(set(inner))),
@@ -914,8 +899,6 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
     )
 
     sd_chain = heisenberg_semidirect(p, "UGL", sd_full)
-    out["az_chain"] = sd_chain
-    out["az_full"] = sd_full
     rep.add(
         "az.chain_order",
         "the semidirect product with the upper-triangular group has order "
@@ -942,14 +925,9 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> dic
         "full upper-triangular group of index p-1",
         ugl.order == (p - 1) * usl.order,
     )
-    return out
 
 
 # -- decomposition diagrams -------------------------------------------------
-
-
-def torus_order(p: int, level: int, det_one: bool) -> int:
-    return p ** (level * (p - 1)) if det_one else p ** (level * p)
 
 
 def chain_classes(cfg: CaseConfig) -> tuple[list[dict], list[tuple[str, str, dict]]]:

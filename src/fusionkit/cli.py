@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, canonical_json
 from .cases import (
     AZ_PRIME_OF_INDEX,
     CASES,
@@ -116,10 +116,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _json_dumps(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 # -- verify -----------------------------------------------------------------
 
 
@@ -136,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if len(reports) == 1:
             text = reports[0].to_json()
         else:
-            text = _json_dumps(
+            text = canonical_json(
                 {
                     "schema_version": SCHEMA_VERSION,
                     "kind": "verification_batch",
@@ -181,7 +177,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if fmt == "dot":
         text = collapsed.to_dot() if not args.full_poset else (poset or collapsed).to_dot()
     elif fmt == "json":
-        text = _json_dumps(
+        text = canonical_json(
             {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "decomposition",
@@ -268,7 +264,7 @@ def cmd_aut_gamma(args: argparse.Namespace) -> int:
             "  section x inner intersect trivially: %s" % cert.intersection_trivial,
             "  section closure stays inside the certified set: %s" % cert.closure_matches,
         ]
-    text = _json_dumps(data) if fmt == "json" else "\n".join(lines) + "\n"
+    text = canonical_json(data) if fmt == "json" else "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0 if ok else 1
 
@@ -291,7 +287,7 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     fd = FusionData(G, p)
     poset = fd.sd_poset()
     if fmt == "json":
-        text = _json_dumps(poset.to_json_dict())
+        text = canonical_json(poset.to_json_dict())
     elif fmt == "dot":
         d = poset.collapsed_diagram() if args.collapse else poset.to_diagram()
         text = d.to_dot()

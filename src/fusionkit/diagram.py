@@ -13,10 +13,9 @@ out-edge), it is spliced out and the paths through it are composed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, canonical_json
 
 
 @dataclass
@@ -87,7 +86,7 @@ class Diagram:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json_dict())
 
     def to_dot(self) -> str:
         def q(s: str) -> str:

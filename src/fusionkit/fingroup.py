@@ -8,7 +8,11 @@ defaults to mult and may be a lookup.  A subgroup is the sorted tuple of
 its member indices, and a homomorphism the list of its images in the
 source's index order.  Permutation tuples compose in one kernel, perm_mul
 (operator.itemgetter, so the composition runs in C), or in a getter built
-once for a fixed right factor (right_mul_by).  On top of that sit one
+once for a fixed right factor (right_mul_by).  PermGroup is the one
+permutation-group class, keyed by base images (every point by default;
+matgroup's matrix groups are PermGroups on their basis orbit), and
+perm_closure the one closure over permutation generators: it hands the
+group its walk's index and Cayley graph.  On top of that sit one
 breadth-first walk (bfs_closure: every closure and orbit in the package,
 each returned with its Schreier graph), one generator-growing loop
 (grow_generators, behind small generating sets and the stabilizer
@@ -29,13 +33,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from . import SCHEMA_VERSION
+from . import SCHEMA_VERSION, canonical_json
+
+DEFAULT_CAP = 2_000_000
+
+
+class CapExceeded(RuntimeError):
+    """Closure grew past the configured element cap."""
 
 
 class FiniteGroup:
@@ -120,32 +129,49 @@ class TableGroup(FiniteGroup):
 
 
 class PermGroup(FiniteGroup):
-    """Group of permutation tuples; product a*b acts as x -> a[b[x]]."""
+    """Group of permutation tuples; product a*b acts as x -> a[b[x]].
 
-    def __init__(self, perms, labels=None):
-        self.perms = [tuple(p) for p in perms]
-        self.order = len(self.perms)
-        self.degree = len(self.perms[0]) if self.perms else 0
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        assert len(self.index) == self.order, "duplicate permutations"
-        ident = tuple(range(self.degree))
-        assert ident in self.index, "identity permutation missing"
-        self.identity = self.index[ident]
-        self.labels = list(labels) if labels else None
+    The images of the first base points (every point by default) determine
+    an element: its base images (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.4).  The one element dict,
+    index, is keyed by base images, and bases lists them in element order,
+    so a product maps only its right factor's base images through its left
+    factor, and an inverse finds only the preimages of the base points.
+    perm_closure hands over its walk's index and Cayley graph: cayley[k][x]
+    is the index of x * generator k, which right_mult reads back.
+    """
+
+    def __init__(self, perms, base: int | None = None, index=None, cayley=()):
+        self.perms = perms
+        self.order = len(perms)
+        self.base = len(perms[0]) if base is None else base
+        if index is None:
+            index = {q[:self.base]: i for i, q in enumerate(perms)}
+            assert len(index) == self.order, "duplicate permutations"
+        self.index = index
+        self.bases = list(index)
+        self.identity = index[tuple(range(self.base))]
+        self.cayley = cayley
+        self.generator_indices = [row[0] for row in cayley]
 
     def mult(self, i, j):
-        return self.index[perm_mul(self.perms[i], self.perms[j])]
+        return self.index[perm_mul(self.perms[i], self.bases[j])]
 
     def inv(self, i):
+        # every preimage in one pass, then the base points' ones
         p = self.perms[i]
-        q = [0] * self.degree
+        q = [0] * len(p)
         for x, y in enumerate(p):
             q[y] = x
-        return self.index[tuple(q)]
+        return self.index[tuple(q[:self.base])]
+
+    def right_mult(self, g: int):
+        """A closure generator's Cayley row as a lookup, else mult."""
+        if g in self.generator_indices:
+            return self.cayley[self.generator_indices.index(g)].__getitem__
+        return super().right_mult(g)
 
     def label(self, i):
-        if self.labels:
-            return self.labels[i]
         return "p%d" % i
 
 
@@ -206,13 +232,24 @@ def bfs_closure(starts, gens, image, cap: int | None = None, key=None):
     return points, index, [graph[k::n] for k in range(n)]
 
 
-def perm_closure(perms, cap: int = 2_000_000) -> PermGroup:
-    """BFS closure of permutation generators (identity first)."""
-    gens = [tuple(p) for p in perms]
-    found = bfs_closure([tuple(range(len(gens[0])))], gens, perm_mul, cap)
+def perm_closure(perms, cap: int = DEFAULT_CAP, base: int | None = None) -> PermGroup:
+    """Breadth-first closure of permutation generators, identity first,
+    as the PermGroup with the given base (see PermGroup): the walk's index
+    and Cayley graph become the group's.  With a short base, each product
+    is named by its base images and formed whole only when it is new.
+    Raises CapExceeded past cap elements."""
+    gens = [right_mul_by(tuple(q)) for q in perms]
+    ident = tuple(range(len(perms[0])))
+    if base is None:
+        found = bfs_closure([ident], gens, lambda x, g: g(x), cap)
+    else:
+        pairs = [(right_mul_by(tuple(q[:base])), g) for q, g in zip(perms, gens)]
+        found = bfs_closure([ident], pairs, lambda x, g: g[1](x), cap,
+                            key=([ident[:base]], lambda x, g: g[0](x)))
     if found is None:
-        raise RuntimeError("permutation closure exceeded cap %d" % cap)
-    return PermGroup(found[0])
+        raise CapExceeded("permutation closure exceeded cap %d" % cap)
+    points, index, graph = found
+    return PermGroup(points, base, index, graph)
 
 
 class SemidirectGroup(FiniteGroup):
@@ -716,7 +753,7 @@ def abelian_factor_orders(G: FiniteGroup) -> list[int]:
                 rest //= q
         q += 1
     for q in primes:
-        qpow = [o for o in orders if _is_power_of(o, q)]
+        qpow = [o for o in orders if is_p_power(o, q)]
         parts_ge = []
         prev = 1
         k = 1
@@ -737,10 +774,10 @@ def abelian_factor_orders(G: FiniteGroup) -> list[int]:
     return sorted(factors)
 
 
-def _is_power_of(o: int, q: int) -> bool:
-    while o % q == 0:
-        o //= q
-    return o == 1
+def is_p_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def recognize(G: FiniteGroup) -> str:
@@ -805,7 +842,7 @@ def group_to_json_dict(G: FiniteGroup, prime: int | None = None) -> dict:
 
 
 def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
-    return json.dumps(group_to_json_dict(G, prime), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(group_to_json_dict(G, prime))
 
 
 def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup, int | None]:

@@ -48,6 +48,7 @@ from .fingroup import (
     generated_subgroup,
     greedy_generators,
     grow_generators,
+    is_p_power,
     normal_closure,
     perm_closure,
     quotient,
@@ -63,12 +64,6 @@ def p_part(n: int, p: int) -> int:
         n //= p
         out *= p
     return out
-
-
-def is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _chain(chain) -> tuple[tuple[int, ...], ...]:
@@ -177,16 +172,17 @@ def sylow_members(G: FiniteGroup, p: int,
     return members
 
 
-def _induced_perms(G: FiniteGroup, gens, members: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The permutations of the positions of members induced by conjugation
-    by <gens>: the closure of the generators' images (the identity when
-    gens is empty).  <gens> must normalize the subgroup."""
+def _induced_perms(G: FiniteGroup, gens, members: tuple[int, ...]) -> PermGroup:
+    """The group of permutations of the positions of members induced by
+    conjugation by <gens>: the closure of the generators' images (the
+    trivial group when gens is empty).  <gens> must normalize the
+    subgroup."""
     pos = {m: i for i, m in enumerate(members)}
     images = []
     for g in gens:
         gi = G.inv(g)
         images.append(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
-    return perm_closure(images or [tuple(range(len(members)))]).perms
+    return perm_closure(images or [tuple(range(len(members)))])
 
 
 @dataclass
@@ -258,7 +254,7 @@ class FusionData:
         closure of the images of the stabilizer's generators."""
         members = tuple(sorted(members))
         gens = self.action.stabilizer((members,))[1]
-        return PermGroup(sorted(_induced_perms(self.G, gens, members)))
+        return _induced_perms(self.G, gens, members)
 
     def is_centric(self, members) -> bool:
         """Every conjugate inside S contains its own S-centralizer.
@@ -291,7 +287,7 @@ class FusionData:
         members = tuple(sorted(members))
         A = self.aut_f_of(members)
         inner = _induced_perms(G, subgroup_generators(G, members), members)
-        Out, _ = quotient(A, tuple(sorted(A.index[q] for q in inner)))
+        Out, _ = quotient(A, tuple(sorted(A.index[q] for q in inner.perms)))
         gens = greedy_generators(Out)
         for x in range(Out.order):
             if Out.element_order(x) != self.p:
@@ -370,11 +366,10 @@ class FusionData:
         top = chain[-1]
         bottom = chain[0]
 
-        aut_f = PermGroup(sorted(_induced_perms(G, ngens, top)))
+        aut_f = _induced_perms(G, ngens, top)
         # restriction to the bottom is a homomorphism on aut_f, injective
         # iff the same generators' images on the bottom close to |aut_f|
-        bottoms = _induced_perms(G, ngens, bottom)
-        restriction_injective = len(bottoms) == aut_f.order
+        restriction_injective = _induced_perms(G, ngens, bottom).order == aut_f.order
 
         # C_G(top) centralizes every member of the chain, so it lies in
         # the common normalizer

@@ -14,13 +14,13 @@ studies at an odd prime p (conductor p^level) and at p = 2 (conductor 8):
 Groups are built by breadth-first closure with a hard element cap; exceeding
 the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
 only compiles the generators to permutations of the orbit of the standard
-basis vectors (Seress, Permutation Group Algorithms, 2003); the closure and
-every group operation after it run on those integer tuples, keyed by the
-images of the basis and composed by fingroup's itemgetter kernel.  The
-orbit and the closure are both walks of fingroup.bfs_closure: the orbit's
-Schreier graph gives the generator permutations, and the closure's Cayley
-graph, right multiplication by each generator, is what
-MatrixGroup.right_mult hands to propagate_hom.
+basis vectors (Seress, Permutation Group Algorithms, 2003): the orbit is a
+walk of fingroup.bfs_closure, and its Schreier graph gives the generator
+permutations.  The closure is fingroup.perm_closure of those, with the
+basis positions as base, so a MatrixGroup is a PermGroup: every group
+operation runs on integer tuples keyed by the images of the basis, and the
+closure's Cayley graph is what right_mult hands to propagate_hom.  This
+module adds only the exact layer: matrices, and matrix membership.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycNum, ConductorMismatch
-from .fingroup import FiniteGroup, bfs_closure, perm_mul, right_mul_by
-
-DEFAULT_CAP = 2_000_000
-
-
-class CapExceeded(RuntimeError):
-    """Closure grew past the configured element cap."""
+from .fingroup import (
+    DEFAULT_CAP,
+    CapExceeded,
+    FiniteGroup,
+    PermGroup,
+    bfs_closure,
+    perm_closure,
+)
 
 
 class CycMatrix:
@@ -268,11 +269,9 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
 
     The generators are compiled once to permutations of the orbit of the
     standard basis vectors (the basis first, then the orbit's walk order):
-    the rows of the orbit's Schreier graph.  The closure runs there: the
-    action is faithful, so it is the same walk under an isomorphic product.
-    It dedupes on base images (see MatrixGroup), so a whole orbit
-    permutation is formed only for each new element, and it keeps the
-    index of every product x*g it looks up.
+    the rows of the orbit's Schreier graph.  The closure is perm_closure
+    of those permutations with the basis positions as base: the action is
+    faithful, so it is the same walk under an isomorphic product.
     Element numbering is by discovery order with the identity first, which
     makes it deterministic for a fixed generator order.  If expected is
     given the cap defaults to twice it; a closure passing the cap raises
@@ -290,58 +289,30 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
     basis = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
     # the orbit is the union of dim orbits of size at most |G|
     found = bfs_closure(basis, gens, lambda v, g: g.apply(v), dim * cap)
-    if found is not None:
-        orbit, orbit_index, gen_perms = found
-        # one getter pair per generator: the base images of x*g, and x*g
-        pairs = [(right_mul_by(g[:dim]), right_mul_by(g)) for g in gen_perms]
-        closed = bfs_closure([tuple(range(len(orbit)))], pairs, lambda x, g: g[1](x), cap,
-                             key=([tuple(range(dim))], lambda x, g: g[0](x)))
-        if closed is not None:
-            return MatrixGroup(dim, m, orbit, orbit_index, *closed)
-    raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
+    if found is None:
+        raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
+    orbit, orbit_index, gen_perms = found
+    return MatrixGroup(m, orbit, orbit_index, perm_closure(gen_perms, cap, base=dim))
 
 
-class MatrixGroup(FiniteGroup):
-    """A finite group of CycMatrix elements, run on its permutation action
-    on the orbit of the standard basis vectors.
+class MatrixGroup(PermGroup):
+    """A finite group of CycMatrix elements: the PermGroup of its action on
+    the orbit of the standard basis vectors, with the exact layer on top.
 
-    The orbit contains the basis, at positions 0..dim-1, so the first dim
-    entries of element i's tuple (its base images: the orbit positions of
-    its columns) determine the matrix and hence the element (Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, section 4.4).
-    The one element dict, index, is keyed by base images: a product maps
-    only the dim base images of its right factor through its left factor,
-    and an inverse finds only the dim preimages of the basis positions.
-    orbit_index maps each orbit vector to its position.
-    The closure's Cayley graph is kept: cayley[k][x] is the index of
-    x * generator k, which right_mult reads back.  Matrices are built only
-    on request.
+    The orbit contains the basis, at positions 0..dim-1, so the base
+    images of an element (the orbit positions of its columns) determine
+    its matrix.  orbit_index maps each orbit vector to its position.
+    Matrices are built only on request.
     """
 
-    def __init__(self, dim: int, m: int, orbit, orbit_index, perms, index, cayley):
-        self.dim = dim
+    def __init__(self, m: int, orbit, orbit_index, group: PermGroup):
+        super().__init__(group.perms, group.base, group.index, group.cayley)
+        self.dim = group.base
         self.m = m
         self.orbit = orbit
         self.orbit_index = orbit_index
-        self.perms = perms
-        self.order = len(perms)
-        self.index = index
-        self.bases = list(index)
-        self.cayley = cayley
-        self.identity = 0  # the BFS starts at the identity
-        self.generator_indices = [row[0] for row in cayley]
 
-    def mult(self, i: int, j: int) -> int:
-        return self.index[perm_mul(self.perms[i], self.bases[j])]
-
-    def right_mult(self, g: int):
-        """A closure generator's Cayley row as a lookup, else mult."""
-        if g in self.generator_indices:
-            return self.cayley[self.generator_indices.index(g)].__getitem__
-        return super().right_mult(g)
-
-    def inv(self, i: int) -> int:
-        return self.index[tuple(map(self.perms[i].index, range(self.dim)))]
+    label = FiniteGroup.label  # g0, g1, ... as in the dumped group tables
 
     def matrix(self, i: int) -> CycMatrix:
         cols = [self.orbit[q] for q in self.bases[i]]
@@ -378,6 +349,18 @@ def min_level(p: int) -> int:
     return 2 if p == 2 else 1
 
 
+def default_conductor(p: int, level: int) -> int:
+    """The conductor of the case studies at p and the truncation level: the
+    p^level-torsion, and at p = 2 at least the eighth roots of unity."""
+    return max(8, 2 ** level) if p == 2 else p ** level
+
+
+def torus_order(p: int, level: int, det_one: bool) -> int:
+    """The order of the p^level-torsion torus: rank p - 1 on the
+    determinant-one side, rank p otherwise."""
+    return p ** (level * (p - 1)) if det_one else p ** (level * p)
+
+
 def in_truncated_torus_extension(mat: CycMatrix, p: int, level: int, det_one: bool = True) -> bool:
     """Membership in S_level = T_level<B>: monomial, shift permutation part,
     diagonal part p^level-torsion, and (det_one side) determinant 1."""
@@ -402,7 +385,7 @@ def torus_extension_generators(p: int, level: int, det_one: bool = True,
                                conductor: int | None = None) -> list[CycMatrix]:
     """Generator matrices of S_level: diagonal p^level-torsion generators
     (difference form on the det-one side) followed by the shift matrix."""
-    m = conductor if conductor is not None else (max(8, 2 ** level) if p == 2 else p ** level)
+    m = conductor if conductor is not None else default_conductor(p, level)
     torsion = p ** level
     assert m % torsion == 0, "conductor %d lacks p^level torsion" % m
     zt = CycNum.zeta(m, m // torsion)
@@ -436,7 +419,7 @@ def torus_extension_generators(p: int, level: int, det_one: bool = True,
 def torus_extension_group(p: int, level: int, det_one: bool = True,
                           conductor: int | None = None, cap: int = 20000) -> MatrixGroup:
     """Explicit S_level as a matrix group; only sensible at desk scale."""
-    size = p ** (level * (p - 1) + 1) if det_one else p ** (level * p + 1)
+    size = p * torus_order(p, level, det_one)
     if size > cap:
         raise CapExceeded("torus extension of order %d exceeds cap %d" % (size, cap))
     gens = torus_extension_generators(p, level, det_one, conductor)

@@ -11,7 +11,9 @@ import random
 
 import pytest
 
+from fusionkit import fingroup
 from fusionkit.fingroup import (
+    CapExceeded,
     PermGroup,
     TableGroup,
     abelian_factor_orders,
@@ -70,10 +72,35 @@ def test_symmetric_group_basics():
     assert len(center(S4)) == 1
 
 
-def test_perm_closure():
-    # a 4-cycle and a transposition generate all of S4
-    G = perm_closure([(1, 2, 3, 0), (1, 0, 2, 3)])
-    assert G.order == 24
+def test_perm_closure(monkeypatch):
+    # a 4-cycle and a transposition generate all of S4; the group keeps the
+    # walk's points, index and Cayley graph, so no dict is built twice
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    walks = []
+
+    def recording_walk(*args, **kwargs):
+        walks.append(bfs_closure(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(fingroup, "bfs_closure", recording_walk)
+    G = perm_closure(gens)
+    assert G.order == 24 and len(walks) == 1
+    points, index, graph = walks[0]
+    assert G.perms is points and G.index is index and G.cayley is graph
+    assert len(G.index) == G.order
+    assert G.generator_indices == [G.index[g] for g in gens]
+    for k, g in enumerate(G.generator_indices):
+        assert G.cayley[k] == [G.index[perm_mul(q, gens[k])] for q in G.perms]
+        step = G.right_mult(g)
+        assert [step(x) for x in range(G.order)] == G.cayley[k]
+        assert [G.mult(x, g) for x in range(G.order)] == G.cayley[k]
+    ident = tuple(range(4))
+    assert G.perms[G.identity] == ident
+    assert all(perm_mul(G.perms[G.inv(i)], G.perms[i]) == ident for i in range(G.order))
+    # exactly cap elements are admitted, and one more raises
+    assert perm_closure(gens, cap=24).order == 24
+    with pytest.raises(CapExceeded):
+        perm_closure(gens, cap=23)
 
 
 def test_generated_subgroup_and_normalizer():

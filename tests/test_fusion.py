@@ -9,6 +9,7 @@ Agreement pins down the canonical-key quotient and the edge construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -229,8 +230,10 @@ def test_stabilizer_rejects_a_non_group():
         action.stabilizer(((1,),))
 
 
+@functools.cache
 def _fusion_model(name):
-    """(G, p) for the differential tests of the orbit search."""
+    """(G, p) for the differential tests of the orbit search, built once
+    per model: no test changes a group."""
     from test_golden import relabeled
 
     if name == "S4":
@@ -366,7 +369,7 @@ def test_aut_f_and_centric_match_full_scan(name):
     verdicts = []
     for P in subs:
         N = normalizer(G, P)
-        assert fd.aut_f_of(P).perms == sorted({_conjugation_perm(G, g, P) for g in N})
+        assert sorted(fd.aut_f_of(P).perms) == sorted({_conjugation_perm(G, g, P) for g in N})
         centric = _centric_by_scan(fd, P)
         assert fd.is_centric(P) == centric
         assert not centric or zS <= set(P)
@@ -391,7 +394,7 @@ def test_chain_aut_matches_full_scan(name):
         # restriction is injective iff distinct actions on the top stay
         # distinct on the bottom
         on_bottom = {_conjugation_perm(G, g, top): _conjugation_perm(G, g, bottom) for g in N}
-        assert rep.aut_f.perms == sorted(on_bottom)
+        assert sorted(rep.aut_f.perms) == sorted(on_bottom)
         assert rep.restriction_to_bottom_injective == (
             len(set(on_bottom.values())) == len(on_bottom))
         C = [g for g in range(G.order) if all(G.mult(g, x) == G.mult(x, g) for x in top)]

@@ -201,7 +201,7 @@ def test_closure_cap_enforced():
         closure([A, B], cap=124)
     d8 = [(1, 2, 3, 0), (2, 1, 0, 3)]
     assert perm_closure(d8, cap=8).order == 8
-    with pytest.raises(RuntimeError):
+    with pytest.raises(CapExceeded):
         perm_closure(d8, cap=7)
     S4 = symmetric_group(4)
     gens = [S4.index[g] for g in d8]
@@ -287,6 +287,11 @@ def test_base_images_match_whole_permutations(name):
     perms, index, graph = bfs_closure([ident], gen_perms, perm_mul)
     assert perms == G.perms and graph == G.cayley
     assert index == {q: i for i, q in enumerate(perms)}
+    # so do perm_closure on base images and on whole permutations
+    keyed, full = perm_closure(gen_perms, base=G.dim), perm_closure(gen_perms)
+    assert keyed.perms == full.perms == perms and keyed.order == full.order == G.order
+    assert keyed.cayley == full.cayley == graph
+    assert keyed.bases == G.bases and full.index == index
     for row, g in zip(graph, gen_perms):
         assert [perms[j] for j in row] == [perm_mul(q, g) for q in perms]
     # exactly cap points are admitted, and one more returns None
@@ -296,8 +301,9 @@ def test_base_images_match_whole_permutations(name):
     rng = random.Random(20261019)
     for _ in range(200):
         i, j = rng.randrange(G.order), rng.randrange(G.order)
-        assert G.mult(i, j) == whole[perm_mul(G.perms[i], G.perms[j])]
+        assert G.mult(i, j) == whole[perm_mul(G.perms[i], G.perms[j])] == full.mult(i, j)
         assert perm_mul(G.perms[G.inv(i)], G.perms[i]) == ident
+        assert G.inv(i) == full.inv(i)
     assert G.perms[G.identity] == ident
     assert closure(gens, cap=G.order).perms == G.perms
     with pytest.raises(CapExceeded):

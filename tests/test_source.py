@@ -8,12 +8,14 @@ some Attribute node in src/ loads that name (an augmented assignment
 loads it too).  Code that no command reaches is deleted; the few
 definitions that only tests use stay in KEPT, each with the reason it
 stays.  Every name a module imports at top level is used in that module,
-so a deletion leaves no dead import behind.
+so a deletion leaves no dead import behind.  No two functions share a
+body, so a fact is written once.
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fusionkit"
@@ -127,3 +129,71 @@ def unused_imports(src: Path = SRC) -> list[str]:
 
 def test_every_top_level_import_is_used():
     assert unused_imports() == []
+
+
+# A body of fewer nodes is a delegation or a raise, such as
+# `return canonical_json(self.to_json_dict())`, not a duplicated fact.
+MIN_BODY_NODES = 16
+
+
+def normalized_body(fn: ast.FunctionDef) -> tuple[str, int]:
+    """The ast dump of fn's body without its docstring, with the arguments
+    renamed by position and every other name fn assigns renamed by first
+    appearance, and the number of nodes in that body."""
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    module = ast.Module(body=copy.deepcopy(body), type_ignores=[])
+    args = fn.args
+    params = args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg]
+    names = {a.arg: "arg%d" % i for i, a in enumerate(a for a in params if a is not None)}
+    nodes = list(ast.walk(module))
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.setdefault(node.id, "var%d" % len(names))
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            node.id = names.get(node.id, node.id)
+    return ast.dump(module), len(nodes)
+
+
+def duplicate_bodies(src: Path = SRC) -> list[list[str]]:
+    """The `module:function` names of each group of functions (methods and
+    nested functions too) in src whose normalized bodies are equal."""
+    by_body: dict[str, list[str]] = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body, size = normalized_body(node)
+                if size >= MIN_BODY_NODES:
+                    by_body.setdefault(body, []).append("%s:%s" % (path.name, node.name))
+    return [names for names in by_body.values() if len(names) > 1]
+
+
+def test_no_two_functions_share_a_body():
+    assert duplicate_bodies() == []
+
+
+def test_duplicate_bodies_are_found_up_to_renaming(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def power_of(n, p):\n"
+        "    \"\"\"Docstrings are dropped.\"\"\"\n"
+        "    while n % p == 0:\n"
+        "        n //= p\n"
+        "    return n == 1\n"
+        "def first(g):\n"
+        "    raise NotImplementedError\n")
+    (tmp_path / "b.py").write_text(
+        "def is_power(o, q):\n"
+        "    while o % q == 0:\n"
+        "        o //= q\n"
+        "    return o == 1\n"
+        "def other(n, p):\n"
+        "    while n % p == 1:\n"
+        "        n //= p\n"
+        "    return n == 1\n"
+        "def second(h):\n"
+        "    raise NotImplementedError\n")
+    assert duplicate_bodies(tmp_path) == [["a.py:power_of", "b.py:is_power"]]
