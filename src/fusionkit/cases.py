@@ -801,7 +801,7 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport) -> None:
 # -- the az family ----------------------------------------------------------
 
 
-def verify_az(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> None:
+def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
     p = cfg.prime
 
     # the certificate builds f_M for all of GL2(F_p) once; every action
@@ -1109,7 +1109,7 @@ def run_suite(cfg: CaseConfig, extended: bool = False) -> VerificationReport:
     gam = verify_gamma(cfg, rep)
     if cfg.case == "az":
         verify_rho(cfg, rep, gam)
-        verify_az(cfg, rep, gam)
+        verify_az(cfg, rep)
         emit_decomposition(cfg, rep)
         return rep
 

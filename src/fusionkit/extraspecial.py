@@ -71,6 +71,16 @@ class HeisenbergGroup(FiniteGroup):
         c2, i2, j2 = coords[y]
         return self.encode(c1 + c2 + j1 * i2, i1 + i2, j1 + j2)
 
+    def right_mult(self, g: int):
+        """x -> x * g with g's coordinates read once and encode inlined."""
+        p, coords = self.p, self.coords
+        c2, i2, j2 = coords[g]
+
+        def step(x):
+            c1, i1, j1 = coords[x]
+            return ((c1 + c2 + j1 * i2) % p * p + (i1 + i2) % p) * p + (j1 + j2) % p
+        return step
+
     def inv(self, x: int) -> int:
         c, i, j = self.coords[x]
         return self.encode(i * j - c, -i, -j)

@@ -4,7 +4,7 @@ A group object only needs the protocol
     order : int        identity : int
     mult(i, j) -> int  inv(i) -> int     label(i) -> str
 and everything here works on top of it; right_mult(g), the step x -> x*g,
-defaults to mult and may be a lookup.  A subgroup is the sorted tuple of
+defaults to mult and may be prebuilt.  A subgroup is the sorted tuple of
 its member indices, and a homomorphism the list of its images in the
 source's index order.  Permutation tuples compose in one kernel, perm_mul
 (operator.itemgetter, so the composition runs in C), or in a getter built
@@ -20,7 +20,7 @@ generators in fusion), centralizers (the center tested on a generating
 set), normal closures, normality decided on left-coset representatives
 (once per quotient), quotients of G or of a subgroup that multiply
 through coset representatives, certified generator homomorphisms
-(propagate_hom, stepping through the source's right_mult), one
+(propagate_hom, stepping both sides through right_mult), one
 generator-image backtracking search (behind isomorphism and
 automorphism_group), short-exact-sequence verification with an exhaustive
 complement search over the product of the lift lists, and structure
@@ -283,6 +283,24 @@ class SemidirectGroup(FiniteGroup):
         h = self.H.mult(h1, h2)
         return self.encode(n, h)
 
+    def right_mult(self, g: int):
+        """x -> x * g with g = (n, h) decoded once: (n1, h1) * (n, h) is
+        (n1 * h1(n), h1 * h), so the H-part and h1(n) are read from two
+        prebuilt |H|-long rows, and for n = 1 the step only shifts the
+        H-part."""
+        n, h = self.decode(g)
+        k = self.H.order
+        hrow = [self.H.mult(h1, h) for h1 in range(k)]
+        if n == self.N.identity:
+            return lambda x: x - x % k + hrow[x % k]
+        col = [a[n] for a in self.action]
+        nmult = self.N.mult
+
+        def step(x):
+            n1, h1 = divmod(x, k)
+            return nmult(n1, col[h1]) * k + hrow[h1]
+        return step
+
     def inv(self, i):
         n, h = self.decode(i)
         hi = self.H.inv(h)
@@ -481,20 +499,22 @@ def propagate_hom(G: FiniteGroup, H: FiniteGroup, gen_idx, img_idx):
 
     Enforces f(x*g) = f(x)*f(g) for every reached x and every generator g,
     which by induction on word length makes a returned map a certified
-    homomorphism on the generated subgroup.  x*g is read through
-    G.right_mult(g), which a closed group answers from its Cayley graph.
+    homomorphism on the generated subgroup.  Both sides step through
+    right_mult, built once per generator: x*g through G.right_mult(g),
+    which a closed group answers from its Cayley graph, and f(x)*f(g)
+    through H.right_mult(f(g)), which a semidirect or Heisenberg target
+    prebuilds.
     """
     images = {G.identity: H.identity}
     frontier = [G.identity]
-    steps = [(G.right_mult(g), fg) for g, fg in zip(gen_idx, img_idx)]
-    hmult = H.mult
+    steps = [(G.right_mult(g), H.right_mult(fg)) for g, fg in zip(gen_idx, img_idx)]
     while frontier:
         new = []
         for x in frontier:
             fx = images[x]
-            for step, fg in steps:
+            for step, fstep in steps:
                 y = step(x)
-                fy = hmult(fx, fg)
+                fy = fstep(fx)
                 old = images.get(y)
                 if old is None:
                     images[y] = fy

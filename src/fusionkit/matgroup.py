@@ -19,8 +19,9 @@ walk of fingroup.bfs_closure, and its Schreier graph gives the generator
 permutations.  The closure is fingroup.perm_closure of those, with the
 basis positions as base, so a MatrixGroup is a PermGroup: every group
 operation runs on integer tuples keyed by the images of the basis, and the
-closure's Cayley graph is what right_mult hands to propagate_hom.  This
-module adds only the exact layer: matrices, and matrix membership.
+closure's Cayley graph is what right_mult hands to propagate_hom, on
+either side of a homomorphism.  This module adds only the exact layer:
+matrices, and matrix membership.
 """
 
 from __future__ import annotations

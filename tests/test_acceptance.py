@@ -245,7 +245,7 @@ def test_criterion_07_adams_matrix():
         rep = VerificationReport(cfg)
         gam = verify_gamma(cfg, rep)
         verify_rho(cfg, rep, gam)
-        verify_az(cfg, rep, gam)
+        verify_az(cfg, rep)
         ok = passed_ids(rep)
         need = {"az.adams_shape", "az.adams_automorphism", "az.adams_extends"}
         assert need <= ok, (index, need - ok)

@@ -8,12 +8,13 @@ constructions and the counting certificate both rest on.
 
 from __future__ import annotations
 
+import random
 from dataclasses import fields
 
 import pytest
 
 from fusionkit import extraspecial
-from fusionkit.cases import CaseConfig, run_suite
+from fusionkit.cases import CaseConfig, d_sigma_matrices, run_suite
 from fusionkit.extraspecial import (
     AutCertificate,
     HeisenbergGroup,
@@ -36,6 +37,7 @@ from fusionkit.fingroup import (
     hom_by_generators,
     mat2_group,
     perm_closure,
+    smallest_primitive_root,
     spot_check_associativity,
     symmetric_group,
 )
@@ -387,6 +389,30 @@ def test_semidirect_is_a_group_with_normal_core():
     assert spot_check_associativity(G)
     core = [G.encode(n, G.H.identity) for n in range(27)]
     assert is_normal(G, generated_subgroup(G, core))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_heisenberg_right_mult_matches_mult(p):
+    G = HeisenbergGroup(p)
+    for g in range(G.order):
+        step = G.right_mult(g)
+        assert [step(x) for x in range(G.order)] == [G.mult(x, g) for x in range(G.order)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["SL", "GL", "USL"])
+def test_semidirect_right_mult_matches_mult(p, kind):
+    """Every x against mult, for g over the chain embedding's four images,
+    the identity and 20 seeded random elements."""
+    G = heisenberg_semidirect(p, kind)
+    N, H = G.N, G.H
+    gs = [G.encode(N.a_index, H.identity), G.encode(N.b_index, H.identity)]
+    gs += [G.encode(N.identity, H.index[M]) for M in d_sigma_matrices(p, smallest_primitive_root(p))]
+    rng = random.Random(20261018)
+    gs += [G.identity] + [rng.randrange(G.order) for _ in range(20)]
+    for g in gs:
+        step = G.right_mult(g)
+        assert [step(x) for x in range(G.order)] == [G.mult(x, g) for x in range(G.order)]
 
 
 def test_primitive_scaling_matrix():

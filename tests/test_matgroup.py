@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from fusionkit.cases import CaseConfig, d_sigma_matrices, gamma_matrices
 from fusionkit.cyclo import CycNum
+from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
     TableGroup,
     bfs_closure,
@@ -24,6 +26,7 @@ from fusionkit.fingroup import (
     perm_mul,
     propagate_hom,
     recognize,
+    smallest_primitive_root,
     symmetric_group,
 )
 from fusionkit.matgroup import (
@@ -370,14 +373,40 @@ def test_propagate_hom_on_cayley_rows_matches_mult_bfs(name):
     q = next(q for q in (3, 5, 7) if n % q)
     Cq = cyclic_group(q)
     cases.append((Cq, gens, [1] + [0] * (len(gens) - 1)))
+    _assert_propagates_as_mult_bfs(G, cases)
+    assert propagate_hom(G, cases[-1][0], gens, cases[-1][2]) is None
+    assert all(propagate_hom(G, G, gens, imgs) is not None for _, _, imgs in cases[:3])
+
+
+def _assert_propagates_as_mult_bfs(G, cases):
     for H, gen_idx, img_idx in cases:
         got = propagate_hom(G, H, gen_idx, img_idx)
         want = _propagate_by_mult(G, H, gen_idx, img_idx)
         assert got == want
         # the same discovery order as well as the same map
         assert (got is None) or list(got) == list(want)
-    assert propagate_hom(G, cases[-1][0], gens, cases[-1][2]) is None
-    assert all(propagate_hom(G, G, gens, imgs) is not None for _, _, imgs in cases[:3])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_propagate_hom_into_semidirect_matches_mult_bfs(p):
+    """The chain embedding of build_normalizers, whose target steps are
+    SemidirectGroup.right_mult: the same map in the same order as the
+    mult BFS, and the same verdict for a wrong image (a*z, 1)."""
+    cfg = CaseConfig("sup", p)
+    A, B = gamma_matrices(cfg)
+    k = smallest_primitive_root(p)
+    n_chain = closure([A, B, std_matrix(p, "D", conductor=cfg.conductor),
+                       std_matrix(p, "sigma", k=k, conductor=cfg.conductor)])
+    n_full = heisenberg_semidirect(p, "SL")
+    hberg, sl = n_full.N, n_full.H
+    imgs = [n_full.encode(hberg.a_index, sl.identity), n_full.encode(hberg.b_index, sl.identity)]
+    imgs += [n_full.encode(hberg.identity, sl.index[M]) for M in d_sigma_matrices(p, k)]
+    az = hberg.mult(hberg.a_index, hberg.encode(1, 0, 0))
+    wrong = [n_full.encode(az, sl.identity)] + imgs[1:]
+    gens = n_chain.generator_indices
+    _assert_propagates_as_mult_bfs(n_chain, [(n_full, gens, imgs), (n_full, gens, wrong)])
+    assert len(propagate_hom(n_chain, n_full, gens, imgs)) == n_chain.order
+    assert propagate_hom(n_chain, n_full, gens, wrong) is None
 
 
 def _dense_mul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
