@@ -151,9 +151,6 @@ class VerificationReport:
     def skip(self, check_id: str, claim: str, reason: str) -> None:
         self.checks.append(Check(check_id, claim, "skipped", {"reason": reason}))
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def all_ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)

@@ -7,6 +7,10 @@ the float embedding exists only as a cross-check and is never ground truth.
 
 The conductor m is fixed per element and mixed-conductor arithmetic is
 rejected; callers lift explicitly via CycNum.lift.
+
+The field has no division here: the matrices built from these numbers are
+unitary, so their inverses are conjugate transposes, and a negative power
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -236,31 +240,9 @@ class CycNum:
         den, tup = _normalize(self.den * other.den, num)
         return CycNum(self.m, den, tup)
 
-    def inverse(self) -> "CycNum":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.m)
-        ctx = _context(self.m)
-        # extended euclid in Q[x] against Phi_m (irreducible over Q)
-        a = [Fraction(x, self.den) for x in self.num]
-        b = [Fraction(c) for c in ctx.poly]
-        r0, r1 = b, list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
-        # r0 = gcd (nonzero constant), s0 * a == r0 mod Phi
-        const = r0[0]
-        assert all(c == 0 for c in r0[1:])
-        inv_coeffs = [c / const for c in s0]
-        return CycNum.from_coeffs(self.m, inv_coeffs)
-
-    def __truediv__(self, other: "CycNum") -> "CycNum":
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "CycNum":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative powers unsupported: Q(zeta_%d) has no division here" % self.m)
         result = _one(self.m)
         base = self
         while n:
@@ -344,39 +326,6 @@ class CycNum:
         if self.den == 1:
             return body
         return "(%s)/%d" % (body, self.den)
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] / den[-1]
-        if c:
-            q[shift] = c
-            for j, y in enumerate(den):
-                num[shift + j] -= c * y
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
 
 
 @lru_cache(maxsize=None)

@@ -41,6 +41,7 @@ from operator import itemgetter
 from . import SCHEMA_VERSION, canonical_json
 
 DEFAULT_CAP = 2_000_000
+SUBGROUP_CAP = 100_000
 
 
 class CapExceeded(RuntimeError):
@@ -386,12 +387,13 @@ def normal_closure(G: FiniteGroup, gens, seed) -> tuple[int, ...]:
     return generated_subgroup(G, sorted(orbit))
 
 
-def all_subgroups(G: FiniteGroup, cap: int = 100000, base=None) -> list[tuple[int, ...]]:
+def all_subgroups(G: FiniteGroup, base=None) -> list[tuple[int, ...]]:
     """Every subgroup that contains <base> (every subgroup when base is
     None), by closing single-generator extensions of <base> to a fixpoint.
 
     <H, x> = <H, x*h> for h in H, so one x per left coset of H is tried,
-    and each closure starts from the generators H was found with.
+    and each closure starts from the generators H was found with.  Raises
+    CapExceeded past SUBGROUP_CAP subgroups.
     """
     base = list(base or ())
     start = generated_subgroup(G, base)
@@ -408,8 +410,8 @@ def all_subgroups(G: FiniteGroup, cap: int = 100000, base=None) -> list[tuple[in
             if k not in gens_of:
                 gens_of[k] = gens_of[h] + [x]
                 queue.append(k)
-                if len(gens_of) > cap:
-                    raise RuntimeError("subgroup enumeration exceeded cap %d" % cap)
+                if len(gens_of) > SUBGROUP_CAP:
+                    raise CapExceeded("subgroup enumeration exceeded cap %d" % SUBGROUP_CAP)
     return sorted(gens_of, key=lambda t: (len(t), t))
 
 
@@ -431,20 +433,6 @@ def left_cosets(G: FiniteGroup, members, within=None) -> tuple[list[int], list[i
         for n in members:
             coset_of[G.mult(i, n)] = c
     return coset_of, reps
-
-
-def _normal_by_reps(G: FiniteGroup, members, reps) -> bool:
-    """N is normal in the group its cosets cover iff r x r^-1 lies in N
-    for every left-coset representative r and every generator x of N: with
-    g = r*n, g N g^-1 = r N r^-1, and conjugation is injective, so the image
-    of a generating set inside N forces r N r^-1 = N."""
-    nset = set(members)
-    ngens = subgroup_generators(G, members)
-    return all(G.conjugate(r, x) in nset for r in reps for x in ngens)
-
-
-def is_normal(G: FiniteGroup, members) -> bool:
-    return _normal_by_reps(G, members, left_cosets(G, members)[1])
 
 
 class CosetGroup(FiniteGroup):
@@ -479,7 +467,13 @@ def quotient(G: FiniteGroup, members, within=None) -> tuple[CosetGroup, list[int
     when N is not normal in H.
     """
     coset_of, reps = left_cosets(G, members, within)
-    if not _normal_by_reps(G, members, reps):
+    # N is normal in H iff r x r^-1 lies in N for every left-coset
+    # representative r and every generator x of N: with g = r*n,
+    # g N g^-1 = r N r^-1, and conjugation is injective, so the image of a
+    # generating set inside N forces r N r^-1 = N
+    nset = set(members)
+    ngens = subgroup_generators(G, members)
+    if not all(G.conjugate(r, x) in nset for r in reps for x in ngens):
         raise ValueError("quotient requires a normal subgroup")
     return CosetGroup(G, coset_of, reps), coset_of
 

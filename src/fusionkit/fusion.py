@@ -10,9 +10,11 @@ induced by conjugation in G.  The objects of interest are:
   * chains P_0 < P_1 < ... < P_k of such subgroups, up to simultaneous
     conjugacy in G;
   * for each chain class, the automorphisms induced by the common
-    normalizer, both as permutations of the top subgroup (aut_f) and as the
-    quotient of the common normalizer by the p'-part of the top
-    centralizer (aut_l).
+    normalizer, both as permutations of the top subgroup (Aut_F) and as
+    the quotient of the common normalizer by the p'-part of the top
+    centralizer (Aut_L).  A chain class's report keeps the two orders and
+    Aut_L's tag, which is all the decomposition diagrams need; the groups
+    are built, measured and dropped.
 
 Nothing scans G.  Conjugation acts on chains through one generating set
 of G: fingroup's breadth-first walk finds a chain's orbit and its Schreier
@@ -26,7 +28,7 @@ enumerated, since a centric subgroup contains Z(S).
 The poset of chain classes, ordered by "contains a conjugate as a proper
 subchain", drives the decomposition diagrams.  An edge is marked iso when
 the subchain keeps the top subgroup and already has the same common
-normalizer, in which case the two aut_l groups are literally equal.
+normalizer, in which case the two Aut_L groups are literally equal.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from functools import cached_property
 from . import SCHEMA_VERSION
 from .diagram import Diagram, contract_iso_edges
 from .fingroup import (
-    CosetGroup,
     FiniteGroup,
     PermGroup,
     TableGroup,
@@ -189,31 +190,24 @@ def _induced_perms(G: FiniteGroup, gens, members: tuple[int, ...]) -> PermGroup:
 class ChainAutReport:
     """Automorphism data of one chain of subgroups, all certified on G.
 
-    aut_f is the permutation action of the common normalizer on the top
-    subgroup; aut_l is the quotient of the common normalizer by the p'-part
-    of the top centralizer, built as an explicit group.  The two order
-    formulas |aut_l| = |Z(top)| * |aut_f| and |aut_l| = |inter_norm| / |nu'|
-    agree exactly when the top centralizer splits as Z(top) x nu'.
+    Aut_F is the permutation action of the common normalizer on the top
+    subgroup; Aut_L is the quotient of the common normalizer by the p'-part
+    of the top centralizer, built as an explicit group and tagged by
+    recognize().  The report keeps their orders, not the groups.  The two
+    order formulas |Aut_L| = |Z(top)| * |Aut_F| and
+    |Aut_L| = |inter_norm| / |nu'| agree exactly when the top centralizer
+    splits as Z(top) x nu'.
     """
 
     chain: tuple[tuple[int, ...], ...]
     inter_norm: tuple[int, ...]
-    aut_f: PermGroup
-    aut_l: CosetGroup
+    aut_f_order: int
+    aut_l_order: int
     z_order: int
     nu_prime_order: int
     centralizer_order: int
     centralizer_splits: bool
-    restriction_to_bottom_injective: bool
     tag: str
-
-    @property
-    def aut_f_order(self) -> int:
-        return self.aut_f.order
-
-    @property
-    def aut_l_order(self) -> int:
-        return self.aut_l.order
 
 
 class FusionData:
@@ -224,13 +218,11 @@ class FusionData:
     with |G|.  Common normalizers are its stabilizers, memoised per chain.
     """
 
-    def __init__(self, G: FiniteGroup, p: int, sylow: tuple[int, ...] | None = None):
+    def __init__(self, G: FiniteGroup, p: int):
         self.G = G
         self.p = p
         self.action = ConjugationAction(G)
-        self.S = tuple(sorted(sylow)) if sylow is not None else sylow_members(G, p, self.action)
-        if len(self.S) != p_part(G.order, p):
-            raise ValueError("given subgroup is not Sylow: order %d" % len(self.S))
+        self.S = sylow_members(G, p, self.action)
         self._sset = set(self.S)
         self._spos = {s: i for i, s in enumerate(self.S)}
         self._names: dict[tuple[int, ...], str] = {}
@@ -364,12 +356,7 @@ class FusionData:
         chain = _chain(chain)
         inter_t, ngens = self.action.stabilizer(chain)
         top = chain[-1]
-        bottom = chain[0]
-
-        aut_f = _induced_perms(G, ngens, top)
-        # restriction to the bottom is a homomorphism on aut_f, injective
-        # iff the same generators' images on the bottom close to |aut_f|
-        restriction_injective = _induced_perms(G, ngens, bottom).order == aut_f.order
+        aut_f_order = _induced_perms(G, ngens, top).order
 
         # C_G(top) centralizes every member of the chain, so it lies in
         # the common normalizer
@@ -388,19 +375,21 @@ class FusionData:
         )
 
         aut_l, _ = quotient(G, nu, inter_t)
-        if splits:
-            assert aut_l.order == len(Z) * aut_f.order
+        if splits and aut_l.order != len(Z) * aut_f_order:
+            raise ValueError(
+                "|Aut_L| = %d is not |Z(top)| * |Aut_F| = %d * %d although the top "
+                "centralizer splits: the input is not a group" % (aut_l.order, len(Z), aut_f_order)
+            )
 
         return ChainAutReport(
             chain=chain,
             inter_norm=inter_t,
-            aut_f=aut_f,
-            aut_l=aut_l,
+            aut_f_order=aut_f_order,
+            aut_l_order=aut_l.order,
             z_order=len(Z),
             nu_prime_order=len(nu),
             centralizer_order=len(C),
             centralizer_splits=splits,
-            restriction_to_bottom_injective=restriction_injective,
             tag=recognize(aut_l),
         )
 
@@ -468,13 +457,8 @@ class ChainPoset:
                 )
                 seen_dst[dst] = seen_dst.get(dst, False) or iso
             for dst in sorted(seen_dst):
-                assert dst != cls.id
                 self.edges.append((cls.id, dst, seen_dst[dst]))
         self.edges.sort(key=lambda e: (e[0], e[1]))
-        for src, dst, _ in self.edges:
-            src_len = len(next(c.rep for c in self.classes if c.id == src))
-            dst_len = len(next(c.rep for c in self.classes if c.id == dst))
-            assert dst_len < src_len, "poset edges must shorten chains"
 
     def to_json_dict(self) -> dict:
         nodes = []
@@ -525,5 +509,5 @@ class ChainPoset:
                 d.add_edge(src, dst)
         return d
 
-    def collapsed_diagram(self, name: str = "chain_poset_collapsed") -> Diagram:
-        return contract_iso_edges(self.to_diagram(name))
+    def collapsed_diagram(self) -> Diagram:
+        return contract_iso_edges(self.to_diagram("chain_poset_collapsed"))

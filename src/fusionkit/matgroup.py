@@ -418,10 +418,11 @@ def torus_extension_generators(p: int, level: int, det_one: bool = True,
 
 
 def torus_extension_group(p: int, level: int, det_one: bool = True,
-                          conductor: int | None = None, cap: int = 20000) -> MatrixGroup:
-    """Explicit S_level as a matrix group; only sensible at desk scale."""
+                          conductor: int | None = None) -> MatrixGroup:
+    """Explicit S_level as a matrix group; only sensible at desk scale, so
+    past 20000 elements it raises CapExceeded."""
     size = p * torus_order(p, level, det_one)
-    if size > cap:
-        raise CapExceeded("torus extension of order %d exceeds cap %d" % (size, cap))
+    if size > 20000:
+        raise CapExceeded("torus extension of order %d exceeds cap 20000" % size)
     gens = torus_extension_generators(p, level, det_one, conductor)
     return closure(gens, expected=size)

@@ -27,7 +27,6 @@ from fusionkit.fingroup import (
     greedy_generators,
     grow_generators,
     hom_by_generators,
-    is_normal,
     isomorphic,
     isomorphism,
     left_cosets,
@@ -347,6 +346,16 @@ def brute_force_normal(G, members) -> bool:
     return all(G.conjugate(g, x) in nset for g in range(G.order) for x in members)
 
 
+def normal_by_quotient(G, members) -> bool:
+    """Whether quotient accepts the subgroup with the given members as
+    normal in G: it raises ValueError on a non-normal one."""
+    try:
+        quotient(G, members)
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("name", ["S4", "USL2(F3)", "Heis3:USL2(F3)"])
 def test_is_normal_matches_brute_force(name):
     from fusionkit.extraspecial import heisenberg_semidirect
@@ -357,7 +366,7 @@ def test_is_normal_matches_brute_force(name):
         "Heis3:USL2(F3)": heisenberg_semidirect(3, "USL"),
     }[name]
     subs = all_subgroups(G)
-    verdicts = [is_normal(G, h) for h in subs]
+    verdicts = [normal_by_quotient(G, h) for h in subs]
     assert verdicts == [brute_force_normal(G, h) for h in subs]
     # USL2(F3) is cyclic of order 6; in the other two both verdicts occur,
     # so neither side can pass by a constant answer
@@ -557,7 +566,7 @@ def test_quotient_on_a_subgroup_matches_the_subgroup_table():
         for N in subs:
             if not set(N) <= set(H):
                 continue
-            if is_normal(K, tuple(sorted(pos[x] for x in N))):
+            if normal_by_quotient(K, tuple(sorted(pos[x] for x in N))):
                 _same_quotient(S4, N, H)
                 checked += 1
             else:

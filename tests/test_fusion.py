@@ -23,16 +23,19 @@ from fusionkit.fingroup import (
     all_subgroups,
     center,
     generated_subgroup,
+    group_to_json,
     normalizer,
     recognize,
     subgroup_as_group,
     symmetric_group,
 )
+from fusionkit import cli, fusion
 from fusionkit.matgroup import closure, std_matrix
 from fusionkit.fusion import (
     ChainPoset,
     ConjugationAction,
     FusionData,
+    _induced_perms,
     is_p_power,
     p_part,
     proper_subchains,
@@ -213,10 +216,23 @@ def test_chain_key_constant_on_conjugates():
         assert fd.chain_key(conj) == key
 
 
-def test_fusion_data_rejects_non_sylow():
+def test_chain_aut_rejects_an_order_mismatch(monkeypatch, tmp_path, capsys):
+    # when the top centralizer splits, |Aut_L| = |Z(top)| * |Aut_F| holds in
+    # every group; an Aut_L taken over all of S4 instead of the common
+    # normalizer breaks it (24 != 2 * 4 at the Sylow D8), and the check
+    # reports a non-group: fusion exits 2 with one line and no traceback
     S4 = symmetric_group(4)
-    with pytest.raises(ValueError):
-        FusionData(S4, 2, sylow=(S4.identity,))
+    quotient = fusion.quotient
+    monkeypatch.setattr(fusion, "quotient", lambda G, members, within=None: quotient(G, members))
+    fd = FusionData(S4, 2)
+    with pytest.raises(ValueError, match="the input is not a group"):
+        fd.chain_aut((fd.S,))
+    path = tmp_path / "s4.json"
+    path.write_text(group_to_json(S4))
+    assert cli.main(["fusion", "--input", str(path), "--prime", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fusionkit: error: |Aut_L| = 24 is not |Z(top)| * |Aut_F|")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_stabilizer_rejects_a_non_group():
@@ -379,30 +395,26 @@ def test_aut_f_and_centric_match_full_scan(name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_chain_aut_matches_full_scan(name):
-    # aut_f, the restriction test, |Z(top)| and |C_G(top)| of chain_aut
-    # against scans: conjugation by every element of the scanned common
-    # normalizer, and centralizers over every element of G and of top
+    # Aut_F, |Z(top)| and |C_G(top)| of chain_aut against scans:
+    # conjugation by every element of the scanned common normalizer, and
+    # centralizers over every element of G and of top
     G, p = _fusion_model(name)
     fd = FusionData(G, p)
     S = tuple(sorted(fd.S))
     chains = fd.chains() + [(P, S) for P in fd.sylow_subgroups if P != S]
     for chain in chains:
         rep = fd.chain_aut(chain)
-        top, bottom = chain[-1], chain[0]
+        top = chain[-1]
         N = [g for g in range(G.order)
              if all(set(m) == {G.conjugate(g, x) for x in m} for m in chain)]
-        # restriction is injective iff distinct actions on the top stay
-        # distinct on the bottom
-        on_bottom = {_conjugation_perm(G, g, top): _conjugation_perm(G, g, bottom) for g in N}
-        assert sorted(rep.aut_f.perms) == sorted(on_bottom)
-        assert rep.restriction_to_bottom_injective == (
-            len(set(on_bottom.values())) == len(on_bottom))
+        on_top = {_conjugation_perm(G, g, top) for g in N}
+        aut_f = _induced_perms(G, fd.action.stabilizer(chain)[1], top)
+        assert sorted(aut_f.perms) == sorted(on_top)
+        assert rep.aut_f_order == len(on_top)
         C = [g for g in range(G.order) if all(G.mult(g, x) == G.mult(x, g) for x in top)]
         Z = [x for x in top if all(G.mult(x, y) == G.mult(y, x) for y in top)]
         assert rep.centralizer_order == len(C)
         assert rep.z_order == len(Z)
-    # both verdicts of the restriction test occur
-    assert {fd.chain_aut(c).restriction_to_bottom_injective for c in chains} == {True, False}
 
 
 def test_p5_sl_model_poset_pinned():

@@ -494,6 +494,9 @@ def test_torus_truncation_orders():
     assert torus_extension_group(2, 2, det_one=False).order == 2 ** 4 * 2
     assert torus_extension_group(2, 3).order == 2 ** 3 * 2
     assert torus_extension_group(5, 1).order == 5 ** 4 * 5
+    # 7 * 7^6 elements: refused from the order formula, before any closure
+    with pytest.raises(CapExceeded, match="exceeds cap 20000"):
+        torus_extension_group(7, 1)
 
 
 def test_torus_membership_predicate():

@@ -1,15 +1,19 @@
 """Every definition in src/fusionkit is reached from src/.
 
-The test parses the package with ast.  A top-level function or class, or a
-method whose name is not a dunder, counts as used when some Name or
-Attribute node anywhere in src/ carries its name.  An instance attribute,
-set by a `self.<name> = ...` assignment in a method, counts as read when
-some Attribute node in src/ loads that name (an augmented assignment
-loads it too).  Code that no command reaches is deleted; the few
-definitions that only tests use stay in KEPT, each with the reason it
-stays.  Every name a module imports at top level is used in that module,
-so a deletion leaves no dead import behind.  No two functions share a
-body, so a fact is written once.
+The test parses the package with ast.  A top-level function or class
+counts as used when some Name node in src/ loads its name, and a method or
+property whose name is not a dunder when some Attribute node loads it: a
+parameter, a dataclass field or a keyword that shares the name is not a
+use.  Every parameter with a default is passed, by position or by
+keyword, by some call in src/, so a default that no call changes is a
+constant, not a parameter.  An instance attribute, set by a
+`self.<name> = ...` assignment in a method, counts as read when some
+Attribute node in src/ loads that name (an augmented assignment loads it
+too).  Code that no command reaches is deleted; the few definitions and
+defaults that only tests or outside callers use stay in KEPT and
+KEPT_DEFAULTS, each with the reason it stays.  Every name a module imports
+at top level is used in that module, so a deletion leaves no dead import
+behind.  No two functions share a body, so a fact is written once.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ KEPT = {
     "spot_check_associativity": "checks the hand-built group models in the tests",
     "HeisenbergGroup.central_indices": "oracle for center() on the coordinate model",
     "CycNum.as_rational": "reads exact values back in the cyclotomic tests",
+    "CycNum.from_coeffs": "builds arbitrary field elements in the cyclotomic tests",
+    "CycNum.coeffs": "reads the rational coefficient vector in the cyclotomic tests",
     "CycNum.lift": "oracle for conductor changes in the cyclotomic tests",
     "CycNum.to_complex": "floating-point cross-check in the cyclotomic tests",
     "VerificationReport.failed_ids": "names the failed checks in test assertions",
@@ -40,38 +46,208 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def definitions_and_uses(src: Path = SRC) -> tuple[list[str], set[str]]:
-    """The qualified names defined in src (functions, classes, non-dunder
-    methods) and every name that a Name or Attribute node uses."""
+KEPT_DEFAULTS = {
+    "main(argv)": "perfbench/client.py passes the command line; the script entry point does not",
+    "spot_check_associativity(trials, seed)": "only the tests call it (KEPT)",
+}
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_definitions(src: Path = SRC) -> list[str]:
+    """The qualified names of the top-level functions and classes that no
+    Name node in src loads, and of the non-dunder methods and properties
+    of top-level classes that no Attribute node loads."""
     defs: list[str] = []
-    used: set[str] = set()
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names: set[str] = set()
+    attrs: set[str] = set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, funcs + (ast.ClassDef,)):
+            if isinstance(node, FUNCS + (ast.ClassDef,)):
                 defs.append(node.name)
             if isinstance(node, ast.ClassDef):
                 defs += ["%s.%s" % (node.name, item.name) for item in node.body
-                         if isinstance(item, funcs) and not _is_dunder(item.name)]
+                         if isinstance(item, FUNCS) and not _is_dunder(item.name)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return defs, used
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return [d for d in defs
+            if (d.rsplit(".", 1)[-1] not in attrs if "." in d else d not in names)]
 
 
 def test_every_definition_is_used_in_src():
-    defs, used = definitions_and_uses()
-    unused = [d for d in defs if d.rsplit(".", 1)[-1] not in used and d not in KEPT]
-    assert unused == []
+    assert [d for d in unused_definitions() if d not in KEPT] == []
 
 
 def test_kept_definitions_are_still_defined_and_unused():
     # a KEPT entry that src/ starts using, or that is deleted, leaves the list
-    defs, used = definitions_and_uses()
-    assert sorted(d for d in KEPT if d in defs and d.rsplit(".", 1)[-1] not in used) == sorted(KEPT)
+    assert sorted(d for d in unused_definitions() if d in KEPT) == sorted(KEPT)
+
+
+def test_a_shared_name_is_not_a_use(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "def is_normal(g):\n"
+        "    return True\n"
+        "def used(g):\n"
+        "    return g\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    is_normal: bool\n"
+        "class Num:\n"
+        "    def coeffs(self):\n"
+        "        return ()\n"
+        "    def read(self):\n"
+        "        return self.val\n"
+        "    @staticmethod\n"
+        "    def from_coeffs(coeffs):\n"
+        "        return Num(used(coeffs))\n"
+        "def main(r):\n"
+        "    return r.is_normal, Num.from_coeffs(()).read()\n")
+    assert unused_definitions(tmp_path) == ["is_normal", "Report", "Num.coeffs", "main"]
+
+
+def _signature_defaults(fn: ast.FunctionDef, offset: int) -> tuple[dict[str, int | None], list[str]]:
+    """The parameters of fn by name, each with its position in a call that
+    passes `offset` arguments implicitly (None for keyword-only ones), and
+    the names of those with a default, in order."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    params: dict[str, int | None] = {a.arg: i - offset for i, a in enumerate(positional)}
+    params.update((a.arg, None) for a in args.kwonlyargs)
+    with_default = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    with_default += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return params, with_default
+
+
+def _passed(call: ast.Call, params: dict[str, int | None]) -> set[str]:
+    """The parameters a call passes; a *args passes every position from its
+    own on, and a **kwargs every parameter."""
+    if any(k.arg is None for k in call.keywords):
+        return set(params)
+    starred = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), None)
+    reach = len(call.args) if starred is None else float("inf")
+    out = {k.arg for k in call.keywords}
+    out.update(n for n, i in params.items() if i is not None and 0 <= i < reach)
+    return out
+
+
+def unpassed_defaults(src: Path = SRC) -> list[str]:
+    """`function(param, ...)` or `Class.method(param, ...)` for each
+    top-level function and method of a top-level class in src whose
+    parameters with a default no call in src passes.  A function is called
+    by its Name, a method by an Attribute of its name (self or cls passed
+    implicitly unless it is a staticmethod), and `__init__` by the class's
+    Name, the Name of a subclass that defines none, or `super().__init__`."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))]
+    classes = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def init_of(name):
+        # the class whose __init__ a call of the class named `name` runs
+        while name in classes:
+            cls = classes[name]
+            if any(isinstance(i, FUNCS) and i.name == "__init__" for i in cls.body):
+                return name
+            name = next((b.id for b in cls.bases if isinstance(b, ast.Name)), None)
+        return None
+
+    calls: dict[str, list[ast.Call]] = {}
+    for top in (node for tree in trees for node in tree.body):
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                owner = init_of(f.id)
+                calls.setdefault("%s.__init__" % owner if owner else f.id, []).append(node)
+            elif isinstance(f, ast.Attribute) and f.attr == "__init__":
+                # super().__init__ in a class runs its base's __init__
+                base = next((b.id for b in getattr(top, "bases", ()) if isinstance(b, ast.Name)), None)
+                calls.setdefault("%s.__init__" % init_of(base), []).append(node)
+            elif isinstance(f, ast.Attribute):
+                calls.setdefault("." + f.attr, []).append(node)
+    targets = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, FUNCS):
+                targets.append((node.name, node, 0, calls.get(node.name, [])))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, FUNCS):
+                        continue
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    key = "%s.__init__" % node.name if item.name == "__init__" else "." + item.name
+                    found = calls.get(key, [])
+                    targets.append(("%s.%s" % (node.name, item.name), item, 0 if static else 1, found))
+    out = []
+    for name, fn, offset, found in targets:
+        params, with_default = _signature_defaults(fn, offset)
+        passed = set().union(*(_passed(c, params) for c in found))
+        missing = [a for a in with_default if a not in passed]
+        if missing:
+            out.append("%s(%s)" % (name, ", ".join(missing)))
+    return out
+
+
+def test_every_default_is_passed_in_src():
+    assert [d for d in unpassed_defaults() if d not in KEPT_DEFAULTS] == []
+
+
+def test_kept_defaults_are_still_unpassed():
+    assert sorted(d for d in unpassed_defaults() if d in KEPT_DEFAULTS) == sorted(KEPT_DEFAULTS)
+
+
+def test_a_default_no_call_passes_is_named(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def subgroups(g, cap=10, base=None):\n"
+        "    return g\n"
+        "def order(g, *, exact=True):\n"
+        "    return g\n"
+        "class Poset:\n"
+        "    def __init__(self, data, sylow=None, name='p'):\n"
+        "        self.data = data\n"
+        "    def diagram(self, name='d'):\n"
+        "        return name\n"
+        "    @staticmethod\n"
+        "    def build(x, y=0):\n"
+        "        return x\n"
+        "class Sub(Poset):\n"
+        "    pass\n"
+        "class Other(Poset):\n"
+        "    def __init__(self, data):\n"
+        "        super().__init__(data)\n"
+        "class Far:\n"
+        "    def __init__(self, a, b=1, c=2):\n"
+        "        pass\n"
+        "class Near(Far):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(0, 1, 2)\n"
+        "def run(args):\n"
+        "    Sub(1, None)\n"
+        "    Poset.build(1, 2)\n"
+        "    order(subgroups(1, base=2), **args)\n"
+        "    return Poset(1).diagram()\n")
+    assert unpassed_defaults(tmp_path) == [
+        "subgroups(cap)", "Poset.__init__(name)", "Poset.diagram(name)"]
+    # a super().__init__ call passes only its own base's parameters
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        pass\n"
+        "class B:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        pass\n"
+        "class C(B):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(1, 2)\n"
+        "def run():\n"
+        "    return A(1), C()\n")
+    assert unpassed_defaults(tmp_path) == ["A.__init__(y)"]
 
 
 def instance_attributes_and_reads(src: Path = SRC) -> tuple[list[str], set[str]]:
