@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from fusionkit import cli, fusion
 from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
     TableGroup,
@@ -29,7 +30,6 @@ from fusionkit.fingroup import (
     subgroup_as_group,
     symmetric_group,
 )
-from fusionkit import cli, fusion
 from fusionkit.matgroup import closure, std_matrix
 from fusionkit.fusion import (
     ChainPoset,

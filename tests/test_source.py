@@ -41,15 +41,15 @@ KEPT_ATTRIBUTES = {
                       "test_extraspecial reads it",
 }
 
-
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
 KEPT_DEFAULTS = {
     "main(argv)": "perfbench/client.py passes the command line; the script entry point does not",
     "spot_check_associativity(trials, seed)": "only the tests call it (KEPT)",
 }
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -124,12 +124,12 @@ def _signature_defaults(fn: ast.FunctionDef, offset: int) -> tuple[dict[str, int
 
 
 def _passed(call: ast.Call, params: dict[str, int | None]) -> set[str]:
-    """The parameters a call passes; a *args passes every position from its
-    own on, and a **kwargs every parameter."""
+    """The parameters a call passes; a *args passes every position, and a
+    **kwargs every parameter."""
     if any(k.arg is None for k in call.keywords):
         return set(params)
-    starred = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), None)
-    reach = len(call.args) if starred is None else float("inf")
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    reach = float("inf") if starred else len(call.args)
     out = {k.arg for k in call.keywords}
     out.update(n for n, i in params.items() if i is not None and 0 <= i < reach)
     return out
