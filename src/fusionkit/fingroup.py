@@ -69,11 +69,12 @@ class FiniteGroup:
         return lambda x: mult(x, g)
 
     def element_order(self, i: int) -> int:
-        n, j = 1, i
-        while j != self.identity:
+        j = i
+        for n in range(1, self.order + 1):
+            if j == self.identity:
+                return n
             j = self.mult(j, i)
-            n += 1
-        return n
+        raise ValueError("element %d has no order: the input is not a group" % i)
 
     def conjugate(self, g: int, x: int) -> int:
         return self.mult(self.mult(g, x), self.inv(g))
@@ -387,18 +388,16 @@ def normal_closure(G: FiniteGroup, gens, seed) -> tuple[int, ...]:
     return generated_subgroup(G, sorted(orbit))
 
 
-def all_subgroups(G: FiniteGroup, base=None) -> list[tuple[int, ...]]:
-    """Every subgroup that contains <base> (every subgroup when base is
-    None), by closing single-generator extensions of <base> to a fixpoint.
+def all_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup, by closing single-generator extensions of the
+    trivial subgroup to a fixpoint.
 
     <H, x> = <H, x*h> for h in H, so one x per left coset of H is tried,
     and each closure starts from the generators H was found with.  Raises
     CapExceeded past SUBGROUP_CAP subgroups.
     """
-    base = list(base or ())
-    start = generated_subgroup(G, base)
-    gens_of: dict[tuple[int, ...], list[int]] = {start: base}
-    queue = [start]
+    gens_of: dict[tuple[int, ...], list[int]] = {(G.identity,): []}
+    queue = list(gens_of)
     while queue:
         h = queue.pop()
         tried = set(h)
@@ -462,9 +461,10 @@ def quotient(G: FiniteGroup, members, within=None) -> tuple[CosetGroup, list[int
     members are within.
 
     Cosets are numbered as in quotient(subgroup_as_group(G, within), ...),
-    so the two give the same multiplication, inverses and labels.  The
-    projection is a list over G's indices, -1 outside H.  Raises ValueError
-    when N is not normal in H.
+    so the two give the same multiplication, inverses and labels (for N
+    trivial, those of H, with no table built).  The projection is a list
+    over G's indices, -1 outside H.  Raises ValueError when N is not normal
+    in H.
     """
     coset_of, reps = left_cosets(G, members, within)
     # N is normal in H iff r x r^-1 lies in N for every left-coset

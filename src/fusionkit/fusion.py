@@ -22,8 +22,8 @@ graph, the graph gives a transversal, and Schreier's lemma turns the
 transversal into generators of the stabilizer, the common normalizer of
 the chain's subgroups.  Aut_F is the closure of those generators' images
 on the top subgroup, and centralizers are tested against generators of
-the centralized subgroup.  Only subgroups of S that contain Z(S) are
-enumerated, since a centric subgroup contains Z(S).
+the centralized subgroup.  A centric subgroup contains Z(S), so only the
+preimages of the subgroups of S/Z(S) are enumerated, with no table of S.
 
 The poset of chain classes, ordered by "contains a conjugate as a proper
 subchain", drives the decomposition diagrams.  An edge is marked iso when
@@ -42,10 +42,8 @@ from .diagram import Diagram, contract_iso_edges
 from .fingroup import (
     FiniteGroup,
     PermGroup,
-    TableGroup,
     all_subgroups,
     bfs_closure,
-    center,
     generated_subgroup,
     greedy_generators,
     grow_generators,
@@ -54,7 +52,6 @@ from .fingroup import (
     perm_closure,
     quotient,
     recognize,
-    subgroup_as_group,
     subgroup_generators,
 )
 
@@ -224,7 +221,6 @@ class FusionData:
         self.action = ConjugationAction(G)
         self.S = sylow_members(G, p, self.action)
         self._sset = set(self.S)
-        self._spos = {s: i for i, s in enumerate(self.S)}
         self._names: dict[tuple[int, ...], str] = {}
 
     # -- conjugation -------------------------------------------------------
@@ -251,20 +247,22 @@ class FusionData:
     def is_centric(self, members) -> bool:
         """Every conjugate inside S contains its own S-centralizer.
 
-        The conjugate u P u^-1 is generated by the conjugates of P's
-        generators, so an element of S centralizes it iff it commutes
-        with those; the products are read off the table of S."""
-        G, spos = self.G, self._spos
-        T = self.sylow_table.table
+        An element centralizes u P u^-1 iff it commutes with the conjugates
+        of P's generators.  A conjugate that misses Z(S) fails; otherwise it
+        and its S-centralizer are unions of Z(S)-cosets: one element each."""
+        G = self.G
+        zset, Q, _ = self._center_quotient
         pgens = subgroup_generators(G, members)
         orbit, transversal, _ = self.action.orbit((members,))
         for (c,), u in zip(orbit, transversal):
             if not self._sset.issuperset(c):
                 continue
-            cpos = {spos[x] for x in c}
-            cgens = [spos[G.conjugate(u, x)] for x in pgens]
-            for s, row in enumerate(T):
-                if s not in cpos and all(row[x] == T[x][s] for x in cgens):
+            cset = set(c)
+            if not cset >= zset:
+                return False
+            cgens = [G.conjugate(u, x) for x in pgens]
+            for s in Q.reps:
+                if s not in cset and all(G.mult(s, x) == G.mult(x, s) for x in cgens):
                     return False
         return True
 
@@ -292,39 +290,41 @@ class FusionData:
     # -- the centric-radical collection ------------------------------------
 
     @cached_property
-    def sylow_table(self) -> TableGroup:
-        """S as a table group; element i is self.S[i]."""
-        return subgroup_as_group(self.G, self.S)
+    def _center_quotient(self) -> tuple[set[int], FiniteGroup, list[int]]:
+        """Z(S), the elements of S that commute with S's generators, and
+        S/Z(S) with its projection (see quotient)."""
+        G, S = self.G, self.S
+        sgens = subgroup_generators(G, S)
+        Z = [z for z in S if all(G.mult(z, s) == G.mult(s, z) for s in sgens)]
+        return (set(Z),) + quotient(G, Z, within=S)
 
     def subgroup_name(self, members) -> str:
-        """recognize() of a subgroup of S, multiplied in S's table and
-        memoised per subgroup."""
+        """recognize() of a subgroup of S as its trivial quotient, memoised."""
         members = tuple(sorted(members))
         out = self._names.get(members)
         if out is None:
-            spos = self._spos
-            out = recognize(subgroup_as_group(self.sylow_table, [spos[m] for m in members]))
+            out = recognize(quotient(self.G, (self.G.identity,), within=members)[0])
             self._names[members] = out
         return out
 
     @cached_property
     def sylow_subgroups(self) -> list[tuple[int, ...]]:
         """The subgroups of S that contain Z(S), as sorted member tuples in
-        G's indexing.  A centric subgroup contains its S-centralizer, hence
-        Z(S) (Broto-Levi-Oliver), so no centric subgroup is left out."""
-        Sgrp = self.sylow_table
-        zgens = subgroup_generators(Sgrp, center(Sgrp))
-        return sorted(
-            tuple(sorted(self.S[i] for i in sub)) for sub in all_subgroups(Sgrp, base=zgens)
-        )
+        G's indexing: the preimages of the subgroups of S/Z(S).  A centric
+        subgroup contains its S-centralizer, hence Z(S) (Broto-Levi-Oliver),
+        so no centric subgroup is left out."""
+        _, Q, proj = self._center_quotient
+        subs = map(set, all_subgroups(Q))
+        return sorted(tuple(s for s in self.S if proj[s] in sub) for sub in subs)
 
     @cached_property
     def cr_subgroups(self) -> list[tuple[int, ...]]:
-        return [
-            m
-            for m in self.sylow_subgroups
-            if self.is_centric(m) and self.is_radical(m)
-        ]
+        """The centric-radical subgroups of S.  Raises ValueError when S is
+        not one of them, which only happens when G is not a group."""
+        out = [m for m in self.sylow_subgroups if self.is_centric(m) and self.is_radical(m)]
+        if self.S not in out:
+            raise ValueError("the Sylow subgroup is not centric-radical: the input is not a group")
+        return out
 
     def chains(self) -> list[tuple[tuple[int, ...], ...]]:
         """All nonempty strictly increasing chains of centric-radical

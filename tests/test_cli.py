@@ -228,20 +228,34 @@ def test_fusion_malformed_labels_is_usage_error(tmp_path, labels):
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
 
+def _assert_loop_is_usage_error(tmp_path, rows, p):
+    n = len(rows)
+    assert any(rows[rows[a][b]][c] != rows[a][rows[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"kind": "group_table", "order": n,
+                                "mult": [x for row in rows for x in row]}))
+    res = run_cli("fusion", "--input", str(path), "--prime", str(p))
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
 def test_fusion_on_a_non_associative_loop_is_usage_error(tmp_path):
     # a Latin square with an identity: every row and column is a
     # permutation, yet (a*b)*c != a*(b*c) for some triples; at p = 5 no
     # element of 5-power order exists, so no Sylow subgroup can be grown
     rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    assert any(rows[rows[a][b]][c] != rows[a][rows[b][c]]
-               for a in range(5) for b in range(5) for c in range(5))
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps({"kind": "group_table", "order": 5,
-                                "mult": [x for row in rows for x in row]}))
-    res = run_cli("fusion", "--input", str(path), "--prime", "5")
-    assert res.returncode == 2
-    assert res.stderr.startswith("fusionkit: error: ")
-    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    _assert_loop_is_usage_error(tmp_path, rows, 5)
+
+
+def test_fusion_on_a_loop_with_an_unclosed_sylow_is_usage_error(tmp_path):
+    # at p = 3 the Sylow search grows a 3-element subset that is not closed
+    # under the product, and naming a subset of it meets an element with
+    # no order
+    rows = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 3, 1, 5, 0, 4],
+            [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0], [5, 0, 4, 2, 3, 1]]
+    _assert_loop_is_usage_error(tmp_path, rows, 3)
 
 
 def test_verify_json_byte_identical_reruns(tmp_path):

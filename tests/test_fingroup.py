@@ -202,16 +202,6 @@ def test_all_subgroups_of_s4():
     assert sorted(naive) == sorted(subs)
 
 
-def test_all_subgroups_over_a_base():
-    # starting from <base> lists exactly the subgroups that contain it, in
-    # the same order as the full enumeration
-    S4 = symmetric_group(4)
-    subs = all_subgroups(S4)
-    for base in ([], [S4.identity], *([x] for x in range(24)), greedy_generators(S4)):
-        K = set(generated_subgroup(S4, base))
-        assert all_subgroups(S4, base=base) == [s for s in subs if K <= set(s)]
-
-
 @pytest.mark.parametrize("degree", [0, 1, 2, 7, 98, 343])
 def test_perm_mul_matches_map_composition(degree):
     """perm_mul and a getter built for a fixed right factor against

@@ -14,8 +14,11 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fusionkit import cli, fusion
 from fusionkit.extraspecial import heisenberg_semidirect
@@ -220,10 +223,18 @@ def test_chain_aut_rejects_an_order_mismatch(monkeypatch, tmp_path, capsys):
     # when the top centralizer splits, |Aut_L| = |Z(top)| * |Aut_F| holds in
     # every group; an Aut_L taken over all of S4 instead of the common
     # normalizer breaks it (24 != 2 * 4 at the Sylow D8), and the check
-    # reports a non-group: fusion exits 2 with one line and no traceback
+    # reports a non-group: fusion exits 2 with one line and no traceback.
+    # Only chain_aut's quotient is made faulty: S/Z(S) and the subgroup
+    # names go through quotient too
     S4 = symmetric_group(4)
     quotient = fusion.quotient
-    monkeypatch.setattr(fusion, "quotient", lambda G, members, within=None: quotient(G, members))
+
+    def faulty_quotient(G, members, within=None):
+        if sys._getframe(1).f_code.co_name == "chain_aut":
+            within = None
+        return quotient(G, members, within)
+
+    monkeypatch.setattr(fusion, "quotient", faulty_quotient)
     fd = FusionData(S4, 2)
     with pytest.raises(ValueError, match="the input is not a group"):
         fd.chain_aut((fd.S,))
@@ -244,6 +255,51 @@ def test_stabilizer_rejects_a_non_group():
     assert len(action.orbit(((1,),))[0]) == 4
     with pytest.raises(ValueError, match="not a group"):
         action.stabilizer(((1,),))
+
+
+def _intercalate_switches(t, rng, k=20):
+    """k random intercalate switches away from row and column 0: each swaps
+    a and b in a 2x2 Latin subsquare, so the table stays a Latin square
+    whose row and column 0 are the identity's."""
+    t = [row[:] for row in t]
+    n = len(t)
+    for _ in range(k):
+        cands = [(r1, r2, c1, c2)
+                 for r1, r2 in itertools.combinations(range(1, n), 2)
+                 for c1, c2 in itertools.combinations(range(1, n), 2)
+                 if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]]
+        if not cands:
+            break
+        r1, r2, c1, c2 = rng.choice(cands)
+        a, b = t[r1][c1], t[r1][c2]
+        t[r1][c1] = t[r2][c2] = b
+        t[r1][c2] = t[r2][c1] = a
+    return t
+
+
+@st.composite
+def non_associative_loops(draw):
+    """(table, p): a switched cyclic table that is not associative, and a
+    prime dividing its order.  Of the orders 4-9 only 6 and 8 give one: a
+    cyclic table of odd order has no intercalate, and a loop of order 4 is
+    a group."""
+    n = draw(st.sampled_from((6, 8)))
+    t = _intercalate_switches([[(i + j) % n for j in range(n)] for i in range(n)],
+                              random.Random(draw(st.integers(0, 2 ** 32))))
+    assume(any(t[t[a][b]][c] != t[a][t[b][c]] for a, b, c in itertools.product(range(n), repeat=3)))
+    return t, draw(st.sampled_from([p for p in (2, 3) if n % p == 0]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(non_associative_loops())
+def test_fusion_on_a_loop_returns_or_rejects_it(loop):
+    # the engine either finishes or raises ValueError, which fusion reports
+    # as a usage error; no other exception escapes on a non-group
+    t, p = loop
+    try:
+        FusionData(TableGroup(t), p).sd_poset()
+    except ValueError:
+        pass
 
 
 @functools.cache
@@ -421,7 +477,11 @@ def test_p5_sl_model_poset_pinned():
     # the order-15000 model Heis(5) x| SL2(F5), run on the SemidirectGroup
     # with no table: Gamma, S and Gamma < S, with |Aut_L| = p^3 p(p^2-1) at
     # Gamma and p^3 p(p-1) at S and at Gamma < S
-    poset = FusionData(heisenberg_semidirect(5, "SL"), 5).sd_poset()
+    fd = FusionData(heisenberg_semidirect(5, "SL"), 5)
+    poset = fd.sd_poset()
+    assert len(fd.sylow_subgroups) == 39
+    assert sum(map(fd.is_centric, fd.sylow_subgroups)) == 27
+    assert len(fd.cr_subgroups) == 2
     rows = [(list(c.names), [len(m) for m in c.rep], c.size,
              c.report.aut_f_order, c.report.aut_l_order) for c in poset.classes]
     assert rows == [
