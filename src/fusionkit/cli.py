@@ -19,7 +19,6 @@ any check fails, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -36,7 +35,7 @@ from .cases import (
     run_suite,
 )
 from .extraspecial import aut_certificate, aut_order_formulas, commuting_pair_scan
-from .fingroup import automorphism_group, group_from_json_dict, group_to_json
+from .fingroup import automorphism_group, group_from_json, group_to_json
 from .fusion import FusionData
 from .matgroup import DEFAULT_CAP, CapExceeded, closure
 
@@ -276,8 +275,7 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     fmt = _check_format(args.fmt, ("text", "json", "dot"), "text")
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     with open(args.input) as fh:
-        data = json.load(fh)
-    G, file_prime = group_from_json_dict(data, cap)
+        G, file_prime = group_from_json(fh.read(), cap)
     p = args.prime if args.prime is not None else file_prime
     if p is None:
         raise ValueError("no prime selected; pass --prime or store one in the input file")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -96,32 +97,39 @@ class FiniteGroup:
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit multiplication table.
+    """Group given by its flat row-major multiplication table:
+    mult(i, j) = table[i*order + j].  The list given is kept as it is, not
+    copied, so a table parsed with shared int objects stays that small.
 
-    Raises ValueError on a table with no identity or a row without the
-    identity; the group axioms are not otherwise checked.
+    Raises ValueError on a table of the wrong length, with no identity or
+    with a row without the identity; the group axioms are not otherwise
+    checked.
     """
 
-    def __init__(self, table, labels=None):
-        self.table = [list(row) for row in table]
-        self.order = len(self.table)
-        assert all(len(row) == self.order for row in self.table)
-        self.labels = list(labels) if labels else ["g%d" % i for i in range(self.order)]
-        ident = None
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
-                ident = e
-                break
+    def __init__(self, table, order, labels=None):
+        n = order
+        if len(table) != n * n:
+            raise ValueError("group table has %d entries, expected %d" % (len(table), n * n))
+        self.table = table
+        self.order = n
+        self.labels = list(labels) if labels else ["g%d" % i for i in range(n)]
+        # a two-sided identity is unique and idempotent, so only the
+        # diagonal's fixed points need their row and column compared
+        index = list(range(n))
+        ident = next((e for e in range(n) if table[e * n + e] == e
+                      and table[e * n:e * n + n] == index and table[e::n] == index), None)
         if ident is None:
             raise ValueError("group table has no identity element")
         self.identity = ident
-        for i, row in enumerate(self.table):
-            if ident not in row:
-                raise ValueError("group table element %d has no inverse" % i)
-        self._inv = [row.index(ident) for row in self.table]
+        self._inv = []
+        for i in range(0, n * n, n):
+            try:
+                self._inv.append(table.index(ident, i, i + n) - i)
+            except ValueError:
+                raise ValueError("group table element %d has no inverse" % (i // n)) from None
 
     def mult(self, i, j):
-        return self.table[i][j]
+        return self.table[i * self.order + j]
 
     def inv(self, i):
         return self._inv[i]
@@ -481,8 +489,8 @@ def quotient(G: FiniteGroup, members, within=None) -> tuple[CosetGroup, list[int
 def subgroup_as_group(G: FiniteGroup, members) -> TableGroup:
     members = list(members)
     pos = {m: i for i, m in enumerate(members)}
-    table = [[pos[G.mult(a, b)] for b in members] for a in members]
-    return TableGroup(table, [G.label(m) for m in members])
+    table = [pos[G.mult(a, b)] for a in members for b in members]
+    return TableGroup(table, len(members), [G.label(m) for m in members])
 
 
 # -- homomorphisms ----------------------------------------------------------
@@ -660,8 +668,8 @@ def sesverify(G: FiniteGroup, members, Q_expected: FiniteGroup | None = None,
 
 
 def cyclic_group(n: int) -> TableGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return TableGroup(table, ["r%d" % i for i in range(n)])
+    table = [(i + j) % n for i in range(n) for j in range(n)]
+    return TableGroup(table, n, ["r%d" % i for i in range(n)])
 
 
 def symmetric_group(n: int) -> PermGroup:
@@ -862,14 +870,16 @@ def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
 def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup, int | None]:
     """The table group of a group_table document and its stored prime.
 
-    Raises ValueError on a malformed document (labels, when present, must
-    be a list of order strings), and on an order above cap before the
-    table is built."""
+    The document's mult list becomes the group's table itself.  Raises
+    ValueError on a malformed document (labels, when present, must be a
+    list of order strings; mult entries must lie in 0..order-1), and on an
+    order above cap before the table is built."""
     if not isinstance(data, dict) or data.get("kind") != "group_table":
         raise ValueError("not a group_table document")
-    for key, kind in (("order", int), ("mult", list)):
-        if not isinstance(data.get(key), kind):
-            raise ValueError("group_table document needs %r as a %s" % (key, kind.__name__))
+    if type(data.get("order")) is not int:
+        raise ValueError("group_table document needs 'order' as an int")
+    if not isinstance(data.get("mult"), list):
+        raise ValueError("group_table document needs 'mult' as a list")
     n = data["order"]
     if cap is not None and n > cap:
         raise ValueError("input group order %d exceeds cap %d" % (n, cap))
@@ -880,8 +890,42 @@ def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup
     if "labels" in data and not (isinstance(labels, list) and len(labels) == n
                                  and all(isinstance(x, str) for x in labels)):
         raise ValueError("group_table labels must be a list of %d strings" % n)
-    table = [flat[i * n:(i + 1) * n] for i in range(n)]
-    return TableGroup(table, labels), data.get("prime")
+    try:
+        in_range = set(flat) <= set(range(n))
+    except TypeError:  # an unhashable entry, such as a list
+        in_range = False
+    if not in_range:
+        raise ValueError("group_table mult entries must be integers in 0..%d" % (n - 1))
+    return TableGroup(flat, n, labels), data.get("prime")
+
+
+class _SharedInts(dict):
+    """json's parse_int as a memo: int(s) once per distinct literal."""
+
+    def __missing__(self, literal):
+        self[literal] = value = int(literal)
+        return value
+
+
+def _refuse_float(literal):
+    raise ValueError("group_table numbers must be integers, got %s" % literal)
+
+
+def group_from_json(text: str, cap: int | None = None) -> tuple[TableGroup, int | None]:
+    """group_from_json_dict of a group_table document's JSON text.
+
+    Equal integers in the text parse to one shared int object, so a table
+    of order n holds at most n distinct int objects however many entries
+    it has, and a number with a fraction or an exponent is refused while
+    parsing.  true and false
+    equal 1 and 0, so they pass group_from_json_dict's range check; when
+    the text spells either, the table's entries are checked to be ints
+    exactly."""
+    data = json.loads(text, parse_int=_SharedInts().__getitem__, parse_float=_refuse_float)
+    G, prime = group_from_json_dict(data, cap)
+    if ("true" in text or "false" in text) and set(map(type, G.table)) != {int}:
+        raise ValueError("group_table mult entries must be integers, not true or false")
+    return G, prime
 
 
 # -- invariant helpers ------------------------------------------------------

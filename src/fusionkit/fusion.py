@@ -174,12 +174,17 @@ def _induced_perms(G: FiniteGroup, gens, members: tuple[int, ...]) -> PermGroup:
     """The group of permutations of the positions of members induced by
     conjugation by <gens>: the closure of the generators' images (the
     trivial group when gens is empty).  <gens> must normalize the
-    subgroup."""
+    subgroup; raises ValueError when a conjugate leaves it, which happens
+    only in a non-group."""
     pos = {m: i for i, m in enumerate(members)}
     images = []
-    for g in gens:
-        gi = G.inv(g)
-        images.append(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
+    try:
+        for g in gens:
+            gi = G.inv(g)
+            images.append(tuple(pos[G.mult(G.mult(g, x), gi)] for x in members))
+    except KeyError:
+        raise ValueError("a conjugate of a subgroup by its normalizer leaves it: "
+                         "the input is not a group") from None
     return perm_closure(images or [tuple(range(len(members)))])
 
 
@@ -292,11 +297,17 @@ class FusionData:
     @cached_property
     def _center_quotient(self) -> tuple[set[int], FiniteGroup, list[int]]:
         """Z(S), the elements of S that commute with S's generators, and
-        S/Z(S) with its projection (see quotient)."""
+        S/Z(S) with its projection (see quotient).  Raises ValueError when
+        Z(S) is not normal in S, which happens only in a non-group."""
         G, S = self.G, self.S
         sgens = subgroup_generators(G, S)
         Z = [z for z in S if all(G.mult(z, s) == G.mult(s, z) for s in sgens)]
-        return (set(Z),) + quotient(G, Z, within=S)
+        try:
+            Q, proj = quotient(G, Z, within=S)
+        except ValueError:
+            raise ValueError("the center of the Sylow subgroup is not normal in it: "
+                             "the input is not a group") from None
+        return set(Z), Q, proj
 
     def subgroup_name(self, members) -> str:
         """recognize() of a subgroup of S as its trivial quotient, memoised."""

@@ -201,12 +201,22 @@ def test_fusion_rejects_malformed_input(tmp_path):
     assert res.returncode == 2
 
 
+# C3's table with its last entry (1) replaced: out of range, not a number,
+# a float (refused even when integral) or a bool (equal to 1 or 0)
+BAD_ENTRIES = {"7": 7, "minus-1": -1, "str": "x", "float-1.5": 1.5, "float-1.0": 1.0,
+               "true": True, "false": False, "null": None, "list": []}
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "group_table", "order": 2, "mult": [0, 0, 0, 0]},  # no identity
     {"kind": "group_table", "order": 2, "mult": [0, 1, 1, 1]},  # row 1 lacks it
     {"kind": "group_table", "mult": [0]},
     {"kind": "group_table", "order": 1},
-], ids=["no-identity", "non-invertible", "no-order", "no-mult"])
+    {"kind": "group_table", "order": True, "mult": [0]},
+] + [{"kind": "group_table", "order": 3, "mult": [0, 1, 2, 1, 2, 0, 2, 0, x]}
+     for x in BAD_ENTRIES.values()],
+    ids=["no-identity", "non-invertible", "no-order", "no-mult", "order-true"]
+    + ["entry-" + k for k in BAD_ENTRIES])
 def test_fusion_malformed_table_is_usage_error(tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -239,6 +249,7 @@ def _assert_loop_is_usage_error(tmp_path, rows, p):
     assert res.returncode == 2
     assert res.stderr.startswith("fusionkit: error: ")
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    return res
 
 
 def test_fusion_on_a_non_associative_loop_is_usage_error(tmp_path):
@@ -256,6 +267,22 @@ def test_fusion_on_a_loop_with_an_unclosed_sylow_is_usage_error(tmp_path):
     rows = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 3, 1, 5, 0, 4],
             [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0], [5, 0, 4, 2, 3, 1]]
     _assert_loop_is_usage_error(tmp_path, rows, 3)
+
+
+@pytest.mark.parametrize("rows", [
+    # the elements that commute with the Sylow subgroup's generators do
+    # not form a normal subset of it
+    [[0, 1, 2, 3, 4, 5, 6, 7], [1, 3, 4, 2, 7, 0, 5, 6], [2, 6, 7, 5, 0, 3, 4, 1],
+     [3, 4, 1, 0, 2, 6, 7, 5], [4, 5, 6, 7, 3, 1, 2, 0], [5, 2, 3, 1, 6, 7, 0, 4],
+     [6, 7, 0, 4, 5, 2, 1, 3], [7, 0, 5, 6, 1, 4, 3, 2]],
+    # a generator of a subgroup's stabilizer conjugates it out of itself
+    [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 7, 4, 5, 6, 3, 2], [2, 6, 4, 1, 7, 3, 0, 5],
+     [3, 7, 5, 2, 6, 0, 4, 1], [4, 3, 6, 7, 1, 2, 5, 0], [5, 4, 3, 0, 2, 1, 7, 6],
+     [6, 2, 0, 5, 3, 7, 1, 4], [7, 5, 1, 6, 0, 4, 2, 3]],
+], ids=["center-not-normal", "conjugate-leaves"])
+def test_fusion_on_an_order_8_loop_says_it_is_not_a_group(tmp_path, rows):
+    res = _assert_loop_is_usage_error(tmp_path, rows, 2)
+    assert "the input is not a group" in res.stderr
 
 
 def test_verify_json_byte_identical_reruns(tmp_path):

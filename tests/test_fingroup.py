@@ -25,6 +25,10 @@ from fusionkit.fingroup import (
     cyclic_group,
     generated_subgroup,
     greedy_generators,
+    group_from_json,
+    group_from_json_dict,
+    group_to_json,
+    group_to_json_dict,
     grow_generators,
     hom_by_generators,
     isomorphic,
@@ -50,11 +54,9 @@ from fusionkit.fingroup import (
 
 def direct_product(A: TableGroup, B: TableGroup) -> TableGroup:
     n, m = A.order, B.order
-    table = [
-        [A.mult(i // m, j // m) * m + B.mult(i % m, j % m) for j in range(n * m)]
-        for i in range(n * m)
-    ]
-    return TableGroup(table)
+    table = [A.mult(i // m, j // m) * m + B.mult(i % m, j % m)
+             for i in range(n * m) for j in range(n * m)]
+    return TableGroup(table, n * m)
 
 
 def test_cyclic_group_basics():
@@ -63,6 +65,55 @@ def test_cyclic_group_basics():
     assert G.element_order(1) == 6
     assert G.inv(1) == 5
     assert spot_check_associativity(G)
+
+
+def test_table_group_rejects_a_malformed_table():
+    with pytest.raises(ValueError, match="3 entries, expected 4"):
+        TableGroup([0, 1, 1], 2)
+    with pytest.raises(ValueError, match="no identity"):
+        TableGroup([1, 1, 1, 1], 2)
+    with pytest.raises(ValueError, match="element 1 has no inverse"):
+        TableGroup([0, 1, 1, 1], 2)
+
+
+def _json_case(name):
+    from fusionkit.extraspecial import heisenberg_semidirect
+    from fusionkit.matgroup import closure, std_matrix
+
+    if name == "S4":
+        return symmetric_group(4)
+    if name == "O48":
+        return closure([std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
+                        std_matrix(2, "F"), std_matrix(2, "H")], expected=48)
+    return heisenberg_semidirect(3, "USL")
+
+
+@pytest.mark.parametrize("name", ["S4", "O48", "Heis3:USL2(F3)"])
+def test_group_table_json_round_trip(name):
+    # read back from the document and from its text, the table is G's
+    G = _json_case(name)
+    n = G.order
+    for H, p in (group_from_json_dict(group_to_json_dict(G, 5)),
+                 group_from_json(group_to_json(G, 5))):
+        assert (H.order, H.identity, p) == (n, G.identity, 5)
+        assert H.table == [G.mult(i, j) for i in range(n) for j in range(n)]
+        assert [H.inv(i) for i in range(n)] == [G.inv(i) for i in range(n)]
+        assert [H.label(i) for i in range(n)] == [G.label(i) for i in range(n)]
+
+
+def test_json_table_keeps_one_int_per_element():
+    # CPython caches the ints up to 256 only, so above that every entry
+    # would be its own object unless the reader shares equal ones; and
+    # the group keeps the parsed list, not a copy
+    import json
+
+    from test_golden import relabeled
+
+    text = group_to_json(relabeled(cyclic_group(300), random.Random(3)))
+    G, _ = group_from_json(text)
+    assert len({id(x) for x in G.table}) <= G.order
+    data = json.loads(text)
+    assert group_from_json_dict(data)[0].table is data["mult"]
 
 
 def test_symmetric_group_basics():
@@ -528,7 +579,7 @@ def _same_quotient(G, N, H):
     K = subgroup_as_group(G, H)
     pos = {m: i for i, m in enumerate(H)}
     rproj, reps = left_cosets(K, [pos[x] for x in N])
-    R = TableGroup([[rproj[K.mult(a, b)] for b in reps] for a in reps],
+    R = TableGroup([rproj[K.mult(a, b)] for a in reps for b in reps], len(reps),
                    [K.label(r) + "N" for r in reps])
     assert (Q.order, Q.identity) == (R.order, R.identity)
     for a in range(Q.order):

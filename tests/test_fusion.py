@@ -251,7 +251,7 @@ def test_stabilizer_rejects_a_non_group():
     # under its conjugation maps has 4 points, which do not divide |G| = 5,
     # so no closure of Schreier generators has |G|/|orbit| elements
     rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
-    action = ConjugationAction(TableGroup(rows))
+    action = ConjugationAction(TableGroup([x for row in rows for x in row], len(rows)))
     assert len(action.orbit(((1,),))[0]) == 4
     with pytest.raises(ValueError, match="not a group"):
         action.stabilizer(((1,),))
@@ -297,7 +297,7 @@ def test_fusion_on_a_loop_returns_or_rejects_it(loop):
     # as a usage error; no other exception escapes on a non-group
     t, p = loop
     try:
-        FusionData(TableGroup(t), p).sd_poset()
+        FusionData(TableGroup([x for row in t for x in row], len(t)), p).sd_poset()
     except ValueError:
         pass
 

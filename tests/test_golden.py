@@ -92,13 +92,13 @@ def relabeled(G, rng: random.Random) -> TableGroup:
     n = G.order
     perm = list(range(n))
     rng.shuffle(perm)
-    table = [[0] * n for _ in range(n)]
+    table = [0] * (n * n)
     labels = [""] * n
     for i in range(n):
         labels[perm[i]] = G.label(i)
         for j in range(n):
-            table[perm[i]][perm[j]] = perm[G.mult(i, j)]
-    return TableGroup(table, labels)
+            table[perm[i] * n + perm[j]] = perm[G.mult(i, j)]
+    return TableGroup(table, n, labels)
 
 
 def generate(workdir: Path) -> dict[str, str]:

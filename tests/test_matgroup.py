@@ -68,8 +68,8 @@ def quaternion_oracle() -> TableGroup:
         return out if sign == 1 else "-" + out
 
     idx = {n: i for i, n in enumerate(names)}
-    table = [[idx[mul(a, b)] for b in names] for a in names]
-    return TableGroup(table, names)
+    table = [idx[mul(a, b)] for a in names for b in names]
+    return TableGroup(table, len(names), names)
 
 
 def test_quaternion_oracle_is_a_group():
