@@ -76,22 +76,25 @@ def test_table_group_rejects_a_malformed_table():
         TableGroup([0, 1, 1, 1], 2)
 
 
-def _json_case(name):
-    from fusionkit.extraspecial import heisenberg_semidirect
+def _named_group(name):
+    from fusionkit.extraspecial import HeisenbergGroup, heisenberg_semidirect
     from fusionkit.matgroup import closure, std_matrix
 
     if name == "S4":
         return symmetric_group(4)
+    if name == "Heis3":
+        return HeisenbergGroup(3)
     if name == "O48":
         return closure([std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
                         std_matrix(2, "F"), std_matrix(2, "H")], expected=48)
+    assert name == "Heis3:USL2(F3)"
     return heisenberg_semidirect(3, "USL")
 
 
 @pytest.mark.parametrize("name", ["S4", "O48", "Heis3:USL2(F3)"])
 def test_group_table_json_round_trip(name):
     # read back from the document and from its text, the table is G's
-    G = _json_case(name)
+    G = _named_group(name)
     n = G.order
     for H, p in (group_from_json_dict(group_to_json_dict(G, 5)),
                  group_from_json(group_to_json(G, 5))):
@@ -557,16 +560,7 @@ def brute_force_center(G) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("name", ["S4", "Heis3", "O48"])
 def test_center_matches_brute_force(name):
-    from fusionkit.extraspecial import HeisenbergGroup
-    from fusionkit.matgroup import closure, std_matrix
-
-    if name == "S4":
-        G = symmetric_group(4)
-    elif name == "Heis3":
-        G = HeisenbergGroup(3)
-    else:
-        G = closure([std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
-                     std_matrix(2, "F"), std_matrix(2, "H")], expected=48)
+    G = _named_group(name)
     want = brute_force_center(G)
     assert center(G) == want
     assert len(want) == {"S4": 1, "Heis3": 3, "O48": 2}[name]
