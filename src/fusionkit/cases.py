@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import SCHEMA_VERSION, canonical_json
 from .cyclo import CycNum
-from .diagram import Diagram, contract_iso_edges
+from .diagram import chain_diagram, contract_iso_edges
 from .extraspecial import (
     HeisenbergGroup,
     aut_certificate,
@@ -999,17 +999,7 @@ def emit_decomposition(cfg: CaseConfig, rep: VerificationReport) -> dict:
     else:
         name = "%s_%d_level%d" % (cfg.case, p, cfg.level)
     has_iso = any(a.get("iso") for _, _, a in edges)
-    d = Diagram(name + "_chains" if has_iso else name)
-    for node in nodes:
-        attrs = {k: v for k, v in node.items() if k != "id"}
-        chain_str = " < ".join(node["chain"])
-        if "autL_order" in node:
-            label = "BAut_L(%s): %s (%d)" % (chain_str, node["tag"], node["autL_order"])
-        else:
-            label = "BAut_L(%s): %s (symbolic)" % (chain_str, node["tag"])
-        d.add_node(node["id"], label, **attrs)
-    for s, t, a in edges:
-        d.add_edge(s, t, **a)
+    d = chain_diagram(name + "_chains" if has_iso else name, nodes, edges)
 
     collapsed = d
     if has_iso:
@@ -1042,14 +1032,36 @@ def emit_decomposition(cfg: CaseConfig, rep: VerificationReport) -> dict:
     return {"poset": d if has_iso else None, "collapsed": collapsed}
 
 
+def weyl_op_trivial(p: int) -> bool:
+    """Whether O_p(Sigma_p) = 1, for the Weyl group Sigma_p of U(p).
+
+    p divides p! exactly once, so the p-cycle c generates a Sylow
+    p-subgroup of order p, and O_p(Sigma_p), the intersection of the Sylow
+    p-subgroups, is trivial unless <c> is normal.  Sigma_p is generated by
+    c and the transposition t = (0 1), and c normalizes <c>, so <c> is
+    normal exactly when t c t is a power of c, a shift i -> i + k mod p.
+    """
+    c = [(i + 1) % p for i in range(p)]
+    t = [1, 0] + list(range(2, p))
+    shifts = {(t[c[t[i]]] - i) % p for i in range(p)}
+    return len(shifts) > 1
+
+
 def verify_encoded_poset(cfg: CaseConfig, rep: VerificationReport,
                          gam: MatrixGroup) -> None:
     """Cross-checks between the chain-class table and the concrete matrix
     models: class count, member containments, and the non-isomorphism of
-    the core gam and the torus at the truncation level."""
+    the core gam and the torus at the truncation level.
+
+    The class count is computed, not encoded.  C(T) = T, so Out(T) is the
+    Weyl group W = Sigma_p, and T is radical exactly when O_p(W) = 1
+    (weyl_op_trivial).  A radical T adds the torus chains T and T < S to
+    the classes Gamma, Gamma < S and S: five classes in a W.  Otherwise
+    the torus side is the one class S: three classes.
+    """
     p, n = cfg.prime, cfg.level
     classes, _ = chain_classes(cfg)
-    want = 5 if p >= 5 else 3
+    want = 5 if weyl_op_trivial(p) else 3
     rep.add(
         "poset.class_count",
         "there are %d chain classes at p = %d" % (want, p),

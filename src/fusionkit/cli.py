@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
 from . import SCHEMA_VERSION, canonical_json
 from .cases import (
@@ -42,60 +43,92 @@ from .matgroup import DEFAULT_CAP, CapExceeded, closure
 ENV_PREFIX = "FUSIONKIT_"
 
 
-def _env(name: str) -> str | None:
-    val = os.environ.get(ENV_PREFIX + name)
-    if val is None or val == "":
-        return None
-    return val
+@dataclass(frozen=True)
+class Option:
+    """One flag.  With env set, the variable FUSIONKIT_<FLAG> stands in for
+    an absent flag, converted by the same type and checked against the
+    same choices; a bool option is a switch, and its variable reads
+    1/true/yes or 0/false/no."""
+
+    help: str
+    type: type = str
+    choices: tuple | None = None
+    env: bool = True
+    required: bool = False
+    dest: str | None = None
 
 
-def _env_int(name: str) -> int | None:
-    val = _env(name)
-    if val is None:
+OPTIONS = {
+    "case": Option("case family", choices=CASES),
+    "index": Option("reflection-group index for the az family", int,
+                    tuple(sorted(AZ_PRIME_OF_INDEX))),
+    "level": Option("torus truncation level", int),
+    "prime": Option("the prime p", int, SUPPORTED_PRIMES),
+    "format": Option("output format", dest="fmt"),
+    "out": Option("output path (default: stdout)"),
+    "cap": Option("largest admissible group order", int),
+    "extended": Option("include the long-running p = 7 normalizer tower", bool),
+    "all": Option("run every supported configuration", bool, env=False),
+    "full-poset": Option("with --format dot, emit the uncollapsed poset instead", bool, env=False),
+    "collapse": Option("also collapse iso edges", bool, env=False),
+    "input": Option("group-table JSON path", env=False, required=True),
+}
+
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _var(name: str) -> str:
+    return ENV_PREFIX + name.upper().replace("-", "_")
+
+
+def _missing(name: str) -> ValueError:
+    return ValueError("no %s selected; pass --%s or set %s" % (name, name, _var(name)))
+
+
+def _from_env(name: str, opt: Option):
+    """The value of FUSIONKIT_<NAME>, or None when it is unset or empty."""
+    var = _var(name)
+    text = os.environ.get(var, "")
+    if text == "":
         return None
+    if opt.type is bool:
+        value = _SWITCH.get(text.lower())
+        if value is None:
+            raise ValueError("%s: %s must be 1/true/yes or 0/false/no, got %r" % (var, name, text))
+        return value
     try:
-        return int(val)
+        value = opt.type(text)
     except ValueError:
-        raise ValueError("%s%s must be an integer, got %r" % (ENV_PREFIX, name, val)) from None
-
-
-def _env_flag(name: str) -> bool:
-    val = _env(name)
-    return val is not None and val.lower() not in ("0", "false", "no")
+        raise ValueError("%s: %s must be an integer, got %r" % (var, name, text)) from None
+    if opt.choices is not None and value not in opt.choices:
+        raise ValueError("%s: %s must be one of %s, got %r" % (var, name, opt.choices, text))
+    return value
 
 
 def _resolve(args: argparse.Namespace) -> None:
-    """Fill unset options from the environment, then from defaults."""
-    if getattr(args, "case", None) is None:
-        args.case = _env("CASE")
-    if getattr(args, "prime", None) is None:
-        args.prime = _env_int("PRIME")
-    if getattr(args, "index", None) is None:
-        args.index = _env_int("INDEX")
-    if getattr(args, "level", None) is None:
-        args.level = _env_int("LEVEL")
-    if getattr(args, "fmt", None) is None:
-        args.fmt = _env("FORMAT")
-    if getattr(args, "out", None) is None:
-        args.out = _env("OUT")
-    if getattr(args, "cap", None) is None:
-        args.cap = _env_int("CAP")
-    if hasattr(args, "extended") and not args.extended:
-        args.extended = _env_flag("EXTENDED")
+    """Fill each option that no flag set (None, or False for a switch; other
+    subcommands' options are absent from args) from its variable, if any."""
+    for name, opt in OPTIONS.items():
+        dest = opt.dest or name.replace("-", "_")
+        unset = False if opt.type is bool else None
+        if opt.env and getattr(args, dest, True) is unset:
+            value = _from_env(name, opt)
+            if value is not None:
+                setattr(args, dest, value)
 
 
 def _config_from(args: argparse.Namespace) -> CaseConfig:
     case = args.case
     prime = args.prime
-    index = getattr(args, "index", None)
+    index = args.index
     if case is None and index is not None:
         case = "az"
     if case == "az" and prime is None and index is not None:
         prime = AZ_PRIME_OF_INDEX.get(index)
     if case is None:
-        raise ValueError("no case selected; pass --case or set FUSIONKIT_CASE")
+        raise _missing("case")
     if prime is None:
-        raise ValueError("no prime selected; pass --prime or set FUSIONKIT_PRIME")
+        raise _missing("prime")
     return CaseConfig(case, prime, level=args.level, az_index=index)
 
 
@@ -154,16 +187,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- decompose --------------------------------------------------------------
 
 
+def _edge_lines(edges) -> list[str]:
+    return ["  edge %s -> %s%s" % (s, t, "  [iso]" if a.get("iso") else "")
+            for s, t, a in sorted(edges, key=lambda e: e[:2])]
+
+
 def _diagram_text(d) -> list[str]:
     lines = ["diagram %s" % d.name]
     for key in sorted(d.nodes):
         lines.append("  node %s: %s" % (key, d.nodes[key].label))
-    for s, t, attrs in sorted(d.edges, key=lambda e: (e[0], e[1])):
-        arrow = "%s -> %s" % (s, t)
-        if attrs.get("iso"):
-            arrow += "  [iso]"
-        lines.append("  edge %s" % arrow)
-    return lines
+    return lines + _edge_lines(d.edges)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -202,11 +235,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_aut_gamma(args: argparse.Namespace) -> int:
     fmt = _check_format(args.fmt, ("text", "json"), "text")
-    if args.prime is None:
-        raise ValueError("no prime selected; pass --prime or set FUSIONKIT_PRIME")
     p = args.prime
-    if p not in SUPPORTED_PRIMES:
-        raise ValueError("prime must be one of %s" % (SUPPORTED_PRIMES,))
+    if p is None:
+        raise _missing("prime")
 
     if p == 2:
         A, B = gamma_matrices(CaseConfig("sup", 2))
@@ -291,20 +322,13 @@ def cmd_fusion(args: argparse.Namespace) -> int:
         text = d.to_dot()
     else:
         lines = ["chain-class poset: |G| = %d, p = %d" % (G.order, p)]
-        for cls in poset.classes:
+        for row in poset.rows:
             lines.append(
                 "  %s: %s  size %d  |Aut_F| = %d  |Aut_L| = %d  (%s)"
-                % (
-                    cls.id,
-                    " < ".join(cls.names),
-                    cls.size,
-                    cls.report.aut_f_order,
-                    cls.report.aut_l_order,
-                    cls.report.tag,
-                )
+                % (row["id"], " < ".join(row["chain"]), row["class_size"],
+                   row["autF_order"], row["autL_order"], row["tag"])
             )
-        for s, t, iso in poset.edges:
-            lines.append("  edge %s -> %s%s" % (s, t, "  [iso]" if iso else ""))
+        lines.extend(_edge_lines(poset.edges))
         if args.collapse:
             lines.extend(_diagram_text(poset.collapsed_diagram()))
         text = "\n".join(lines) + "\n"
@@ -328,19 +352,17 @@ def cmd_dump_group(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, with_case: bool = True) -> None:
-    if with_case:
-        sub.add_argument("--case", choices=CASES, help="case family")
-        sub.add_argument(
-            "--index",
-            type=int,
-            choices=sorted(AZ_PRIME_OF_INDEX),
-            help="reflection-group index for the az family",
-        )
-        sub.add_argument("--level", type=int, help="torus truncation level")
-    sub.add_argument("--prime", type=int, choices=SUPPORTED_PRIMES, help="the prime p")
-    sub.add_argument("--format", dest="fmt", help="output format")
-    sub.add_argument("--out", help="output path (default: stdout)")
+CONFIG = ("case", "index", "level", "prime", "format", "out")
+
+COMMANDS = {
+    "verify": (cmd_verify, "run a verification suite", CONFIG + ("all", "extended")),
+    "decompose": (cmd_decompose, "emit the decomposition diagram", CONFIG + ("full-poset",)),
+    "aut-gamma": (cmd_aut_gamma, "automorphism certificate for the p-group core",
+                  ("prime", "format", "out")),
+    "fusion": (cmd_fusion, "chain-class poset for a group-table JSON file",
+               ("input", "collapse", "cap", "prime", "format", "out")),
+    "dump-group": (cmd_dump_group, "export a core group as group-table JSON", CONFIG),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,41 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification of torus-normalizer decompositions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p_verify)
-    p_verify.add_argument("--all", action="store_true", help="run every supported configuration")
-    p_verify.add_argument(
-        "--extended",
-        action="store_true",
-        help="include the long-running p = 7 normalizer tower",
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_dec = sub.add_parser("decompose", help="emit the decomposition diagram")
-    _add_common(p_dec)
-    p_dec.add_argument(
-        "--full-poset",
-        action="store_true",
-        help="with --format dot, emit the uncollapsed poset instead",
-    )
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_aut = sub.add_parser("aut-gamma", help="automorphism certificate for the p-group core")
-    _add_common(p_aut, with_case=False)
-    p_aut.set_defaults(func=cmd_aut_gamma)
-
-    p_fus = sub.add_parser("fusion", help="chain-class poset for a group-table JSON file")
-    p_fus.add_argument("--input", required=True, help="group-table JSON path")
-    p_fus.add_argument("--collapse", action="store_true", help="also collapse iso edges")
-    p_fus.add_argument("--cap", type=int, help="largest admissible group order")
-    _add_common(p_fus, with_case=False)
-    p_fus.set_defaults(func=cmd_fusion)
-
-    p_dump = sub.add_parser("dump-group", help="export a core group as group-table JSON")
-    _add_common(p_dump)
-    p_dump.set_defaults(func=cmd_dump_group)
-
+    for command, (func, help_text, names) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for name in names:
+            opt = OPTIONS[name]
+            if opt.type is bool:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"type": opt.type, "choices": opt.choices, "required": opt.required}
+            cmd.add_argument("--" + name, dest=opt.dest, help=opt.help, **kwargs)
+        cmd.set_defaults(func=func)
     return parser
 
 

@@ -5,8 +5,8 @@ polynomial Phi_m, stored as an integer coefficient vector of length
 euler_phi(m) over a single positive denominator.  All arithmetic is exact;
 the float embedding exists only as a cross-check and is never ground truth.
 
-The conductor m is fixed per element and mixed-conductor arithmetic is
-rejected; callers lift explicitly via CycNum.lift.
+The conductor m is fixed per element, and mixed-conductor arithmetic is
+rejected: every number of one computation is built in the same field.
 
 The field has no division here: the matrices built from these numbers are
 unitary, so their inverses are conjugate transposes, and a negative power
@@ -191,7 +191,7 @@ class CycNum:
     def _check(self, other: "CycNum") -> None:
         if self.m != other.m:
             raise ConductorMismatch(
-                "conductor mismatch: %d vs %d (lift explicitly)" % (self.m, other.m)
+                "conductor mismatch: %d vs %d (build both in one field)" % (self.m, other.m)
             )
 
     def __add__(self, other: "CycNum") -> "CycNum":
@@ -270,21 +270,6 @@ class CycNum:
 
     def conjugate(self) -> "CycNum":
         return self.galois(self.m - 1)
-
-    def lift(self, m2: int) -> "CycNum":
-        """Embed into Q(zeta_m2) where m divides m2, via zeta_m = zeta_m2^(m2/m)."""
-        if m2 % self.m != 0:
-            raise ConductorMismatch("cannot lift conductor %d into %d" % (self.m, m2))
-        step = m2 // self.m
-        ctx2 = _context(m2)
-        num = [0] * ctx2.phi
-        for t, c in enumerate(self.num):
-            if c:
-                row = ctx2.power_rows[(t * step) % m2]
-                for j in range(ctx2.phi):
-                    num[j] += c * row[j]
-        den, tup = _normalize(self.den, num)
-        return CycNum(m2, den, tup)
 
     # -- comparisons and embedding ----------------------------------------
 

@@ -1,5 +1,9 @@
 """Small directed diagrams with attributed nodes, JSON and DOT emission.
 
+chain_diagram turns the rows of a chain-class poset, computed by fusion or
+encoded by cases, into a diagram; it is the one place that writes a node's
+BAut_L label.
+
 Output is deterministic: nodes and edges are serialized in sorted order and
 JSON uses sorted keys with fixed separators, so identical inputs give
 byte-identical artifacts.
@@ -71,18 +75,12 @@ class Diagram:
             for k in sorted(n.attrs):
                 entry[k] = n.attrs[k]
             nodes.append(entry)
-        edges = []
-        for s, t, a in sorted(self.edges, key=lambda e: (e[0], e[1])):
-            if a:
-                edges.append([s, t, {k: a[k] for k in sorted(a)}])
-            else:
-                edges.append([s, t])
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "diagram",
             "name": self.name,
             "nodes": nodes,
-            "edges": edges,
+            "edges": json_edges(self.edges),
         }
 
     def to_json(self) -> str:
@@ -103,6 +101,30 @@ class Diagram:
                 lines.append("  %s -> %s;" % (q(s), q(t)))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def json_edges(edges) -> list[list]:
+    """(src, dst, attrs) edges in their artifact form, sorted: [src, dst],
+    or [src, dst, attrs] when attrs is not empty."""
+    return [[s, t, dict(a)] if a else [s, t] for s, t, a in sorted(edges, key=lambda e: e[:2])]
+
+
+def chain_diagram(name: str, rows: list[dict], edges) -> Diagram:
+    """The diagram of a chain-class poset, computed or encoded.
+
+    Each row becomes a node keyed by its "id" and carrying its other
+    fields, labelled by its chain, its tag and its autL_order, or
+    "symbolic" for a row with none; each (src, dst, attrs) edge becomes an
+    edge.
+    """
+    d = Diagram(name)
+    for row in rows:
+        label = "BAut_L(%s): %s (%s)" % (
+            " < ".join(row["chain"]), row["tag"], row.get("autL_order", "symbolic"))
+        d.add_node(row["id"], label, **{k: v for k, v in row.items() if k != "id"})
+    for s, t, a in edges:
+        d.add_edge(s, t, **a)
+    return d
 
 
 def contract_iso_edges(d: Diagram) -> Diagram:

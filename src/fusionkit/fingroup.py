@@ -920,8 +920,12 @@ def group_from_json(text: str, cap: int | None = None) -> tuple[TableGroup, int 
     parsing.  true and false
     equal 1 and 0, so they pass group_from_json_dict's range check; when
     the text spells either, the table's entries are checked to be ints
-    exactly."""
-    data = json.loads(text, parse_int=_SharedInts().__getitem__, parse_float=_refuse_float)
+    exactly.  A document nested deeper than the parser's recursion limit
+    raises ValueError."""
+    try:
+        data = json.loads(text, parse_int=_SharedInts().__getitem__, parse_float=_refuse_float)
+    except RecursionError:
+        raise ValueError("group_table JSON is nested too deeply") from None
     G, prime = group_from_json_dict(data, cap)
     if ("true" in text or "false" in text) and set(map(type, G.table)) != {int}:
         raise ValueError("group_table mult entries must be integers, not true or false")

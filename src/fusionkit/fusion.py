@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import SCHEMA_VERSION
-from .diagram import Diagram, contract_iso_edges
+from .diagram import Diagram, chain_diagram, contract_iso_edges, json_edges
 from .fingroup import (
     FiniteGroup,
     PermGroup,
@@ -201,7 +201,6 @@ class ChainAutReport:
     splits as Z(top) x nu'.
     """
 
-    chain: tuple[tuple[int, ...], ...]
     inter_norm: tuple[int, ...]
     aut_f_order: int
     aut_l_order: int
@@ -393,7 +392,6 @@ class FusionData:
             )
 
         return ChainAutReport(
-            chain=chain,
             inter_norm=inter_t,
             aut_f_order=aut_f_order,
             aut_l_order=aut_l.order,
@@ -424,14 +422,19 @@ def proper_subchains(chain):
 class ChainClass:
     id: str
     rep: tuple[tuple[int, ...], ...]
-    key: tuple[tuple[int, ...], ...]
     size: int
     names: tuple[str, ...]
     report: ChainAutReport
 
 
 class ChainPoset:
-    """Conjugacy classes of centric-radical chains and their refinements."""
+    """Conjugacy classes of centric-radical chains and their refinements.
+
+    rows holds one node row per class, in the schema of
+    cases.chain_classes plus chain_orders and class_size; edges holds
+    (src, dst, attrs) refinement edges, attrs marking iso=True where the
+    two classes' Aut_L groups are equal.
+    """
 
     def __init__(self, data: FusionData):
         self.data = data
@@ -451,11 +454,21 @@ class ChainPoset:
             cid = "c%d" % i
             key_to_id[key] = cid
             names = tuple(data.subgroup_name(m) for m in rep)
-            self.classes.append(
-                ChainClass(cid, rep, key, size, names, data.chain_aut(rep))
-            )
+            self.classes.append(ChainClass(cid, rep, size, names, data.chain_aut(rep)))
+        self.rows = [
+            {
+                "id": cls.id,
+                "chain": list(cls.names),
+                "chain_orders": [len(m) for m in cls.rep],
+                "class_size": cls.size,
+                "autF_order": cls.report.aut_f_order,
+                "autL_order": cls.report.aut_l_order,
+                "tag": cls.report.tag,
+            }
+            for cls in self.classes
+        ]
 
-        self.edges: list[tuple[str, str, bool]] = []
+        self.edges: list[tuple[str, str, dict]] = []
         for cls in self.classes:
             if len(cls.rep) == 1:
                 continue
@@ -468,57 +481,21 @@ class ChainPoset:
                 )
                 seen_dst[dst] = seen_dst.get(dst, False) or iso
             for dst in sorted(seen_dst):
-                self.edges.append((cls.id, dst, seen_dst[dst]))
-        self.edges.sort(key=lambda e: (e[0], e[1]))
+                self.edges.append((cls.id, dst, {"iso": True} if seen_dst[dst] else {}))
+        self.edges.sort(key=lambda e: e[:2])
 
     def to_json_dict(self) -> dict:
-        nodes = []
-        for cls in self.classes:
-            nodes.append(
-                {
-                    "id": cls.id,
-                    "chain": list(cls.names),
-                    "chain_orders": [len(m) for m in cls.rep],
-                    "class_size": cls.size,
-                    "autF_order": cls.report.aut_f_order,
-                    "autL_order": cls.report.aut_l_order,
-                    "tag": cls.report.tag,
-                }
-            )
-        edges = []
-        for src, dst, iso in self.edges:
-            edges.append([src, dst, {"iso": True}] if iso else [src, dst])
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "chain_poset",
             "prime": self.data.p,
             "group_order": self.data.G.order,
-            "nodes": nodes,
-            "edges": edges,
+            "nodes": self.rows,
+            "edges": json_edges(self.edges),
         }
 
     def to_diagram(self, name: str = "chain_poset") -> Diagram:
-        d = Diagram(name)
-        for cls in self.classes:
-            label = "BAut_L(%s): %s (%d)" % (
-                " < ".join(cls.names),
-                cls.report.tag,
-                cls.report.aut_l_order,
-            )
-            d.add_node(
-                cls.id,
-                label,
-                chain=list(cls.names),
-                autF_order=cls.report.aut_f_order,
-                autL_order=cls.report.aut_l_order,
-                tag=cls.report.tag,
-            )
-        for src, dst, iso in self.edges:
-            if iso:
-                d.add_edge(src, dst, iso=True)
-            else:
-                d.add_edge(src, dst)
-        return d
+        return chain_diagram(name, self.rows, self.edges)
 
     def collapsed_diagram(self) -> Diagram:
         return contract_iso_edges(self.to_diagram("chain_poset_collapsed"))

@@ -20,8 +20,9 @@ from fusionkit.cases import (
     emit_decomposition,
     gamma_matrices,
     run_suite,
+    weyl_op_trivial,
 )
-from fusionkit.fingroup import generated_subgroup
+from fusionkit.fingroup import generated_subgroup, symmetric_group
 from fusionkit.matgroup import closure, in_truncated_torus_extension, std_matrix
 
 
@@ -174,6 +175,16 @@ def test_encoded_classes_frozen():
         for row in chain_classes(cfg)[0]:
             assert d.nodes[row["id"]].attrs["chain"] == row["chain"]
             assert d.nodes[row["id"]].attrs.get("autL_order") == row.get("autL_order")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_class_count_follows_the_weyl_group(p):
+    # a Sylow p-subgroup of Sigma_p has order p, so O_p(Sigma_p) = 1 exactly
+    # when there is more than one, that is more than p - 1 elements of order p
+    W = symmetric_group(p)
+    of_order_p = sum(1 for x in range(W.order) if W.element_order(x) == p)
+    assert weyl_op_trivial(p) == (of_order_p > p - 1) == (p >= 5)
+    assert len(chain_classes(CaseConfig("sup", p))[0]) == (5 if weyl_op_trivial(p) else 3)
 
 
 def test_decomposition_w_collapse_p5():

@@ -118,6 +118,25 @@ def test_malformed_integer_env_is_usage_error(var):
     assert var in res.stderr
 
 
+@pytest.mark.parametrize("var, value", [("FUSIONKIT_EXTENDED", "off"),
+                                        ("FUSIONKIT_EXTENDED", "banana"),
+                                        ("FUSIONKIT_INDEX", "99")])
+def test_env_value_its_flag_would_reject_is_usage_error(var, value):
+    res = run_cli("verify", "--case", "sup", "--prime", "2", env_extra={var: value})
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: ")
+    assert res.stderr.count("\n") == 1 and var in res.stderr
+
+
+@pytest.mark.parametrize("value, tower", [("1", True), ("TRUE", True), ("0", False), ("", False)])
+def test_env_extended_switches_the_p7_tower(value, tower):
+    res = run_cli("verify", "--case", "sup", "--prime", "7", "--format", "json",
+                  env_extra={"FUSIONKIT_EXTENDED": value})
+    assert res.returncode == 0, res.stderr
+    status = {c["id"]: c["status"] for c in json.loads(res.stdout)["checks"]}
+    assert ("normalizer.suite" not in status) == tower
+
+
 def test_dump_group_round_trip(tmp_path):
     path = tmp_path / "core.json"
     res = run_cli("dump-group", "--case", "sup", "--prime", "2", "--out", str(path))
@@ -214,12 +233,18 @@ BAD_ENTRIES = {"7": 7, "minus-1": -1, "str": "x", "float-1.5": 1.5, "float-1.0":
     {"kind": "group_table", "order": 1},
     {"kind": "group_table", "order": True, "mult": [0]},
 ] + [{"kind": "group_table", "order": 3, "mult": [0, 1, 2, 1, 2, 0, 2, 0, x]}
-     for x in BAD_ENTRIES.values()],
+     for x in BAD_ENTRIES.values()] + [
+    # nested past the parser's recursion limit: labels 5000 lists deep in a
+    # 10 KB document, and a bare list 200000 deep
+    '{"kind": "group_table", "order": 3, "mult": [0, 1, 2, 1, 2, 0, 2, 0, 1], "labels": '
+    + "[" * 5000 + "]" * 5000 + "}",
+    "[" * 200000 + "]" * 200000,
+],
     ids=["no-identity", "non-invertible", "no-order", "no-mult", "order-true"]
-    + ["entry-" + k for k in BAD_ENTRIES])
+    + ["entry-" + k for k in BAD_ENTRIES] + ["deep-labels", "deep-bare"])
 def test_fusion_malformed_table_is_usage_error(tmp_path, doc):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     res = run_cli("fusion", "--input", str(path), "--prime", "2")
     assert res.returncode == 2
     assert res.stderr.startswith("fusionkit: error: ")
@@ -260,26 +285,31 @@ def test_fusion_on_a_non_associative_loop_is_usage_error(tmp_path):
     _assert_loop_is_usage_error(tmp_path, rows, 5)
 
 
-def test_fusion_on_a_loop_with_an_unclosed_sylow_is_usage_error(tmp_path):
-    # at p = 3 the Sylow search grows a 3-element subset that is not closed
-    # under the product, and naming a subset of it meets an element with
-    # no order
-    rows = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 3, 1, 5, 0, 4],
-            [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0], [5, 0, 4, 2, 3, 1]]
-    _assert_loop_is_usage_error(tmp_path, rows, 3)
+# at p = 3 the Sylow search grows a 3-element subset that is not closed
+# under the product, and naming a subset of it meets an element with no order
+ORDER_6_LOOP = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3], [2, 3, 1, 5, 0, 4],
+                [3, 4, 5, 0, 1, 2], [4, 5, 3, 1, 2, 0], [5, 0, 4, 2, 3, 1]]
 
-
-@pytest.mark.parametrize("rows", [
+ORDER_8_LOOPS = {
     # the elements that commute with the Sylow subgroup's generators do
     # not form a normal subset of it
-    [[0, 1, 2, 3, 4, 5, 6, 7], [1, 3, 4, 2, 7, 0, 5, 6], [2, 6, 7, 5, 0, 3, 4, 1],
-     [3, 4, 1, 0, 2, 6, 7, 5], [4, 5, 6, 7, 3, 1, 2, 0], [5, 2, 3, 1, 6, 7, 0, 4],
-     [6, 7, 0, 4, 5, 2, 1, 3], [7, 0, 5, 6, 1, 4, 3, 2]],
+    "center-not-normal": [[0, 1, 2, 3, 4, 5, 6, 7], [1, 3, 4, 2, 7, 0, 5, 6],
+                          [2, 6, 7, 5, 0, 3, 4, 1], [3, 4, 1, 0, 2, 6, 7, 5],
+                          [4, 5, 6, 7, 3, 1, 2, 0], [5, 2, 3, 1, 6, 7, 0, 4],
+                          [6, 7, 0, 4, 5, 2, 1, 3], [7, 0, 5, 6, 1, 4, 3, 2]],
     # a generator of a subgroup's stabilizer conjugates it out of itself
-    [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 7, 4, 5, 6, 3, 2], [2, 6, 4, 1, 7, 3, 0, 5],
-     [3, 7, 5, 2, 6, 0, 4, 1], [4, 3, 6, 7, 1, 2, 5, 0], [5, 4, 3, 0, 2, 1, 7, 6],
-     [6, 2, 0, 5, 3, 7, 1, 4], [7, 5, 1, 6, 0, 4, 2, 3]],
-], ids=["center-not-normal", "conjugate-leaves"])
+    "conjugate-leaves": [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 7, 4, 5, 6, 3, 2],
+                         [2, 6, 4, 1, 7, 3, 0, 5], [3, 7, 5, 2, 6, 0, 4, 1],
+                         [4, 3, 6, 7, 1, 2, 5, 0], [5, 4, 3, 0, 2, 1, 7, 6],
+                         [6, 2, 0, 5, 3, 7, 1, 4], [7, 5, 1, 6, 0, 4, 2, 3]],
+}
+
+
+def test_fusion_on_a_loop_with_an_unclosed_sylow_is_usage_error(tmp_path):
+    _assert_loop_is_usage_error(tmp_path, ORDER_6_LOOP, 3)
+
+
+@pytest.mark.parametrize("rows", list(ORDER_8_LOOPS.values()), ids=list(ORDER_8_LOOPS))
 def test_fusion_on_an_order_8_loop_says_it_is_not_a_group(tmp_path, rows):
     res = _assert_loop_is_usage_error(tmp_path, rows, 2)
     assert "the input is not a group" in res.stderr

@@ -17,7 +17,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionkit import cli, fusion
@@ -44,6 +44,7 @@ from fusionkit.fusion import (
     proper_subchains,
     sylow_members,
 )
+from test_cli import ORDER_6_LOOP, ORDER_8_LOOPS
 
 
 def test_p_part_and_is_p_power():
@@ -155,9 +156,9 @@ def test_s4_class_data_frozen():
         (["D8"], 4, 8, "D8"),
         (["C2xC2", "D8"], 4, 8, "D8"),
     ]
-    assert [(s, t, iso) for s, t, iso in poset.edges] == [
-        ("c2", "c0", False),
-        ("c2", "c1", True),
+    assert poset.edges == [
+        ("c2", "c0", {}),
+        ("c2", "c1", {"iso": True}),
     ]
 
 
@@ -292,6 +293,9 @@ def non_associative_loops(draw):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(non_associative_loops())
+@example((ORDER_6_LOOP, 3))
+@example((ORDER_8_LOOPS["center-not-normal"], 2))
+@example((ORDER_8_LOOPS["conjugate-leaves"], 2))
 def test_fusion_on_a_loop_returns_or_rejects_it(loop):
     # the engine either finishes or raises ValueError, which fusion reports
     # as a usage error; no other exception escapes on a non-group
@@ -489,7 +493,7 @@ def test_p5_sl_model_poset_pinned():
         (["unknown(order 625)"], [625], 1, 500, 2500),
         (["extraspecial(5^3, exp p)", "unknown(order 625)"], [125, 625], 1, 500, 2500),
     ]
-    assert poset.edges == [("c2", "c0", False), ("c2", "c1", True)]
+    assert poset.edges == [("c2", "c0", {}), ("c2", "c1", {"iso": True})]
     text = json.dumps(poset.to_json_dict(), sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "49675224f56378595686f4e16e970eb2f06dde860683802a1dcb9bf20f46c020")

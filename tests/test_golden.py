@@ -65,6 +65,15 @@ ARTIFACTS.update({
     for kind in HEISENBERG_KINDS for fmt in ("json", "dot")
 })
 
+# fusion's text and collapsed outputs, on S4 and the p = 3 SL model
+ARTIFACTS.update({
+    "fusion-%s%s.%s" % (name, suffix, ext): ["fusion", "--input", "{%s}" % table, "--format", fmt, *extra]
+    for name, table in (("s4", "s4"), ("heis3-SL", "SL"))
+    for suffix, ext, fmt, extra in (("", "txt", "text", []),
+                                    ("-collapse", "txt", "text", ["--collapse"]),
+                                    ("-collapse", "dot", "dot", ["--collapse"]))
+})
+
 # decompose for all 12 default configurations, as json and dot, with and
 # without --full-poset
 DECOMPOSE = {"%s-%d" % (case, p): ["--case", case, "--prime", str(p)]
@@ -75,6 +84,11 @@ ARTIFACTS.update({
     for sel, flags in DECOMPOSE.items()
     for fmt in ("json", "dot")
     for suffix, extra in (("", []), ("-full", ["--full-poset"]))
+})
+# decompose's text output: the five-class W at p = 5 and the symbolic az node
+ARTIFACTS.update({
+    "decompose-%s.txt" % sel: ["decompose", *DECOMPOSE[sel], "--format", "text"]
+    for sel in ("sup-5", "az-34")
 })
 
 

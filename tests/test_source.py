@@ -32,7 +32,6 @@ KEPT = {
     "CycNum.as_rational": "reads exact values back in the cyclotomic tests",
     "CycNum.from_coeffs": "builds arbitrary field elements in the cyclotomic tests",
     "CycNum.coeffs": "reads the rational coefficient vector in the cyclotomic tests",
-    "CycNum.lift": "oracle for conductor changes in the cyclotomic tests",
     "CycNum.to_complex": "floating-point cross-check in the cyclotomic tests",
     "VerificationReport.failed_ids": "names the failed checks in test assertions",
 }
