@@ -830,8 +830,8 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         inner = []
         for u in range(p):
             for v in range(p):
-                inner.append(aut.index[inner_perm(hberg, u, v)])
-        hint = [aut.index[sd_full.action[h]] for h in greedy_generators(gl)]
+                inner.append(aut.index[aut.key(inner_perm(hberg, u, v))])
+        hint = [aut.index[aut.key(sd_full.action[h])] for h in greedy_generators(gl)]
         ses = sesverify(
             aut,
             tuple(sorted(set(inner))),

@@ -107,7 +107,10 @@ def _from_env(name: str, opt: Option):
 
 def _resolve(args: argparse.Namespace) -> None:
     """Fill each option that no flag set (None, or False for a switch; other
-    subcommands' options are absent from args) from its variable, if any."""
+    subcommands' options are absent from args) from its variable, if any.
+    args.from_env maps the name of each option so filled to its variable's
+    text, for the errors of the checks that come later."""
+    args.from_env = {}
     for name, opt in OPTIONS.items():
         dest = opt.dest or name.replace("-", "_")
         unset = False if opt.type is bool else None
@@ -115,6 +118,14 @@ def _resolve(args: argparse.Namespace) -> None:
             value = _from_env(name, opt)
             if value is not None:
                 setattr(args, dest, value)
+                args.from_env[name] = os.environ[_var(name)]
+
+
+def _env_note(args: argparse.Namespace, names) -> str:
+    """The variables that set any of the named options, as a suffix for an
+    error that refuses their combination; empty when flags set them all."""
+    used = ["%s=%s" % (_var(n), args.from_env[n]) for n in names if n in args.from_env]
+    return " (set by %s)" % ", ".join(used) if used else ""
 
 
 def _config_from(args: argparse.Namespace) -> CaseConfig:
@@ -129,14 +140,19 @@ def _config_from(args: argparse.Namespace) -> CaseConfig:
         raise _missing("case")
     if prime is None:
         raise _missing("prime")
-    return CaseConfig(case, prime, level=args.level, az_index=index)
+    try:
+        return CaseConfig(case, prime, level=args.level, az_index=index)
+    except ValueError as exc:
+        raise ValueError(str(exc) + _env_note(args, ("case", "prime", "level", "index"))) from None
 
 
-def _check_format(fmt: str | None, allowed: tuple[str, ...], default: str) -> str:
+def _check_format(args: argparse.Namespace, allowed: tuple[str, ...], default: str) -> str:
+    fmt = args.fmt
     if fmt is None:
         return default
     if fmt not in allowed:
-        raise ValueError("format %r not valid here; choose from %s" % (fmt, "/".join(allowed)))
+        raise ValueError("format %r not valid here; choose from %s%s"
+                         % (fmt, "/".join(allowed), _env_note(args, ("format",))))
     return fmt
 
 
@@ -152,7 +168,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.fmt, ("text", "json"), "text")
+    fmt = _check_format(args, ("text", "json"), "text")
     if args.all:
         configs = all_configs()
     else:
@@ -200,7 +216,7 @@ def _diagram_text(d) -> list[str]:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.fmt, ("text", "json", "dot"), "text")
+    fmt = _check_format(args, ("text", "json", "dot"), "text")
     cfg = _config_from(args)
     rep = VerificationReport(cfg)
     result = emit_decomposition(cfg, rep)
@@ -234,7 +250,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_aut_gamma(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.fmt, ("text", "json"), "text")
+    fmt = _check_format(args, ("text", "json"), "text")
     p = args.prime
     if p is None:
         raise _missing("prime")
@@ -303,7 +319,7 @@ def cmd_aut_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_fusion(args: argparse.Namespace) -> int:
-    fmt = _check_format(args.fmt, ("text", "json", "dot"), "text")
+    fmt = _check_format(args, ("text", "json", "dot"), "text")
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     with open(args.input) as fh:
         G, file_prime = group_from_json(fh.read(), cap)
@@ -340,7 +356,7 @@ def cmd_fusion(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_group(args: argparse.Namespace) -> int:
-    _check_format(args.fmt, ("json",), "json")
+    _check_format(args, ("json",), "json")
     cfg = _config_from(args)
     A, B = gamma_matrices(cfg)
     gam = closure([A, B], expected=cfg.prime ** 3)

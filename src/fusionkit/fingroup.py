@@ -6,13 +6,16 @@ A group object only needs the protocol
 and everything here works on top of it; right_mult(g), the step x -> x*g,
 defaults to mult and may be prebuilt.  A subgroup is the sorted tuple of
 its member indices, and a homomorphism the list of its images in the
-source's index order.  Permutation tuples compose in one kernel, perm_mul
-(operator.itemgetter, so the composition runs in C), or in a getter built
-once for a fixed right factor (right_mul_by).  PermGroup is the one
-permutation-group class, keyed by base images (every point by default;
-matgroup's matrix groups are PermGroups on their basis orbit), and
-perm_closure the one closure over permutation generators: it hands the
-group its walk's index and Cayley graph.  On top of that sit one
+source's index order.  A permutation of at most 256 points is stored as
+bytes, one byte per point, and a larger one as a tuple (perm_store); both
+compose in C in one kernel, perm_mul (bytes.translate, or
+operator.itemgetter on tuples), or in a function built once for a fixed
+right factor (right_mul_by).  PermGroup is the one permutation-group
+class, keyed by base images (every point by default; matgroup's matrix
+groups are PermGroups on their basis orbit), and PermGroup.key turns any
+sequence of images into such a key; no other module builds one.
+perm_closure is the one closure over permutation generators: it hands
+the group its walk's index and Cayley graph.  On top of that sit one
 breadth-first walk (bfs_closure: every closure and orbit in the package,
 each returned with its Schreier graph), one generator-growing loop
 (grow_generators, behind small generating sets and the stabilizer
@@ -31,7 +34,6 @@ reference that fusion's stabilizers are tested against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -139,7 +141,7 @@ class TableGroup(FiniteGroup):
 
 
 class PermGroup(FiniteGroup):
-    """Group of permutation tuples; product a*b acts as x -> a[b[x]].
+    """Group of permutations of 0..n-1; product a*b acts as x -> a[b[x]].
 
     The images of the first base points (every point by default) determine
     an element: its base images (Holt, Eick & O'Brien, Handbook of
@@ -147,22 +149,33 @@ class PermGroup(FiniteGroup):
     index, is keyed by base images, and bases lists them in element order,
     so a product maps only its right factor's base images through its left
     factor, and an inverse finds only the preimages of the base points.
-    perm_closure hands over its walk's index and Cayley graph: cayley[k][x]
-    is the index of x * generator k, which right_mult reads back.
+    Permutations and keys are stored as perm_store(n) says, and key turns
+    any sequence of images into a key; permutations given without an
+    index are converted.  perm_closure hands over its walk's index and
+    Cayley graph: cayley[k][x] is the index of x * generator k, which
+    right_mult reads back.
     """
 
     def __init__(self, perms, base: int | None = None, index=None, cayley=()):
+        degree = len(perms[0])
+        self._store = perm_store(degree)
+        self.base = degree if base is None else base
+        if index is None:
+            perms = [self._store(q) for q in perms]
+            index = {q[:self.base]: i for i, q in enumerate(perms)}
+            assert len(index) == len(perms), "duplicate permutations"
         self.perms = perms
         self.order = len(perms)
-        self.base = len(perms[0]) if base is None else base
-        if index is None:
-            index = {q[:self.base]: i for i, q in enumerate(perms)}
-            assert len(index) == self.order, "duplicate permutations"
         self.index = index
         self.bases = list(index)
-        self.identity = index[tuple(range(self.base))]
+        self.identity = index[self.key(range(self.base))]
         self.cayley = cayley
         self.generator_indices = [row[0] for row in cayley]
+
+    def key(self, images):
+        """The index key of the permutation with the given images (any
+        sequence of ints, from the image of 0 on): its base images."""
+        return self._store(images[:self.base])
 
     def mult(self, i, j):
         return self.index[perm_mul(self.perms[i], self.bases[j])]
@@ -173,7 +186,7 @@ class PermGroup(FiniteGroup):
         q = [0] * len(p)
         for x, y in enumerate(p):
             q[y] = x
-        return self.index[tuple(q[:self.base])]
+        return self.index[self.key(q)]
 
     def right_mult(self, g: int):
         """A closure generator's Cayley row as a lookup, else mult."""
@@ -185,17 +198,36 @@ class PermGroup(FiniteGroup):
         return "p%d" % i
 
 
-def perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The product a*b of permutation tuples: x -> a[b[x]]."""
-    if len(b) < 2:
-        # itemgetter returns a bare int for one index and raises on none
-        return tuple(a[x] for x in b)
+_POINTS = bytes(range(256))
+
+
+def perm_store(degree: int):
+    """The type that stores a permutation of degree points and its base
+    images: bytes, one byte per point, for at most 256 points (Seress,
+    Permutation Group Algorithms, 2003), else tuple."""
+    return bytes if degree <= 256 else tuple
+
+
+def perm_mul(a, b):
+    """The product x -> a[b[x]] of a permutation a and the images b of
+    some points (a whole permutation or base images), both stored as
+    perm_store says for a's degree.  For bytes, b.translate maps b through
+    a padded to 256 points; for tuples (at least two images),
+    operator.itemgetter does.  Both run in C."""
+    if type(a) is bytes:
+        return b.translate(a + _POINTS[len(a):])
     return itemgetter(*b)(a)
 
 
-def right_mul_by(b: tuple[int, ...]):
-    """The function a -> perm_mul(a, b), built once for a fixed right factor."""
-    return itemgetter(*b) if len(b) > 1 else functools.partial(perm_mul, b=b)
+def right_mul_by(b, degree: int):
+    """The function a -> perm_mul(a, b) on permutations a of degree
+    points, built once for a fixed right factor b: the padding of a
+    (bytes) or the getter (tuples) is prebuilt."""
+    if type(b) is bytes:
+        tail = _POINTS[degree:]
+        translate = b.translate
+        return lambda a: translate(a + tail)
+    return itemgetter(*b)
 
 
 def bfs_closure(starts, gens, image, cap: int | None = None, key=None):
@@ -244,16 +276,20 @@ def bfs_closure(starts, gens, image, cap: int | None = None, key=None):
 
 def perm_closure(perms, cap: int = DEFAULT_CAP, base: int | None = None) -> PermGroup:
     """Breadth-first closure of permutation generators, identity first,
-    as the PermGroup with the given base (see PermGroup): the walk's index
-    and Cayley graph become the group's.  With a short base, each product
-    is named by its base images and formed whole only when it is new.
-    Raises CapExceeded past cap elements."""
-    gens = [right_mul_by(tuple(q)) for q in perms]
-    ident = tuple(range(len(perms[0])))
+    as the PermGroup with the given base (see PermGroup): the generators,
+    any sequences of images, are stored as perm_store says, and the walk's
+    index and Cayley graph become the group's.  With a short base, each
+    product is named by its base images and formed whole only when it is
+    new.  Raises CapExceeded past cap elements."""
+    n = len(perms[0])
+    store = perm_store(n)
+    perms = [store(q) for q in perms]
+    gens = [right_mul_by(q, n) for q in perms]
+    ident = store(range(n))
     if base is None:
         found = bfs_closure([ident], gens, lambda x, g: g(x), cap)
     else:
-        pairs = [(right_mul_by(tuple(q[:base])), g) for q, g in zip(perms, gens)]
+        pairs = [(right_mul_by(q[:base], n), g) for q, g in zip(perms, gens)]
         found = bfs_closure([ident], pairs, lambda x, g: g[1](x), cap,
                             key=([ident[:base]], lambda x, g: g[0](x)))
     if found is None:

@@ -18,7 +18,8 @@ basis vectors (Seress, Permutation Group Algorithms, 2003): the orbit is a
 walk of fingroup.bfs_closure, and its Schreier graph gives the generator
 permutations.  The closure is fingroup.perm_closure of those, with the
 basis positions as base, so a MatrixGroup is a PermGroup: every group
-operation runs on integer tuples keyed by the images of the basis, and the
+operation runs on permutations of the orbit, stored by fingroup (bytes up
+to 256 orbit points) and keyed by the images of the basis, and the
 closure's Cayley graph is what right_mult hands to propagate_hom, on
 either side of a homomorphism.  This module adds only the exact layer:
 matrices, and matrix membership.
@@ -329,7 +330,7 @@ class MatrixGroup(PermGroup):
             if q is None:
                 return None
             cols.append(q)
-        return self.index.get(tuple(cols))
+        return self.index.get(self.key(cols))
 
     def contains_matrix(self, mat: CycMatrix) -> bool:
         return self.index_of(mat) is not None

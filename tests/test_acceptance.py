@@ -205,7 +205,7 @@ def test_criterion_06_aut_oracle():
     aut2 = automorphism_group(q8)
     assert aut2.order == 24
     inner2 = {
-        aut2.index[tuple(q8.mult(q8.mult(g, x), q8.inv(g)) for x in range(8))]
+        aut2.index[aut2.key([q8.mult(q8.mult(g, x), q8.inv(g)) for x in range(8)])]
         for g in range(8)
     }
     ses2 = sesverify(aut2, generated_subgroup(aut2, sorted(inner2)),
@@ -217,8 +217,8 @@ def test_criterion_06_aut_oracle():
     aut3 = automorphism_group(gam3)
     assert aut3.order == 432
     gl3 = mat2_group(3, "GL")
-    section = {aut3.index[q] for q in section_perms(gam3, gl3)}
-    inner = {aut3.index[q] for q in inner_perms(gam3)}
+    section = {aut3.index[aut3.key(q)] for q in section_perms(gam3, gl3)}
+    inner = {aut3.index[aut3.key(q)] for q in inner_perms(gam3)}
     assert len(section) == 48 and aut3.identity in section
     assert section & inner == {aut3.identity}
     ses3 = sesverify(aut3, generated_subgroup(aut3, sorted(inner)), Q_expected=gl3)

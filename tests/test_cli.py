@@ -128,6 +128,23 @@ def test_env_value_its_flag_would_reject_is_usage_error(var, value):
     assert res.stderr.count("\n") == 1 and var in res.stderr
 
 
+@pytest.mark.parametrize("var, value, args, message", [
+    ("FUSIONKIT_FORMAT", "xml", ("--prime", "2"), "format 'xml' not valid here"),
+    ("FUSIONKIT_INDEX", "12", ("--prime", "3"), "an index applies to the az family only"),
+])
+def test_env_value_the_command_refuses_names_the_variable(var, value, args, message):
+    # the option table accepts both values; the command refuses them later,
+    # and the error names the variable only when the value came from it
+    res = run_cli("verify", "--case", "sup", *args, env_extra={var: value})
+    assert res.returncode == 2
+    assert res.stderr.startswith("fusionkit: error: " + message)
+    assert res.stderr.count("\n") == 1 and "%s=%s" % (var, value) in res.stderr
+    flag = run_cli("verify", "--case", "sup", *args, "--" + var[10:].lower(), value)
+    assert flag.returncode == 2
+    assert flag.stderr.startswith("fusionkit: error: " + message)
+    assert "FUSIONKIT_" not in flag.stderr
+
+
 @pytest.mark.parametrize("value, tower", [("1", True), ("TRUE", True), ("0", False), ("", False)])
 def test_env_extended_switches_the_p7_tower(value, tower):
     res = run_cli("verify", "--case", "sup", "--prime", "7", "--format", "json",

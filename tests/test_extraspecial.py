@@ -212,7 +212,7 @@ def _two_pass_certificate(p: int) -> dict:
     distinct = len(set(perms)) == H.order
     gl_gens = greedy_generators(H)
     try:
-        closure_set = set(perm_closure([perms[g] for g in gl_gens], cap=H.order).perms)
+        closure_set = set(map(tuple, perm_closure([perms[g] for g in gl_gens], cap=H.order).perms))
         closure_matches = distinct and closure_set == set(perms)
     except RuntimeError:  # more than |H| elements
         closure_matches = False

@@ -39,6 +39,7 @@ from fusionkit.fingroup import (
     normalizer,
     perm_closure,
     perm_mul,
+    perm_store,
     propagate_hom,
     quotient,
     recognize,
@@ -141,14 +142,17 @@ def test_perm_closure(monkeypatch):
     points, index, graph = walks[0]
     assert G.perms is points and G.index is index and G.cayley is graph
     assert len(G.index) == G.order
-    assert G.generator_indices == [G.index[g] for g in gens]
+    # the generators as the group stores them: with every point as base,
+    # a permutation is its own key
+    stored = [G.key(g) for g in gens]
+    assert G.generator_indices == [G.index[g] for g in stored]
     for k, g in enumerate(G.generator_indices):
-        assert G.cayley[k] == [G.index[perm_mul(q, gens[k])] for q in G.perms]
+        assert G.cayley[k] == [G.index[perm_mul(q, stored[k])] for q in G.perms]
         step = G.right_mult(g)
         assert [step(x) for x in range(G.order)] == G.cayley[k]
         assert [G.mult(x, g) for x in range(G.order)] == G.cayley[k]
-    ident = tuple(range(4))
-    assert G.perms[G.identity] == ident
+    ident = G.key(range(4))
+    assert G.perms[G.identity] == ident and tuple(ident) == (0, 1, 2, 3)
     assert all(perm_mul(G.perms[G.inv(i)], G.perms[i]) == ident for i in range(G.order))
     # exactly cap elements are admitted, and one more raises
     assert perm_closure(gens, cap=24).order == 24
@@ -256,18 +260,41 @@ def test_all_subgroups_of_s4():
     assert sorted(naive) == sorted(subs)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 7, 98, 343])
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 98, 255, 256, 257, 343])
 def test_perm_mul_matches_map_composition(degree):
-    """perm_mul and a getter built for a fixed right factor against
-    composition by map, including the one-point and empty permutations
-    on which itemgetter alone would return an int or raise."""
+    """perm_mul and a function built for a fixed right factor against
+    composition by map, on whole permutations and on the first two
+    images of the right factor (base images), in the store perm_store
+    picks: bytes up to 256 points, including the one-point and empty
+    permutations, and tuples above."""
+    store = perm_store(degree)
+    assert store is (bytes if degree <= 256 else tuple)
     rng = random.Random(4100 + degree)
     for _ in range(10):
         a = tuple(rng.sample(range(degree), degree))
         b = tuple(rng.sample(range(degree), degree))
         want = tuple(map(a.__getitem__, b))
-        for got in (perm_mul(a, b), right_mul_by(b)(a)):
-            assert type(got) is tuple and got == want
+        sa, sb = store(a), store(b)
+        for got in (perm_mul(sa, sb), right_mul_by(sb, degree)(sa)):
+            assert type(got) is store and tuple(got) == want
+        if degree >= 2:
+            for got in (perm_mul(sa, sb[:2]), right_mul_by(sb[:2], degree)(sa)):
+                assert type(got) is store and tuple(got) == want[:2]
+
+
+@pytest.mark.parametrize("pad", [256, 257])
+def test_perm_closure_on_either_side_of_the_byte_store(pad):
+    """S4's generators fixing every point from 4 on: at 256 points they
+    are stored as bytes, at 257 as tuples, and both close to the same
+    group with the same Cayley graph, products and inverses."""
+    s4 = perm_closure([(1, 2, 3, 0), (1, 0, 2, 3)])
+    G = perm_closure([g + tuple(range(4, pad)) for g in [(1, 2, 3, 0), (1, 0, 2, 3)]])
+    assert G.order == 24 and type(G.perms[0]) is perm_store(pad)
+    assert G.cayley == s4.cayley
+    assert [tuple(q[:4]) for q in G.perms] == [tuple(q) for q in s4.perms]
+    assert all(G.mult(i, j) == s4.mult(i, j) for i in range(24) for j in range(24))
+    assert [G.inv(i) for i in range(24)] == [s4.inv(i) for i in range(24)]
+    assert G.perms[G.identity] == G.key(range(pad))
 
 
 def test_propagate_hom_builds_full_certificate():
@@ -426,7 +453,7 @@ def test_quotient_rejects_non_normal_subgroup():
 
 def test_sesverify_reports_non_normal_subgroup():
     S3 = symmetric_group(3)
-    t = S3.index[(1, 0, 2)]  # the transposition (0 1)
+    t = S3.index[S3.key((1, 0, 2))]  # the transposition (0 1)
     rep = sesverify(S3, generated_subgroup(S3, [t]), Q_expected=cyclic_group(3))
     assert rep.is_normal is False
     assert rep.complement is None

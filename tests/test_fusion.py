@@ -445,7 +445,7 @@ def test_aut_f_and_centric_match_full_scan(name):
     verdicts = []
     for P in subs:
         N = normalizer(G, P)
-        assert sorted(fd.aut_f_of(P).perms) == sorted({_conjugation_perm(G, g, P) for g in N})
+        assert sorted(map(tuple, fd.aut_f_of(P).perms)) == sorted({_conjugation_perm(G, g, P) for g in N})
         centric = _centric_by_scan(fd, P)
         assert fd.is_centric(P) == centric
         assert not centric or zS <= set(P)
@@ -469,7 +469,7 @@ def test_chain_aut_matches_full_scan(name):
              if all(set(m) == {G.conjugate(g, x) for x in m} for m in chain)]
         on_top = {_conjugation_perm(G, g, top) for g in N}
         aut_f = _induced_perms(G, fd.action.stabilizer(chain)[1], top)
-        assert sorted(aut_f.perms) == sorted(on_top)
+        assert sorted(map(tuple, aut_f.perms)) == sorted(on_top)
         assert rep.aut_f_order == len(on_top)
         C = [g for g in range(G.order) if all(G.mult(g, x) == G.mult(x, g) for x in top)]
         Z = [x for x in top if all(G.mult(x, y) == G.mult(y, x) for y in top)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from fusionkit.fingroup import (
     isomorphic,
     perm_closure,
     perm_mul,
+    perm_store,
     propagate_hom,
     recognize,
     smallest_primitive_root,
@@ -193,6 +195,16 @@ def test_p2_catalog():
     assert o48.order == 48
 
 
+def test_p7_chain_normalizer_store_is_small():
+    # the largest closure verify builds: 14406 permutations of the 98
+    # orbit points, one byte per point (as tuples of ints, about 12 MB)
+    p = 7
+    gens = [std_matrix(p, w) for w in "ABD"] + [std_matrix(p, "sigma", k=smallest_primitive_root(p))]
+    G = closure(gens, expected=p ** 4 * (p - 1))
+    assert G.order == 14406 and len(G.orbit) == 98
+    assert sum(map(sys.getsizeof, G.perms)) < 3_000_000
+
+
 def test_closure_cap_enforced():
     A = std_matrix(5, "A")
     B = std_matrix(5, "B")
@@ -207,7 +219,7 @@ def test_closure_cap_enforced():
     with pytest.raises(CapExceeded):
         perm_closure(d8, cap=7)
     S4 = symmetric_group(4)
-    gens = [S4.index[g] for g in d8]
+    gens = [S4.index[S4.key(g)] for g in d8]
     members = generated_subgroup(S4, gens)
     assert len(members) == 8
     assert generated_subgroup(S4, gens, cap=8) == members
@@ -283,7 +295,7 @@ def test_base_images_match_whole_permutations(name):
     gens = differential_generators(name)
     G = closure(gens)
     degree = len(G.orbit)
-    ident = tuple(range(degree))
+    ident = perm_store(degree)(range(degree))
     gen_perms = [G.perms[g] for g in G.generator_indices]
     # the keyed BFS discovers the elements in the order of the unkeyed
     # one, and both record the same Cayley graph

@@ -27,7 +27,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fusionkit"
 KEPT = {
     "normalizer": "scan oracle for the stabilizers in test_fusion; perfbench's tracer names it",
     "spot_check_associativity": "checks the hand-built group models in the tests",
-    "subgroup_as_group": "the table oracle that quotient(within=) and the fusion tests compare against",
     "HeisenbergGroup.central_indices": "oracle for center() on the coordinate model",
     "CycNum.as_rational": "reads exact values back in the cyclotomic tests",
     "CycNum.from_coeffs": "builds arbitrary field elements in the cyclotomic tests",
