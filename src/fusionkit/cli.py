@@ -322,7 +322,10 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     fmt = _check_format(args, ("text", "json", "dot"), "text")
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     with open(args.input) as fh:
-        G, file_prime = group_from_json(fh.read(), cap)
+        try:
+            G, file_prime = group_from_json(fh.read(), cap)
+        except CapExceeded as exc:
+            raise CapExceeded(str(exc) + _env_note(args, ("cap",))) from None
     p = args.prime if args.prime is not None else file_prime
     if p is None:
         raise ValueError("no prime selected; pass --prime or store one in the input file")

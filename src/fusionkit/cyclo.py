@@ -95,11 +95,9 @@ def _context(m: int) -> _Context:
 
 
 def _normalize(den: int, num: list[int]) -> tuple[int, tuple[int, ...]]:
+    """den and num in lowest terms; den is positive, as every caller's is."""
     if den == 1:
         return 1, tuple(num)
-    if den < 0:
-        den = -den
-        num = [-x for x in num]
     g = den
     for x in num:
         g = math.gcd(g, x)

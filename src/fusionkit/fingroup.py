@@ -411,12 +411,11 @@ def normalizer(G: FiniteGroup, members) -> tuple[int, ...]:
     return tuple(out)
 
 
-def centralizer(G: FiniteGroup, members) -> tuple[int, ...]:
-    out = []
-    for g in range(G.order):
-        if all(G.mult(g, x) == G.mult(x, g) for x in members):
-            out.append(g)
-    return tuple(out)
+def centralizer(G: FiniteGroup, members, within=None) -> tuple[int, ...]:
+    """The elements of G, or of within when given, in their order, that
+    commute with every one of members."""
+    return tuple(g for g in (range(G.order) if within is None else within)
+                 if all(G.mult(g, x) == G.mult(x, g) for x in members))
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:
@@ -908,8 +907,8 @@ def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup
 
     The document's mult list becomes the group's table itself.  Raises
     ValueError on a malformed document (labels, when present, must be a
-    list of order strings; mult entries must lie in 0..order-1), and on an
-    order above cap before the table is built."""
+    list of order strings; mult entries must lie in 0..order-1), and
+    CapExceeded on an order above cap before the table is built."""
     if not isinstance(data, dict) or data.get("kind") != "group_table":
         raise ValueError("not a group_table document")
     if type(data.get("order")) is not int:
@@ -918,7 +917,7 @@ def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup
         raise ValueError("group_table document needs 'mult' as a list")
     n = data["order"]
     if cap is not None and n > cap:
-        raise ValueError("input group order %d exceeds cap %d" % (n, cap))
+        raise CapExceeded("input group order %d exceeds cap %d" % (n, cap))
     flat = data["mult"]
     if len(flat) != n * n:
         raise ValueError("mult table has %d entries, expected %d" % (len(flat), n * n))

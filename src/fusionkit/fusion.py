@@ -21,14 +21,17 @@ of G: fingroup's breadth-first walk finds a chain's orbit and its Schreier
 graph, the graph gives a transversal, and Schreier's lemma turns the
 transversal into generators of the stabilizer, the common normalizer of
 the chain's subgroups.  Aut_F is the closure of those generators' images
-on the top subgroup, and centralizers are tested against generators of
-the centralized subgroup.  A centric subgroup contains Z(S), so only the
+on the top subgroup, and centralizers (fingroup.centralizer, within S or
+within the common normalizer) are tested against generators of the
+centralized subgroup.  A centric subgroup contains Z(S), so only the
 preimages of the subgroups of S/Z(S) are enumerated, with no table of S.
 
 The poset of chain classes, ordered by "contains a conjugate as a proper
-subchain", drives the decomposition diagrams.  An edge is marked iso when
-the subchain keeps the top subgroup and already has the same common
-normalizer, in which case the two Aut_L groups are literally equal.
+subchain", drives the decomposition diagrams.  Its one record per class is
+a row in the schema of the encoded chain classes, built in the same pass
+as the class's edges.  An edge is marked iso when the subchain keeps the
+top subgroup and already has the same common normalizer, in which case
+the two Aut_L groups are literally equal.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .fingroup import (
     PermGroup,
     all_subgroups,
     bfs_closure,
+    centralizer,
     generated_subgroup,
     greedy_generators,
     grow_generators,
@@ -202,7 +206,6 @@ class ChainAutReport:
     splits as Z(top) x nu'.
     """
 
-    inter_norm: tuple[int, ...]
     aut_f_order: int
     aut_l_order: int
     z_order: int
@@ -229,11 +232,6 @@ class FusionData:
         self._names: dict[tuple[int, ...], str] = {}
 
     # -- conjugation -------------------------------------------------------
-
-    def conjugation_orbit(self, chain) -> list[tuple[tuple[int, ...], ...]]:
-        """The G-conjugates of a chain of subgroups, each a tuple of sorted
-        member tuples."""
-        return self.action.orbit(chain)[0]
 
     def inter_norm(self, chain) -> tuple[int, ...]:
         """Sorted members of the common normalizer of the chain's subgroups
@@ -300,8 +298,7 @@ class FusionData:
         S/Z(S) with its projection (see quotient).  Raises ValueError when
         Z(S) is not normal in S, which happens only in a non-group."""
         G, S = self.G, self.S
-        sgens = subgroup_generators(G, S)
-        Z = [z for z in S if all(G.mult(z, s) == G.mult(s, z) for s in sgens)]
+        Z = centralizer(G, subgroup_generators(G, S), within=S)
         try:
             Q, proj = quotient(G, Z, within=S)
         except ValueError:
@@ -366,7 +363,7 @@ class FusionData:
     def chain_key(self, chain) -> tuple[tuple[int, ...], ...]:
         """Canonical form of a chain under simultaneous conjugacy: the
         lexicographic minimum of its G-orbit."""
-        return min(self.conjugation_orbit(chain))
+        return min(self.action.orbit(chain)[0])
 
     # -- chain automorphisms -----------------------------------------------
 
@@ -379,8 +376,7 @@ class FusionData:
 
         # C_G(top) centralizes every member of the chain, so it lies in
         # the common normalizer
-        tgens = subgroup_generators(G, top)
-        C = [g for g in inter_t if all(G.mult(g, x) == G.mult(x, g) for x in tgens)]
+        C = centralizer(G, subgroup_generators(G, top), within=inter_t)
         cset = set(C)
         Z = [x for x in top if x in cset]
         nu = tuple(
@@ -401,7 +397,6 @@ class FusionData:
             )
 
         return ChainAutReport(
-            inter_norm=inter_t,
             aut_f_order=aut_f_order,
             aut_l_order=aut_l.order,
             z_order=len(Z),
@@ -427,70 +422,47 @@ def proper_subchains(chain):
     return out
 
 
-@dataclass
-class ChainClass:
-    id: str
-    rep: tuple[tuple[int, ...], ...]
-    size: int
-    names: tuple[str, ...]
-    report: ChainAutReport
-
-
 class ChainPoset:
     """Conjugacy classes of centric-radical chains and their refinements.
 
-    rows holds one node row per class, in the schema of
-    cases.chain_classes plus chain_orders and class_size; edges holds
+    rows holds the one record per class: a node row in the schema of
+    cases.chain_classes plus chain_orders and class_size, ids numbered
+    in order of (length, member orders, representative), the
+    representative being the least chain of the class.  edges holds
     (src, dst, attrs) refinement edges, attrs marking iso=True where the
-    two classes' Aut_L groups are equal.
+    two classes' Aut_L groups are equal.  A proper subchain is shorter,
+    so its class has its id before the rows that need it: one pass builds
+    each row and its edges.
     """
 
     def __init__(self, data: FusionData):
         self.data = data
-        chains = data.chains()
         by_key: dict[tuple, list] = {}
-        for c in chains:
+        for c in data.chains():
             by_key.setdefault(data.chain_key(c), []).append(c)
-        classes = []
-        for key in sorted(by_key):
-            members = by_key[key]
-            rep = min(members)
-            classes.append((key, rep, len(members)))
-        classes.sort(key=lambda t: (len(t[1]), [len(m) for m in t[1]], t[1]))
-        self.classes: list[ChainClass] = []
-        key_to_id: dict[tuple, str] = {}
-        for i, (key, rep, size) in enumerate(classes):
-            cid = "c%d" % i
-            key_to_id[key] = cid
-            names = tuple(data.subgroup_name(m) for m in rep)
-            self.classes.append(ChainClass(cid, rep, size, names, data.chain_aut(rep)))
-        self.rows = [
-            {
-                "id": cls.id,
-                "chain": list(cls.names),
-                "chain_orders": [len(m) for m in cls.rep],
-                "class_size": cls.size,
-                "autF_order": cls.report.aut_f_order,
-                "autL_order": cls.report.aut_l_order,
-                "tag": cls.report.tag,
-            }
-            for cls in self.classes
-        ]
-
+        classes = sorted(((min(cs), len(cs), key) for key, cs in by_key.items()),
+                         key=lambda t: (len(t[0]), [len(m) for m in t[0]], t[0]))
+        ids: dict[tuple, str] = {}
+        self.rows: list[dict] = []
         self.edges: list[tuple[str, str, dict]] = []
-        for cls in self.classes:
-            if len(cls.rep) == 1:
-                continue
-            seen_dst = {}
-            for sub in proper_subchains(cls.rep):
-                dst = key_to_id[data.chain_key(sub)]
-                iso = (
-                    sub[-1] == cls.rep[-1]
-                    and data.inter_norm(sub) == cls.report.inter_norm
-                )
-                seen_dst[dst] = seen_dst.get(dst, False) or iso
-            for dst in sorted(seen_dst):
-                self.edges.append((cls.id, dst, {"iso": True} if seen_dst[dst] else {}))
+        for rep, size, key in classes:
+            cid = ids[key] = "c%d" % len(self.rows)
+            report = data.chain_aut(rep)
+            self.rows.append({
+                "id": cid,
+                "chain": [data.subgroup_name(m) for m in rep],
+                "chain_orders": [len(m) for m in rep],
+                "class_size": size,
+                "autF_order": report.aut_f_order,
+                "autL_order": report.aut_l_order,
+                "tag": report.tag,
+            })
+            iso_to: dict[str, bool] = {}
+            for sub in proper_subchains(rep):
+                dst = ids[data.chain_key(sub)]
+                iso = sub[-1] == rep[-1] and data.inter_norm(sub) == data.inter_norm(rep)
+                iso_to[dst] = iso_to.get(dst, False) or iso
+            self.edges += [(cid, dst, {"iso": True} if iso else {}) for dst, iso in iso_to.items()]
         self.edges.sort(key=lambda e: e[:2])
 
     def to_json_dict(self) -> dict:

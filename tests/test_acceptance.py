@@ -285,14 +285,13 @@ def test_criterion_09_fusion_engine_on_s4():
     fd = FusionData(G, p)
     poset = fd.sd_poset()
     classes, edges = oracle_poset(fd)
-    assert len(poset.classes) == len(classes) == 3
-    oracle_members = [set(cls) for cls in classes]
-    lib_to_oracle = {}
-    for cls in poset.classes:
-        hits = [i for i, mem in enumerate(oracle_members) if cls.rep in mem]
-        assert len(hits) == 1
-        lib_to_oracle[cls.id] = hits[0]
-    lib_edges = {(lib_to_oracle[s], lib_to_oracle[t]) for s, t, _ in poset.edges}
+    assert len(poset.rows) == len(classes) == 3
+    # row i is oracle class i, which oracle_poset numbers as the engine does
+    for i, (row, cls) in enumerate(zip(poset.rows, classes)):
+        assert row["id"] == "c%d" % i
+        assert row["class_size"] == len(cls)
+        assert row["chain_orders"] == [len(m) for m in min(cls)]
+    lib_edges = {(int(s[1:]), int(t[1:])) for s, t, _ in poset.edges}
     assert lib_edges == edges
 
     for chain in fd.chains():

@@ -102,10 +102,16 @@ def test_suite_az(index):
     assert rep.all_ok, rep.failed_ids()
 
 
-@pytest.mark.parametrize("case,p,level", [("sup", 3, 2), ("up", 2, 3)])
+@pytest.mark.parametrize("case,p,level", [("sup", 3, 2), ("up", 2, 3), ("up", 3, 2), ("up", 5, 2)])
 def test_suite_other_levels(case, p, level):
     rep = run_suite(CaseConfig(case, p, level=level))
     assert rep.all_ok, rep.failed_ids()
+    if case == "up" and p != 2:
+        # the scalar-extended core (order 81) and chain normalizer (order
+        # 486) are closed at p = 3; at p = 5 the core is encoded only
+        status = {c.check_id: c.status for c in rep.checks}
+        got = [status.get("normalizer.u_core_order"), status.get("normalizer.u_chain_order")]
+        assert got == (["pass", "pass"] if p == 3 else ["skipped", None])
 
 
 def test_chain_normalizer_orders_frozen():

@@ -197,7 +197,12 @@ def test_fusion_cap_enforced(tmp_path):
     path.write_text(group_to_json(symmetric_group(4), prime=2))
     res = run_cli("fusion", "--input", str(path), "--cap", "10")
     assert res.returncode == 2
-    assert "exceeds cap" in res.stderr
+    assert res.stderr == "fusionkit: error: input group order 24 exceeds cap 10\n"
+    # a cap from the environment names its variable
+    env = run_cli("fusion", "--input", str(path), env_extra={"FUSIONKIT_CAP": "5"})
+    assert env.returncode == 2
+    assert env.stderr == ("fusionkit: error: input group order 24 exceeds cap 5"
+                          " (set by FUSIONKIT_CAP=5)\n")
 
 
 def test_fusion_cap_checked_before_the_table_is_built(tmp_path):

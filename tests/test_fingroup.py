@@ -468,6 +468,15 @@ def test_sesverify_hint_short_circuit():
     assert rep.split is True and rep.tuples_checked == 1
 
 
+def test_sesverify_rejects_lifts_whose_span_meets_the_kernel():
+    # in V4 = C2 x C2 (x * y = x xor y) with N = {0, 1}, the hint 1 spans N
+    # itself, so it is no complement; the search then finds {0, 2}
+    V4 = TableGroup([i ^ j for i in range(4) for j in range(4)], 4)
+    rep = sesverify(V4, (0, 1), Q_expected=cyclic_group(2), hint_lifts=[1])
+    assert rep.complement == (0, 2)
+    assert rep.tuples_checked == 2 and rep.exhausted is False
+
+
 def test_recognize_frozen_names():
     assert recognize(cyclic_group(12)) == "C12"
     assert recognize(direct_product(cyclic_group(2), cyclic_group(2))) == "C2xC2"

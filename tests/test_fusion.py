@@ -101,6 +101,10 @@ def oracle_poset(fd: FusionData):
         if not placed:
             classes.append([c])
 
+    # number the classes as the engine does, by (length, member orders,
+    # chain) of each class's least chain
+    classes.sort(key=lambda cls: (len(min(cls)), [len(m) for m in min(cls)], min(cls)))
+
     # refinement edges between classes
     idx_of = {}
     for i, cls in enumerate(classes):
@@ -121,21 +125,15 @@ def test_s4_poset_matches_exhaustive_oracle():
     poset = fd.sd_poset()
     classes, edges = oracle_poset(fd)
 
-    assert len(poset.classes) == len(classes) == 3
+    assert len(poset.rows) == len(classes) == 3
 
-    # match library classes to oracle classes through their member chains
-    lib_to_oracle = {}
-    oracle_members = [set(cls) for cls in classes]
-    for cls in poset.classes:
-        hits = [i for i, mem in enumerate(oracle_members) if cls.rep in mem]
-        assert len(hits) == 1
-        lib_to_oracle[cls.id] = hits[0]
-        assert cls.size == len(oracle_members[hits[0]])
-    assert len(set(lib_to_oracle.values())) == 3
+    # row i is oracle class i: the same size and member orders
+    for i, (row, cls) in enumerate(zip(poset.rows, classes)):
+        assert row["id"] == "c%d" % i
+        assert row["class_size"] == len(cls)
+        assert row["chain_orders"] == [len(m) for m in min(cls)]
 
-    lib_edges = {
-        (lib_to_oracle[s], lib_to_oracle[t]) for s, t, _ in poset.edges
-    }
+    lib_edges = {(int(s[1:]), int(t[1:])) for s, t, _ in poset.edges}
     assert lib_edges == edges
 
 
@@ -144,12 +142,12 @@ def test_s4_class_data_frozen():
     poset = FusionData(S4, 2).sd_poset()
     rows = [
         (
-            list(c.names),
-            c.report.aut_f_order,
-            c.report.aut_l_order,
-            c.report.tag,
+            row["chain"],
+            row["autF_order"],
+            row["autL_order"],
+            row["tag"],
         )
-        for c in poset.classes
+        for row in poset.rows
     ]
     assert rows == [
         (["C2xC2"], 6, 24, "S4"),
@@ -170,7 +168,7 @@ def test_s4_order_identity_every_chain():
         rep = fd.chain_aut(chain)
         assert rep.centralizer_splits
         assert rep.aut_l_order == rep.z_order * rep.aut_f_order
-        assert rep.aut_l_order * rep.nu_prime_order == len(rep.inter_norm)
+        assert rep.aut_l_order * rep.nu_prime_order == len(fd.inter_norm(chain))
 
 
 def test_s4_collapse_to_two_classes():
@@ -185,11 +183,12 @@ def test_s3_single_class_at_p3():
     S3 = symmetric_group(3)
     fd = FusionData(S3, 3)
     poset = fd.sd_poset()
-    assert len(poset.classes) == 1
-    cls = poset.classes[0]
-    assert cls.report.aut_f_order == 2
-    assert cls.report.aut_l_order == 6
-    assert cls.report.z_order == 3
+    assert len(poset.rows) == 1
+    row = poset.rows[0]
+    assert row["autF_order"] == 2
+    assert row["autL_order"] == 6
+    (chain,) = fd.chains()
+    assert fd.chain_aut(chain).z_order == 3
     assert poset.edges == []
 
 
@@ -364,7 +363,7 @@ def _orbit_by_while_loop(action: ConjugationAction, chain):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_orbit_search_matches_full_scan(name):
-    # conjugation_orbit and chain_key against a scan over every g in G,
+    # the conjugation orbit and chain_key against a scan over every g in G,
     # for every subgroup of S, every pair P < Q of them and every chain;
     # the orbit, transversal and arcs against the while-loop oracle
     G, p = _fusion_model(name)
@@ -376,7 +375,7 @@ def test_orbit_search_matches_full_scan(name):
 
     subs = _subgroups_of_S(fd)
     for P in subs:
-        assert set(fd.conjugation_orbit((P,))) == scan((P,))
+        assert set(fd.action.orbit((P,))[0]) == scan((P,))
     pairs = _pairs(subs)
     chains = fd.chains()
     assert len(pairs) > 10 and len(chains) >= 2
@@ -486,8 +485,8 @@ def test_p5_sl_model_poset_pinned():
     assert len(fd.sylow_subgroups) == 39
     assert sum(map(fd.is_centric, fd.sylow_subgroups)) == 27
     assert len(fd.cr_subgroups) == 2
-    rows = [(list(c.names), [len(m) for m in c.rep], c.size,
-             c.report.aut_f_order, c.report.aut_l_order) for c in poset.classes]
+    rows = [(row["chain"], row["chain_orders"], row["class_size"],
+             row["autF_order"], row["autL_order"]) for row in poset.rows]
     assert rows == [
         (["extraspecial(5^3, exp p)"], [125], 1, 3000, 15000),
         (["unknown(order 625)"], [625], 1, 500, 2500),
