@@ -321,7 +321,7 @@ def cmd_aut_gamma(args: argparse.Namespace) -> int:
 def cmd_fusion(args: argparse.Namespace) -> int:
     fmt = _check_format(args, ("text", "json", "dot"), "text")
     cap = args.cap if args.cap is not None else DEFAULT_CAP
-    with open(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh:
         try:
             G, file_prime = group_from_json(fh.read(), cap)
         except CapExceeded as exc:

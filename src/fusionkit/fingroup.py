@@ -28,8 +28,12 @@ generator-image backtracking search (behind isomorphism and
 automorphism_group), short-exact-sequence verification with an exhaustive
 complement search over the product of the lift lists, and structure
 recognition against natively built reference groups (2x2 matrix groups
-over F_p, symmetric and cyclic groups).  normalizer scans G; it is the
-reference that fusion's stabilizers are tested against.
+over F_p, symmetric and cyclic groups).  A TableGroup holds its flat
+multiplication table in one unsigned array (table_store: 2 bytes an entry
+up to order 65536), and group_from_json packs a document's mult array
+into it chunk by chunk, never building a list of the entries.
+normalizer scans G; it is the reference that fusion's stabilizers are
+tested against.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -98,10 +103,21 @@ class FiniteGroup:
         return True
 
 
+def table_store(entries, order: int):
+    """entries, each in 0..order-1, as a group table's one store: an
+    unsigned array, 2 bytes an entry up to order 65536 and 4 above.  An
+    array of that type is returned as it is, not copied."""
+    code = "H" if order <= 1 << 16 else "I"
+    if type(entries) is array and entries.typecode == code:
+        return entries
+    return array(code, entries)
+
+
 class TableGroup(FiniteGroup):
     """Group given by its flat row-major multiplication table:
-    mult(i, j) = table[i*order + j].  The list given is kept as it is, not
-    copied, so a table parsed with shared int objects stays that small.
+    mult(i, j) = table[i*order + j].  The entries are packed into the one
+    table store (table_store); an array already in that form is kept, not
+    copied.
 
     Raises ValueError on a table of the wrong length, with no identity or
     with a row without the identity; the group axioms are not otherwise
@@ -110,6 +126,7 @@ class TableGroup(FiniteGroup):
 
     def __init__(self, table, order, labels=None):
         n = order
+        table = table_store(table, n)
         if len(table) != n * n:
             raise ValueError("group table has %d entries, expected %d" % (len(table), n * n))
         self.table = table
@@ -117,18 +134,25 @@ class TableGroup(FiniteGroup):
         self.labels = list(labels) if labels else ["g%d" % i for i in range(n)]
         # a two-sided identity is unique and idempotent, so only the
         # diagonal's fixed points need their row and column compared
-        index = list(range(n))
+        index = table_store(range(n), n)
         ident = next((e for e in range(n) if table[e * n + e] == e
                       and table[e * n:e * n + n] == index and table[e::n] == index), None)
         if ident is None:
             raise ValueError("group table has no identity element")
         self.identity = ident
+        # the inverse is where a row's bytes first hold the identity's at
+        # an entry boundary; bytes.find may also match across two entries
+        width = table.itemsize
+        key = table_store((ident,), n).tobytes()
         self._inv = []
-        for i in range(0, n * n, n):
-            try:
-                self._inv.append(table.index(ident, i, i + n) - i)
-            except ValueError:
-                raise ValueError("group table element %d has no inverse" % (i // n)) from None
+        for i in range(n):
+            row = table[i * n:i * n + n].tobytes()
+            k = row.find(key)
+            while k > 0 and k % width:
+                k = row.find(key, k + 1)
+            if k < 0:
+                raise ValueError("group table element %d has no inverse" % i)
+            self._inv.append(k // width)
 
     def mult(self, i, j):
         return self.table[i * self.order + j]
@@ -902,69 +926,141 @@ def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
     return canonical_json(group_to_json_dict(G, prime))
 
 
-def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup, int | None]:
-    """The table group of a group_table document and its stored prime.
+# characters of a mult array that group_from_json parses at a time
+MULT_CHUNK = 1 << 16
 
-    The document's mult list becomes the group's table itself.  Raises
-    ValueError on a malformed document (labels, when present, must be a
-    list of order strings; mult entries must lie in 0..order-1), and
-    CapExceeded on an order above cap before the table is built."""
+
+def _document_order(data, cap):
+    """The order of a group_table document, checked and under cap."""
     if not isinstance(data, dict) or data.get("kind") != "group_table":
         raise ValueError("not a group_table document")
     if type(data.get("order")) is not int:
         raise ValueError("group_table document needs 'order' as an int")
-    if not isinstance(data.get("mult"), list):
-        raise ValueError("group_table document needs 'mult' as a list")
     n = data["order"]
     if cap is not None and n > cap:
         raise CapExceeded("input group order %d exceeds cap %d" % (n, cap))
-    flat = data["mult"]
+    return n
+
+
+def group_from_json_dict(data: dict, cap: int | None = None) -> tuple[TableGroup, int | None]:
+    """The table group of a group_table document and its stored prime.
+
+    The reference reader of a parsed document: its mult list is checked
+    and packed into the group's table store (group_from_json hands over
+    the store it checked while packing it).  Raises ValueError on a
+    malformed document (labels, when present, must be a list of order
+    strings; mult entries must be ints, not bools, in 0..order-1), and
+    CapExceeded on an order above cap before the table is built."""
+    n = _document_order(data, cap)
+    flat = data.get("mult")
+    if not isinstance(flat, (list, array)):
+        raise ValueError("group_table document needs 'mult' as a list")
     if len(flat) != n * n:
         raise ValueError("mult table has %d entries, expected %d" % (len(flat), n * n))
     labels = data.get("labels")
     if "labels" in data and not (isinstance(labels, list) and len(labels) == n
                                  and all(isinstance(x, str) for x in labels)):
         raise ValueError("group_table labels must be a list of %d strings" % n)
-    try:
-        in_range = set(flat) <= set(range(n))
-    except TypeError:  # an unhashable entry, such as a list
-        in_range = False
-    if not in_range:
-        raise ValueError("group_table mult entries must be integers in 0..%d" % (n - 1))
+    if type(flat) is list:
+        if not (set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n)):
+            raise ValueError("group_table mult entries must be integers in 0..%d" % (n - 1))
+        flat = table_store(flat, n)
     return TableGroup(flat, n, labels), data.get("prime")
-
-
-class _SharedInts(dict):
-    """json's parse_int as a memo: int(s) once per distinct literal."""
-
-    def __missing__(self, literal):
-        self[literal] = value = int(literal)
-        return value
 
 
 def _refuse_float(literal):
     raise ValueError("group_table numbers must be integers, got %s" % literal)
 
 
-def group_from_json(text: str, cap: int | None = None) -> tuple[TableGroup, int | None]:
-    """group_from_json_dict of a group_table document's JSON text.
-
-    Equal integers in the text parse to one shared int object, so a table
-    of order n holds at most n distinct int objects however many entries
-    it has, and a number with a fraction or an exponent is refused while
-    parsing.  true and false
-    equal 1 and 0, so they pass group_from_json_dict's range check; when
-    the text spells either, the table's entries are checked to be ints
-    exactly.  A document nested deeper than the parser's recursion limit
-    raises ValueError."""
+def _scan_object(text, decoder):
+    """The top-level object of a JSON text as json.loads parses it, walked
+    key by key, except that a "mult" array whose text holds no string and
+    no nested array is left unparsed as its (start, end) positions; None
+    when the text is not an object or the walk meets a syntax error."""
+    ws = json.decoder.WHITESPACE.match
+    i = ws(text).end()
+    if not text.startswith("{", i):
+        return None
+    data, i, delim = {}, ws(text, i + 1).end(), ","
+    if text.startswith("}", i):
+        i, delim = i + 1, "}"
     try:
-        data = json.loads(text, parse_int=_SharedInts().__getitem__, parse_float=_refuse_float)
+        while delim == ",":
+            if not text.startswith('"', i):
+                return None
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = ws(text, i).end()
+            if not text.startswith(":", i):
+                return None
+            i = ws(text, i + 1).end()
+            end = text.find("]", i) if key == "mult" and text.startswith("[", i) else -1
+            if end > 0 and text.find('"', i, end) < 0 and text.find("[", i + 1, end) < 0:
+                data[key], i = (i, end), end + 1
+            else:
+                data[key], i = decoder.raw_decode(text, i)
+            i = ws(text, i).end()
+            delim = text[i:i + 1]
+            if delim not in (",", "}"):
+                return None
+            i = ws(text, i + 1).end()
+    except ValueError:  # json.JSONDecodeError
+        return None
+    return data if ws(text, i).end() == len(text) else None
+
+
+def _read_flat_array(text, start, end, n, decoder):
+    """The flat JSON array text[start:end + 1] packed into the table store
+    of an order-n group.  It is parsed MULT_CHUNK characters at a time,
+    cut at commas, and each chunk's entries are checked to lie in
+    0..n-1.  Where a chunk does not parse or holds a value the store
+    refuses, and where the text holds an e (outside strings only true,
+    false and exponents spell one, and the store takes none of them),
+    the array's reference parse is returned instead: a list for
+    group_from_json_dict to refuse, or the parser's error at its
+    position in the document."""
+    if text.find("e", start, end) < 0:
+        store, pos = table_store((), n), start + 1
+        try:
+            while True:
+                cut = text.find(",", pos + MULT_CHUNK, end)
+                values = json.loads("[" + text[pos:end if cut < 0 else cut] + "]")
+                if not values and (cut >= 0 or pos > start + 1):
+                    break  # a comma with no entry beside it
+                store.fromlist(values)
+                if values and max(values) >= n:
+                    break
+                if cut < 0:
+                    return store
+                pos = cut + 1
+        except (ValueError, TypeError, OverflowError):
+            pass
+    return decoder.raw_decode(text, start)[0]
+
+
+def group_from_json(text: str, cap: int | None = None) -> tuple[TableGroup, int | None]:
+    """group_from_json_dict of a group_table document's JSON text, read
+    without building a list of the mult entries.
+
+    The top-level object is walked with the json module's own pieces
+    (scanstring for keys, raw_decode for values), so keys decode their
+    escapes and a repeated key keeps its last value, as in json.loads.  A
+    mult array with no string and no nested array in its text is packed
+    into the table store chunk by chunk (_read_flat_array); every other
+    document, and every refused array, takes the reference parse, so the
+    verdicts are the reference's.  A number with a fraction or an
+    exponent is refused while parsing, and a document nested deeper than
+    the parser's recursion limit raises ValueError."""
+    decoder = json.JSONDecoder(parse_float=_refuse_float)
+    try:
+        data = _scan_object(text, decoder)
+        if data is None:
+            data = json.loads(text, parse_float=_refuse_float)
+        elif type(data.get("mult")) is tuple:
+            start, end = data["mult"]
+            data["mult"] = _read_flat_array(text, start, end, _document_order(data, cap), decoder)
     except RecursionError:
         raise ValueError("group_table JSON is nested too deeply") from None
-    G, prime = group_from_json_dict(data, cap)
-    if ("true" in text or "false" in text) and set(map(type, G.table)) != {int}:
-        raise ValueError("group_table mult entries must be integers, not true or false")
-    return G, prime
+    return group_from_json_dict(data, cap)
 
 
 # -- invariant helpers ------------------------------------------------------

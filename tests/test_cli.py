@@ -243,9 +243,11 @@ def test_fusion_rejects_malformed_input(tmp_path):
 
 
 # C3's table with its last entry (1) replaced: out of range, not a number,
-# a float (refused even when integral) or a bool (equal to 1 or 0)
+# a float (refused even when integral, and NaN and the infinities, which
+# json writes bare) or a bool (equal to 1 or 0)
 BAD_ENTRIES = {"7": 7, "minus-1": -1, "str": "x", "float-1.5": 1.5, "float-1.0": 1.0,
-               "true": True, "false": False, "null": None, "list": []}
+               "true": True, "false": False, "null": None, "list": [], "nan": float("nan"),
+               "inf": float("inf"), "minus-inf": float("-inf"), "2**70": 2 ** 70}
 
 
 @pytest.mark.parametrize("doc", [
@@ -271,6 +273,18 @@ def test_fusion_malformed_table_is_usage_error(tmp_path, doc):
     assert res.returncode == 2
     assert res.stderr.startswith("fusionkit: error: ")
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+def test_fusion_reads_the_table_as_utf8_in_any_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"kind": "group_table", "order": 2, "mult": [0, 1, 1, 0],
+                                "labels": ["e", "\u03c3"], "prime": 2}, ensure_ascii=False),
+                    encoding="utf-8")
+    res = run_cli("fusion", "--input", str(path), "--format", "json",
+                  env_extra={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["group_order"] == 2
 
 
 @pytest.mark.parametrize("labels", [["e", "a"], "eab", None, ["e", "a", 2]],

@@ -7,6 +7,7 @@ Frozen names and orders below are classical facts (orders of symmetric and
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -100,24 +101,113 @@ def test_group_table_json_round_trip(name):
     for H, p in (group_from_json_dict(group_to_json_dict(G, 5)),
                  group_from_json(group_to_json(G, 5))):
         assert (H.order, H.identity, p) == (n, G.identity, 5)
-        assert H.table == [G.mult(i, j) for i in range(n) for j in range(n)]
+        assert list(H.table) == [G.mult(i, j) for i in range(n) for j in range(n)]
         assert [H.inv(i) for i in range(n)] == [G.inv(i) for i in range(n)]
         assert [H.label(i) for i in range(n)] == [G.label(i) for i in range(n)]
 
 
-def test_json_table_keeps_one_int_per_element():
-    # CPython caches the ints up to 256 only, so above that every entry
-    # would be its own object unless the reader shares equal ones; and
-    # the group keeps the parsed list, not a copy
-    import json
+def test_json_table_is_one_two_byte_store():
+    # the reader packs the mult array into 2-byte entries chunk by chunk,
+    # so it keeps about 2 bytes an entry and never holds a list of them,
+    # which alone would take 2.9 MB of pointers here
+    import sys
+    import tracemalloc
 
     from test_golden import relabeled
 
-    text = group_to_json(relabeled(cyclic_group(300), random.Random(3)))
-    G, _ = group_from_json(text)
-    assert len({id(x) for x in G.table}) <= G.order
-    data = json.loads(text)
-    assert group_from_json_dict(data)[0].table is data["mult"]
+    text = group_to_json(relabeled(cyclic_group(600), random.Random(3)))
+    tracemalloc.start()
+    try:
+        G, _ = group_from_json(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.table.itemsize == 2
+    assert list(G.table) == json.loads(text)["mult"]
+    labels = sys.getsizeof(G.labels) + sum(map(sys.getsizeof, G.labels))
+    assert kept <= 2.2 * 600 ** 2 + labels
+    assert peak < 2_000_000
+
+
+C3 = '"kind":"group_table","order":3'
+C3_MULT = "[0,1,2,1,2,0,2,0,1]"
+READER_DOCS = {
+    "whitespace": ' \n{ "kind" : "group_table" ,\n "order" : 3 , "mult" :\n [ 0 ,1,\n2 , 1,2,'
+                  '0 ,\t2,0,1\r\n ] }\n',
+    "mult-first": '{"mult":%s,%s}' % (C3_MULT, C3),
+    "mult-last": '{%s,"mult":%s}' % (C3, C3_MULT),
+    "escaped-key": '{%s,"\\u006dult":%s}' % (C3, C3_MULT),
+    "repeated-good-last": '{%s,"mult":[],"mult":%s}' % (C3, C3_MULT),
+    "repeated-good-first": '{%s,"mult":%s,"mult":[]}' % (C3, C3_MULT),
+    "repeated-escaped-last": '{%s,"mult":%s,"\\u006dult":[]}' % (C3, C3_MULT),
+    "repeated-escaped-first": '{%s,"\\u006dult":[],"mult":%s}' % (C3, C3_MULT),
+    "repeated-not-a-list": '{%s,"mult":%s,"mult":7}' % (C3, C3_MULT),
+    "nested-mult-before": '{%s,"x":{"mult":[5]},"mult":%s}' % (C3, C3_MULT),
+    "nested-mult-after": '{%s,"mult":%s,"x":{"mult":[0,0]}}' % (C3, C3_MULT),
+    "labels-spell-mult": '{%s,"labels":["\\"mult\\":[","]",","],"mult":%s}' % (C3, C3_MULT),
+    "labels-after": '{%s,"mult":%s,"labels":["\\"mult\\":[5]","]",","]}' % (C3, C3_MULT),
+    "string-entry-with-bracket": '{%s,"mult":[0,1,2,1,2,0,2,0,"]"]}' % C3,
+    "nested-entry": '{%s,"mult":[0,1,2,1,2,0,2,0,[1]]}' % C3,
+    "bool-entry": '{%s,"mult":[0,1,2,1,2,0,2,0,true]}' % C3,
+    "object-entry": '{%s,"mult":[0,1,2,1,2,0,2,0,{}]}' % C3,
+    "trailing-comma": '{%s,"mult":[0,1,2,1,2,0,2,0,1,]}' % C3,
+    "empty-entry": '{%s,"mult":[0,1,2,1,,2,0,2,0,1]}' % C3,
+    "unclosed-array": '{%s,"mult":[0,1,2,1,2,0,2,0,1}' % C3,
+    "unclosed-at-end": '{%s,"mult":[0,1,2' % C3,
+    "unclosed-object": '{%s,"mult":%s' % (C3, C3_MULT),
+    "extra-data": '{%s,"mult":%s} 5' % (C3, C3_MULT),
+    "not-an-object": "[%s]" % C3_MULT,
+}
+
+
+def _read_both(text):
+    """group_from_json(text) and the reference group_from_json_dict of
+    json.loads(text): the table, labels and prime, or the ValueError
+    raised."""
+    out = []
+    for read in (group_from_json, lambda t: group_from_json_dict(json.loads(t))):
+        try:
+            G, p = read(text)
+            out.append((list(G.table), G.labels, p))
+        except ValueError as exc:  # json.JSONDecodeError included
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("name", list(READER_DOCS))
+def test_text_reader_agrees_with_the_reference(name):
+    text = READER_DOCS[name]
+    got, want = _read_both(text)
+    if isinstance(want, json.JSONDecodeError):
+        # the same message and position in the document as json.loads
+        assert type(got) is json.JSONDecodeError and str(got) == str(want)
+    elif isinstance(want, ValueError):
+        assert isinstance(got, ValueError)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("entry", ["1", "299", "300", "-1", "1.5", "true", "NaN", "null", "", "7 "])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_text_reader_entry_at_a_chunk_cut(entry, side):
+    # C300's table spans several chunks; the entry just before (-1) or
+    # just after (+1) the first cut is replaced, padded with spaces so
+    # that the cut stays beside it
+    from test_golden import relabeled
+
+    text = group_to_json(relabeled(cyclic_group(300), random.Random(5)))
+    start = text.index('"mult":[') + len('"mult":[')
+    assert len(text) - start > 4 * fingroup.MULT_CHUNK
+    cut = text.index(",", start + fingroup.MULT_CHUNK)
+    a, b = (text.rindex(",", 0, cut) + 1, cut) if side < 0 else (cut + 1, text.index(",", cut + 1))
+    entry = entry.rjust(b - a)
+    text = text[:a] + entry + text[b:]
+    assert text.index(",", start + fingroup.MULT_CHUNK) == (a + len(entry) if side < 0 else cut)
+    got, want = _read_both(text)
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and (str(got) == str(want) or "1.5" in entry)
+    else:
+        assert got == want
 
 
 def test_symmetric_group_basics():
