@@ -323,7 +323,7 @@ def cmd_fusion(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else DEFAULT_CAP
     with open(args.input, encoding="utf-8") as fh:
         try:
-            G, file_prime = group_from_json(fh.read(), cap)
+            G, file_prime = group_from_json(fh, cap)
         except CapExceeded as exc:
             raise CapExceeded(str(exc) + _env_note(args, ("cap",))) from None
     p = args.prime if args.prime is not None else file_prime

@@ -30,8 +30,10 @@ complement search over the product of the lift lists, and structure
 recognition against natively built reference groups (2x2 matrix groups
 over F_p, symmetric and cyclic groups).  A TableGroup holds its flat
 multiplication table in one unsigned array (table_store: 2 bytes an entry
-up to order 65536), and group_from_json packs a document's mult array
-into it chunk by chunk, never building a list of the entries.
+up to order 65536).  group_from_json reads a document from an open text
+file MULT_CHUNK characters at a time and packs its mult array into that
+store chunk by chunk, so it never holds the whole text or a list of the
+entries; a refused document takes the reference parse of json.loads.
 normalizer scans G; it is the reference that fusion's stabilizers are
 tested against.
 """
@@ -926,8 +928,9 @@ def group_to_json(G: FiniteGroup, prime: int | None = None) -> str:
     return canonical_json(group_to_json_dict(G, prime))
 
 
-# characters of a mult array that group_from_json parses at a time
-MULT_CHUNK = 1 << 16
+# characters of a group_table document that group_from_json reads at a
+# time, and of its mult array that it parses at a time
+MULT_CHUNK = 1 << 14
 
 
 def _document_order(data, cap):
@@ -972,92 +975,172 @@ def _refuse_float(literal):
     raise ValueError("group_table numbers must be integers, got %s" % literal)
 
 
-def _scan_object(text, decoder):
-    """The top-level object of a JSON text as json.loads parses it, walked
-    key by key, except that a "mult" array whose text holds no string and
-    no nested array is left unparsed as its (start, end) positions; None
-    when the text is not an object or the walk meets a syntax error."""
-    ws = json.decoder.WHITESPACE.match
-    i = ws(text).end()
-    if not text.startswith("{", i):
+class _TextReader:
+    """A JSON text read from a file MULT_CHUNK characters at a time, or
+    given whole as a str.  buf holds what has been read and not yet
+    dropped; eof says that nothing is left to read."""
+
+    def __init__(self, source):
+        if isinstance(source, str):
+            self.fh, self.buf, self.eof = None, source, True
+        else:
+            self.fh, self.buf, self.eof = source, "", False
+
+    def refill(self, i):
+        """Drop buf[:i] and read on: MULT_CHUNK characters, or as many as
+        buf keeps if that is more, so that a long value takes a number of
+        refills logarithmic in its length.  Returns 0, where buf[i] is now."""
+        more = self.fh.read(max(MULT_CHUNK, len(self.buf) - i))
+        self.buf, self.eof = self.buf[i:] + more, not more
+        return 0
+
+    def scan(self, i, step):
+        """step(buf, i) -> (value, end), read again after a refill while it
+        fails or ends at the end of buf and the text goes on."""
+        while True:
+            try:
+                value, end = step(self.buf, i)
+                if end < len(self.buf) or self.eof:
+                    return value, end
+            except ValueError:  # json.JSONDecodeError, or a refused float
+                if self.eof:
+                    raise
+            i = self.refill(i)
+
+
+def _skip_ws(buf, i):
+    return None, json.decoder.WHITESPACE.match(buf, i).end()
+
+
+def _scan_object(text, decoder, cap):
+    """The top-level object of a _TextReader's JSON text as json.loads
+    parses it, walked key by key, except that a "mult" array is packed as
+    _pack_flat_array says, and stands as refused once any mult array was,
+    since a later key does not make the text parse; None when the text is
+    not an object, the walk meets a syntax error, or a mult array holds a
+    string or a nested array."""
+    _, i = text.scan(0, _skip_ws)
+    if not text.buf.startswith("{", i):
         return None
-    data, i, delim = {}, ws(text, i + 1).end(), ","
-    if text.startswith("}", i):
+    data, delim, refused = {}, ",", False
+    _, i = text.scan(i + 1, _skip_ws)
+    if text.buf.startswith("}", i):
         i, delim = i + 1, "}"
     try:
         while delim == ",":
-            if not text.startswith('"', i):
+            if not text.buf.startswith('"', i):
                 return None
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = ws(text, i).end()
-            if not text.startswith(":", i):
+            key, i = text.scan(i + 1, json.decoder.scanstring)
+            _, i = text.scan(i, _skip_ws)
+            if not text.buf.startswith(":", i):
                 return None
-            i = ws(text, i + 1).end()
-            end = text.find("]", i) if key == "mult" and text.startswith("[", i) else -1
-            if end > 0 and text.find('"', i, end) < 0 and text.find("[", i + 1, end) < 0:
-                data[key], i = (i, end), end + 1
+            _, i = text.scan(i + 1, _skip_ws)
+            if key == "mult" and text.buf.startswith("[", i):
+                data[key], i = _pack_flat_array(text, i, data.get("order"), cap)
+                refused = refused or data[key][0] is None
             else:
-                data[key], i = decoder.raw_decode(text, i)
-            i = ws(text, i).end()
-            delim = text[i:i + 1]
+                data[key], i = text.scan(i, decoder.raw_decode)
+            _, i = text.scan(i, _skip_ws)
+            delim = text.buf[i:i + 1]
             if delim not in (",", "}"):
                 return None
-            i = ws(text, i + 1).end()
+            _, i = text.scan(i + 1, _skip_ws)
     except ValueError:  # json.JSONDecodeError
         return None
-    return data if ws(text, i).end() == len(text) else None
+    if refused:
+        data["mult"] = (None, -1)
+    return data if i == len(text.buf) else None
 
 
-def _read_flat_array(text, start, end, n, decoder):
-    """The flat JSON array text[start:end + 1] packed into the table store
-    of an order-n group.  It is parsed MULT_CHUNK characters at a time,
-    cut at commas, and each chunk's entries are checked to lie in
-    0..n-1.  Where a chunk does not parse or holds a value the store
-    refuses, and where the text holds an e (outside strings only true,
-    false and exponents spell one, and the store takes none of them),
-    the array's reference parse is returned instead: a list for
-    group_from_json_dict to refuse, or the parser's error at its
-    position in the document."""
-    if text.find("e", start, end) < 0:
-        store, pos = table_store((), n), start + 1
+def _pack_flat_array(text, i, order, cap):
+    """The JSON array at text.buf[i] as (store, top) and the position past
+    its first "]": its entries packed into a table store (of an order-order
+    group, while the walk has met order as an int) and the largest of
+    them.  The text is read and parsed MULT_CHUNK characters at a time,
+    cut at the first comma at least MULT_CHUNK characters past the last
+    cut.  The store is None where order is over cap, and where a chunk
+    does not parse, holds a value the store refuses, or holds an e
+    (outside strings only true, false and exponents spell one, and the
+    store takes none of them); the walk still goes on to the array's end.
+    Raises ValueError when the array holds a string or a nested array, or
+    the text has no "]"."""
+    if type(order) is not int:
+        order = 0
+    store = table_store((), order) if cap is None or order <= cap else None
+    top, pos, first = -1, i + 1, True
+    while True:
+        buf = text.buf
+        end = buf.find("]", pos)
+        cut = buf.find(",", pos + MULT_CHUNK, len(buf) if end < 0 else end)
+        if end < 0 and cut < 0:
+            if text.eof:
+                raise ValueError("mult array is not closed")
+            pos = text.refill(pos)
+            continue
+        chunk = buf[pos:end if cut < 0 else cut]
+        if '"' in chunk or "[" in chunk:
+            raise ValueError("mult array is not flat")
+        if store is not None:
+            store, top = _pack_chunk(store, top, chunk, cut < 0 and first)
+        if cut < 0:
+            return (store, top), end + 1
+        pos, first = cut + 1, False
+
+
+def _pack_chunk(store, top, chunk, whole):
+    """store with the entries of chunk, a piece of a flat JSON array (the
+    whole array when whole), appended, and the largest entry so far;
+    (None, top) where the piece is refused."""
+    if "e" not in chunk:
         try:
-            while True:
-                cut = text.find(",", pos + MULT_CHUNK, end)
-                values = json.loads("[" + text[pos:end if cut < 0 else cut] + "]")
-                if not values and (cut >= 0 or pos > start + 1):
-                    break  # a comma with no entry beside it
+            values = json.loads("[" + chunk + "]")
+            if values or whole:  # else a comma with no entry beside it
                 store.fromlist(values)
-                if values and max(values) >= n:
-                    break
-                if cut < 0:
-                    return store
-                pos = cut + 1
+                return store, max(top, max(values, default=top))
         except (ValueError, TypeError, OverflowError):
             pass
-    return decoder.raw_decode(text, start)[0]
+    return None, top
 
 
-def group_from_json(text: str, cap: int | None = None) -> tuple[TableGroup, int | None]:
-    """group_from_json_dict of a group_table document's JSON text, read
-    without building a list of the mult entries.
+def group_from_json(source, cap: int | None = None) -> tuple[TableGroup, int | None]:
+    """group_from_json_dict of a group_table document, read from an open
+    text file or a str without holding the whole text or building a list
+    of the mult entries.
 
-    The top-level object is walked with the json module's own pieces
-    (scanstring for keys, raw_decode for values), so keys decode their
-    escapes and a repeated key keeps its last value, as in json.loads.  A
-    mult array with no string and no nested array in its text is packed
-    into the table store chunk by chunk (_read_flat_array); every other
-    document, and every refused array, takes the reference parse, so the
-    verdicts are the reference's.  A number with a fraction or an
-    exponent is refused while parsing, and a document nested deeper than
-    the parser's recursion limit raises ValueError."""
+    A file is read MULT_CHUNK characters at a time, and what the walk has
+    passed is dropped.  The top-level object is walked with the json
+    module's own pieces (scanstring for keys, raw_decode for values), so
+    keys decode their escapes and a repeated key keeps its last value, as
+    in json.loads; a value that reaches the end of what has been read is
+    read again after a refill.  A mult array is packed into the table
+    store chunk by chunk (_pack_flat_array), so the reader holds about 2
+    bytes an entry.  Every other document, and every refused array,
+    takes the reference parse of the whole text (json.loads, then
+    group_from_json_dict), so the verdicts are the reference's; a refused
+    flat array waits for the walk's end, where the document's kind, order
+    and cap are checked first.  An array after an order over cap is not
+    packed, and one before the order is packed before the cap refuses
+    it.  A file that cannot seek back, such as a pipe, is read whole.  A
+    number with a fraction or an exponent is refused while parsing, and a
+    document nested deeper than the parser's recursion limit raises
+    ValueError."""
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    start = None if isinstance(source, str) else source.tell()
     decoder = json.JSONDecoder(parse_float=_refuse_float)
     try:
-        data = _scan_object(text, decoder)
+        data = _scan_object(_TextReader(source), decoder, cap)
+        if data is not None and type(data.get("mult")) is tuple:
+            (store, top), n = data["mult"], _document_order(data, cap)
+            if store is not None and top < n:
+                data["mult"] = table_store(store, n)
+            else:
+                data = None
         if data is None:
-            data = json.loads(text, parse_float=_refuse_float)
-        elif type(data.get("mult")) is tuple:
-            start, end = data["mult"]
-            data["mult"] = _read_flat_array(text, start, end, _document_order(data, cap), decoder)
+            if start is not None:
+                source.seek(start)
+                source = source.read()
+            data = json.loads(source, parse_float=_refuse_float)
     except RecursionError:
         raise ValueError("group_table JSON is nested too deeply") from None
     return group_from_json_dict(data, cap)

@@ -13,10 +13,10 @@ import sys
 
 import pytest
 
-from fusionkit.fingroup import group_to_json, symmetric_group
+from fusionkit.fingroup import cyclic_group, group_to_json, symmetric_group
 
 
-def run_cli(*args: str, env_extra: dict | None = None):
+def run_cli(*args: str, env_extra: dict | None = None, stdin: str | None = None):
     env = dict(os.environ)
     for key in list(env):
         if key.startswith("FUSIONKIT_"):
@@ -28,6 +28,7 @@ def run_cli(*args: str, env_extra: dict | None = None):
         capture_output=True,
         text=True,
         env=env,
+        input=stdin,
         timeout=300,
     )
 
@@ -285,6 +286,85 @@ def test_fusion_reads_the_table_as_utf8_in_any_locale(tmp_path):
                   env_extra={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["group_order"] == 2
+
+
+def test_fusion_reads_the_table_without_holding_its_text(tmp_path, monkeypatch):
+    # the 1.4 MB document of a relabeled C600 is read into the 2-byte
+    # table store, 0.72 MB, and never held whole; the engine is stopped
+    # before it starts
+    import random
+    import tracemalloc
+
+    from fusionkit import cli
+    from test_golden import relabeled
+
+    path = tmp_path / "c600.json"
+    path.write_text(group_to_json(relabeled(cyclic_group(600), random.Random(3)), prime=5))
+    read = {}
+
+    class Stop(Exception):
+        pass
+
+    def stop(G, p):
+        read["G"] = G
+        read["kept"], read["peak"] = tracemalloc.get_traced_memory()
+        raise Stop
+
+    monkeypatch.setattr(cli, "FusionData", stop)
+    args = cli.build_parser().parse_args(["fusion", "--input", str(path)])
+    cli._resolve(args)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            args.func(args)
+    finally:
+        tracemalloc.stop()
+    G = read["G"]
+    assert G.order == 600 and G.table.itemsize == 2
+    labels = sys.getsizeof(G.labels) + sum(map(sys.getsizeof, G.labels))
+    assert read["kept"] <= 2.2 * 600 ** 2 + labels
+    assert read["peak"] < 1_000_000
+
+
+EMPTY_ENTRY = '{"kind":"group_table","order":3,"mult":[0,1,2,1,,2,0,2,0,1]}'
+
+
+def test_fusion_reads_a_piped_table(tmp_path):
+    # a pipe cannot seek back for the reference parse, so it is read whole
+    path = tmp_path / "s4.json"
+    path.write_text(group_to_json(symmetric_group(4), prime=2))
+    from_file = run_cli("fusion", "--input", str(path), "--format", "json")
+    piped = run_cli("fusion", "--input", "/dev/stdin", "--format", "json", stdin=path.read_text())
+    assert from_file.returncode == piped.returncode == 0, piped.stderr
+    assert piped.stdout == from_file.stdout
+    bad = run_cli("fusion", "--input", "/dev/stdin", stdin=EMPTY_ENTRY)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(EMPTY_ENTRY)
+    assert bad.returncode == 2
+    assert bad.stderr == "fusionkit: error: %s\n" % want.value
+    assert "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize("indent, message", [
+    (None, "line 1 column 200003 (char 200002)"),
+    (1, "line 60163 column 7 (char 400002)"),
+], ids=["one-line", "indented"])
+def test_fusion_reports_a_late_syntax_error_where_json_does(tmp_path, indent, message):
+    # an empty entry far past the first chunk of a C300 table is reported
+    # with the line, column and position that json.loads gives
+    import random
+
+    from test_golden import relabeled
+
+    text = group_to_json(relabeled(cyclic_group(300), random.Random(5)), prime=3)
+    if indent:
+        text = json.dumps(json.loads(text), indent=indent)
+    late = text.index(",", 400000 if indent else 200000)
+    path = tmp_path / "late.json"
+    path.write_text(text[:late] + "," + text[late:])
+    res = run_cli("fusion", "--input", str(path))
+    assert res.returncode == 2
+    assert res.stderr == "fusionkit: error: Expecting value: %s\n" % message
 
 
 @pytest.mark.parametrize("labels", [["e", "a"], "eab", None, ["e", "a", 2]],

@@ -7,6 +7,7 @@ Frozen names and orders below are classical facts (orders of symmetric and
 
 from __future__ import annotations
 
+import io
 import json
 import random
 
@@ -142,6 +143,7 @@ READER_DOCS = {
     "repeated-escaped-last": '{%s,"mult":%s,"\\u006dult":[]}' % (C3, C3_MULT),
     "repeated-escaped-first": '{%s,"\\u006dult":[],"mult":%s}' % (C3, C3_MULT),
     "repeated-not-a-list": '{%s,"mult":%s,"mult":7}' % (C3, C3_MULT),
+    "repeated-empty-entry-first": '{%s,"mult":[0,,1],"mult":%s}' % (C3, C3_MULT),
     "nested-mult-before": '{%s,"x":{"mult":[5]},"mult":%s}' % (C3, C3_MULT),
     "nested-mult-after": '{%s,"mult":%s,"x":{"mult":[0,0]}}' % (C3, C3_MULT),
     "labels-spell-mult": '{%s,"labels":["\\"mult\\":[","]",","],"mult":%s}' % (C3, C3_MULT),
@@ -160,6 +162,23 @@ READER_DOCS = {
 }
 
 
+def _outcome(source):
+    """group_from_json(source): the table, labels and prime, or the type
+    and message of the ValueError raised."""
+    try:
+        G, p = group_from_json(source)
+        return list(G.table), G.labels, p
+    except ValueError as exc:  # json.JSONDecodeError included
+        return type(exc), str(exc)
+
+
+def _outcome_from_file(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return _outcome(fh)
+
+
 def _read_both(text):
     """group_from_json(text) and the reference group_from_json_dict of
     json.loads(text): the table, labels and prime, or the ValueError
@@ -175,7 +194,7 @@ def _read_both(text):
 
 
 @pytest.mark.parametrize("name", list(READER_DOCS))
-def test_text_reader_agrees_with_the_reference(name):
+def test_text_reader_agrees_with_the_reference(name, tmp_path):
     text = READER_DOCS[name]
     got, want = _read_both(text)
     if isinstance(want, json.JSONDecodeError):
@@ -185,11 +204,90 @@ def test_text_reader_agrees_with_the_reference(name):
         assert isinstance(got, ValueError)
     else:
         assert got == want
+    # read from a real file, and with each character of the document in
+    # turn at the edge of the first MULT_CHUNK characters read, so that
+    # every token is cut by a refill somewhere
+    assert _outcome_from_file(tmp_path, text) == _outcome(text)
+    for q in range(len(text) + 1):
+        padded = " " * (fingroup.MULT_CHUNK - q) + text
+        assert _outcome(io.StringIO(padded)) == _outcome(padded)
+
+
+MALFORMED_MULTS = ["[0,,1]", "[0,1.5]", '[0,"a"]']
+
+
+@pytest.mark.parametrize("mult", MALFORMED_MULTS)
+@pytest.mark.parametrize("mult_first", [True, False], ids=["mult-first", "mult-last"])
+@pytest.mark.parametrize("head, verdict", [
+    ('"kind":"group_table","order":5', (CapExceeded, "input group order 5 exceeds cap 2")),
+    ('"kind":"other","order":1', (ValueError, "not a group_table document")),
+], ids=["over-cap", "wrong-kind"])
+def test_document_checks_win_over_a_malformed_mult(mult, mult_first, head, verdict, tmp_path):
+    # a wrong kind or an order over the cap is reported, not the array,
+    # wherever the array stands, from a str and from a file alike
+    body = ['"mult":' + mult, head]
+    text = "{%s}" % ",".join(body if mult_first else body[::-1])
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with open(path, encoding="utf-8") as fh:
+        for source in (text, fh):
+            with pytest.raises(verdict[0]) as exc:
+                group_from_json(source, 2)
+            assert type(exc.value) is verdict[0] and str(exc.value) == verdict[1]
+
+
+def test_order_over_cap_leaves_the_array_unpacked(tmp_path):
+    # with an order over the cap before it, the array is read to its end
+    # but not packed into a store, which alone would take 600 KB here; an
+    # order under the cap that comes later still wins
+    import tracemalloc
+
+    path = tmp_path / "big.json"
+    entries = ",".join(["7"] * 300000)
+    path.write_text('{"kind":"group_table","order":1000000,"mult":[%s]}' % entries)
+    with open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="^input group order 1000000 exceeds cap 10$"):
+                group_from_json(fh, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 300_000
+    later = '{"kind":"group_table","order":5,"mult":%s,"order":3}' % C3_MULT
+    G, _ = group_from_json(io.StringIO(later), 3)
+    assert list(G.table) == json.loads(C3_MULT)
+
+
+def test_file_reader_refills_and_reads_a_pipe_whole(tmp_path):
+    # a mult array many refills long keeps its verdicts, a syntax error
+    # past the first refills included, and a pipe, which cannot seek back
+    # to the start for the reference parse, is read whole
+    from test_golden import relabeled
+
+    text = group_to_json(relabeled(cyclic_group(300), random.Random(5)), prime=3)
+    good = _outcome(text)
+    assert _outcome_from_file(tmp_path, text) == good
+    late = text.index(",", 5 * fingroup.MULT_CHUNK)
+    bad = text[:late] + "," + text[late:]
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(bad)
+    assert _outcome_from_file(tmp_path, bad) == (json.JSONDecodeError, str(want.value))
+
+    class Pipe(io.StringIO):
+        def seekable(self):
+            return False
+
+        def seek(self, *args):
+            raise io.UnsupportedOperation("seek")
+
+    assert _outcome(Pipe(text)) == good
+    assert _outcome(Pipe(bad)) == (json.JSONDecodeError, str(want.value))
 
 
 @pytest.mark.parametrize("entry", ["1", "299", "300", "-1", "1.5", "true", "NaN", "null", "", "7 "])
 @pytest.mark.parametrize("side", [-1, 1])
-def test_text_reader_entry_at_a_chunk_cut(entry, side):
+def test_text_reader_entry_at_a_chunk_cut(entry, side, tmp_path):
     # C300's table spans several chunks; the entry just before (-1) or
     # just after (+1) the first cut is replaced, padded with spaces so
     # that the cut stays beside it
@@ -208,6 +306,7 @@ def test_text_reader_entry_at_a_chunk_cut(entry, side):
         assert isinstance(got, ValueError) and (str(got) == str(want) or "1.5" in entry)
     else:
         assert got == want
+    assert _outcome_from_file(tmp_path, text) == _outcome(text)
 
 
 def test_symmetric_group_basics():
