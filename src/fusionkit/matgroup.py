@@ -36,6 +36,7 @@ from .fingroup import (
     FiniteGroup,
     PermGroup,
     bfs_closure,
+    centralizer,
     perm_closure,
 )
 
@@ -340,7 +341,10 @@ class MatrixGroup(PermGroup):
 
 
 def scalar_indices(G: MatrixGroup) -> list[int]:
-    return [i for i in range(G.order) if G.matrix(i).is_scalar()]
+    """The indices of the scalar matrices of G, in index order.  A scalar
+    commutes with everything, so only the centralizer of G's generators
+    is scanned."""
+    return [i for i in centralizer(G, G.generator_indices) if G.matrix(i).is_scalar()]
 
 
 # -- torus truncation membership -------------------------------------------

@@ -183,7 +183,7 @@ def test_criterion_05_p2_suite():
     assert o48.order == 48
     cfg = CaseConfig("sup", 2)
     rep = VerificationReport(cfg)
-    build_normalizers(cfg, rep)
+    build_normalizers(cfg, rep, q8)
     ok = passed_ids(rep)
     assert {"normalizer.q16_recognize", "normalizer.o48_recognize"} <= ok
     elapsed = time.perf_counter() - start

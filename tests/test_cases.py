@@ -10,20 +10,35 @@ normalizer p^4(p-1), full normalizer p^4(p^2-1), and at p = 2 the orders
 from __future__ import annotations
 
 import pytest
+from test_acceptance import _chain_normalizer_group
 
+from fusionkit import cases
 from fusionkit.cases import (
     AZ_PRIME_OF_INDEX,
     CaseConfig,
     VerificationReport,
     all_configs,
+    build_normalizers,
+    chain_certificate,
     chain_classes,
+    d_sigma_matrices,
     emit_decomposition,
     gamma_matrices,
     run_suite,
+    verify_gamma,
     weyl_op_trivial,
 )
-from fusionkit.fingroup import generated_subgroup, symmetric_group
-from fusionkit.matgroup import closure, in_truncated_torus_extension, std_matrix
+from fusionkit.cyclo import CycNum
+from fusionkit.extraspecial import heisenberg_semidirect
+from fusionkit.fingroup import (
+    generated_subgroup,
+    hom_by_generators,
+    mat2_group,
+    sesverify,
+    smallest_primitive_root,
+    symmetric_group,
+)
+from fusionkit.matgroup import CycMatrix, closure, in_truncated_torus_extension, std_matrix
 
 
 def suite_ids(rep: VerificationReport) -> list[str]:
@@ -125,6 +140,154 @@ def test_chain_normalizer_orders_frozen():
         S = std_matrix(p, "sigma", k=smallest_primitive_root(p))
         G = closure([A, B, D, S], expected=expect)
         assert G.order == expect == p ** 4 * (p - 1)
+
+
+CHAIN_IDS = ("normalizer.chain_order", "normalizer.chain_normal", "normalizer.chain_quotient",
+             "normalizer.chain_split", "normalizer.chain_embedding")
+
+
+def _chain_inputs(p: int):
+    """Gamma, K's generators D and sigma_g with their USL2 matrices, and
+    the full model, as build_normalizers passes them at level 1."""
+    A, B = gamma_matrices(CaseConfig("sup", p))
+    g = smallest_primitive_root(p)
+    k_gens = [std_matrix(p, "D"), std_matrix(p, "sigma", k=g)]
+    gam = closure([A, B], expected=p ** 3)
+    return gam, k_gens, d_sigma_matrices(p, g), heisenberg_semidirect(p, "SL")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chain_certificate_matches_the_enumerated_route(p):
+    """The certificate against the route it replaced: close N, sesverify
+    over it, and propagate the embedding over all of N.  Same order,
+    verdicts, complement order and index; at p in {3, 5} f is the
+    enumerated embedding element by element."""
+    gam, k_gens, k_usl, n_full = _chain_inputs(p)
+    cert = chain_certificate(gam, k_gens, k_usl, n_full)
+
+    n_chain, (A, B) = _chain_normalizer_group(p)
+    a_i, b_i, d_i, sg_i = n_chain.generator_indices
+    ses = sesverify(n_chain, generated_subgroup(n_chain, [a_i, b_i]),
+                    Q_expected=mat2_group(p, "USL"), hint_lifts=[d_i, sg_i])
+    hberg, sl = n_full.N, n_full.H
+    emb = hom_by_generators(
+        n_chain, n_full, n_chain.generator_indices,
+        [n_full.encode(hberg.a_index, sl.identity), n_full.encode(hberg.b_index, sl.identity)]
+        + [n_full.encode(hberg.identity, sl.index[M]) for M in k_usl],
+    )
+    embedded = emb is not None and len(set(emb)) == n_chain.order
+
+    assert cert.order == n_chain.order == p ** 4 * (p - 1)
+    verdicts = (cert.normal, cert.quotient, cert.complement_order > 0, cert.embedded)
+    assert verdicts == (ses.is_normal, ses.quotient_iso is not None, ses.split is True, embedded)
+    assert all(verdicts)
+    assert cert.complement_order == len(ses.complement) == p * (p - 1)
+    assert n_full.order // cert.order == n_full.order // n_chain.order == p + 1
+    if p == 7:
+        return
+    K = cert.K
+    seen = set()
+    for x in range(gam.order):
+        for k in range(K.order):
+            i = n_chain.index_of(gam.matrix(x) * K.matrix(k))
+            assert emb[i] == n_full.mult(cert.f_gam[x], cert.f_k[k])
+            seen.add(i)
+    assert len(seen) == n_chain.order
+
+
+def _chain_statuses(monkeypatch, p, mutate):
+    """The chain checks of build_normalizers when chain_certificate gets
+    mutate(k_gens, k_usl) in place of D, sigma_g and their USL2 matrices."""
+    real = cases.chain_certificate
+
+    def mutated(gam, k_gens, k_usl, n_full):
+        return real(gam, *mutate(list(k_gens), list(k_usl)), n_full)
+
+    cfg = CaseConfig("sup", p)
+    rep = VerificationReport(cfg)
+    gam = verify_gamma(cfg, rep)
+    monkeypatch.setattr(cases, "chain_certificate", mutated)
+    build_normalizers(cfg, rep, gam)
+    status = {c.check_id: c.status for c in rep.checks}
+    witness = {c.check_id: c.witness for c in rep.checks}
+    return [status[i] for i in CHAIN_IDS], witness
+
+
+def test_chain_certificate_unmutated_passes(monkeypatch):
+    got, witness = _chain_statuses(monkeypatch, 5, lambda k, u: (k, u))
+    assert got == ["pass"] * 5
+    assert witness["normalizer.chain_order"] == {"order": 2500, "expected": 2500}
+    assert witness["normalizer.chain_split"] == {"complement_order": 20}
+    assert witness["normalizer.chain_embedding"] == {"index": 6}
+
+
+def _swap12(p: int) -> CycMatrix:
+    """The permutation matrix of the transposition (1 2) of the basis."""
+    one, zero = CycNum.one(p), CycNum.zero(p)
+    perm = [1, 0] + list(range(2, p))
+    return CycMatrix(p, p, [[one if j == perm[i] else zero for j in range(p)] for i in range(p)])
+
+
+def test_chain_certificate_rejects_a_non_normalizing_generator(monkeypatch):
+    # the transposition (1 2) conjugates A to diag(z, 1, ...), which lies
+    # outside Gamma
+    got, witness = _chain_statuses(monkeypatch, 5, lambda k, u: ([k[0], _swap12(5)], u))
+    status = dict(zip(CHAIN_IDS, got))
+    assert status["normalizer.chain_normal"] == "fail"
+    assert status["normalizer.chain_order"] == "fail"
+    assert status["normalizer.chain_embedding"] == "fail"
+    assert witness["normalizer.chain_order"]["order"] is None
+    assert witness["normalizer.chain_embedding"]["index"] is None
+
+
+def test_chain_certificate_rejects_a_conjugate_of_k(monkeypatch):
+    # K conjugated by (1 2) is still USL2, but it does not normalize
+    # Gamma, so Gamma K is no group and N/Gamma is not K
+    s = _swap12(5)
+    got, _ = _chain_statuses(monkeypatch, 5, lambda k, u: ([s * x * s for x in k], u))
+    assert got == ["fail"] * 5
+
+
+def test_chain_certificate_rejects_a_complement_meeting_gamma(monkeypatch):
+    # K = <D, sigma_g, A> holds A, so it meets Gamma and is no complement
+    A = std_matrix(5, "A")
+    got, witness = _chain_statuses(monkeypatch, 5, lambda k, u: (k + [A], u + [(1, 0, 0, 1)]))
+    status = dict(zip(CHAIN_IDS, got))
+    assert status["normalizer.chain_normal"] == "pass"
+    assert status["normalizer.chain_split"] == "fail"
+    assert witness["normalizer.chain_split"]["complement_order"] == 0
+    assert witness["normalizer.chain_order"]["order"] is None
+
+
+def test_chain_certificate_rejects_a_wrong_sl2_image(monkeypatch):
+    # [[1,1],[0,1]] in place of D's [[1,2],[0,1]]: K is still USL2, but
+    # conjugation by D is not the action of that matrix on Gamma
+    got, witness = _chain_statuses(monkeypatch, 5, lambda k, u: (k, [(1, 1, 0, 1)] + u[1:]))
+    assert got == ["pass", "pass", "pass", "pass", "fail"]
+    assert witness["normalizer.chain_embedding"]["index"] is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_tower_closes_nothing_past_gamma(monkeypatch, p):
+    """The odd-p tower never closes the chain normalizer: no closure past
+    p^3 elements and no sesverify call."""
+    cfg = CaseConfig("sup", p)
+    rep = VerificationReport(cfg)
+    gam = verify_gamma(cfg, rep)
+    sizes, ses_calls = [], []
+    real_closure = cases.closure
+
+    def counted_closure(*args, **kwargs):
+        G = real_closure(*args, **kwargs)
+        sizes.append(G.order)
+        return G
+
+    monkeypatch.setattr(cases, "closure", counted_closure)
+    monkeypatch.setattr(cases, "sesverify", lambda *a, **k: ses_calls.append(a))
+    build_normalizers(cfg, rep, gam)
+    assert rep.all_ok, rep.failed_ids()
+    assert sizes == [p * (p - 1)]
+    assert ses_calls == []
 
 
 def test_tau_dichotomy_in_reports():

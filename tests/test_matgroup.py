@@ -122,6 +122,31 @@ def test_closure_orders():
         assert len(scalar_indices(G)) == p
 
 
+def _scalar_test_groups(p: int):
+    """Gamma at p, and beside it a group with more scalars (p = 2: O48 and
+    the core with the eighth-root scalars; p = 3: the level-2 core with
+    the ninth-root scalars) or with the identity alone (<D, sigma_g>)."""
+    A, B = gamma_matrices(CaseConfig("sup", p))
+    yield closure([A, B]), p
+    if p == 2:
+        yield closure([A, B, std_matrix(2, "F"), std_matrix(2, "H")]), 2
+        yield closure([A, B, CycMatrix.identity(2, 8).scalar_mul(CycNum.zeta(8, 1))]), 8
+        return
+    yield closure([std_matrix(p, "D"), std_matrix(p, "sigma", k=smallest_primitive_root(p))]), 1
+    if p == 3:
+        A9, B9 = gamma_matrices(CaseConfig("sup", 3, level=2))
+        yield closure([A9, B9, CycMatrix.identity(3, 9).scalar_mul(CycNum.zeta(9, 1))]), 9
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scalar_indices_agree_with_the_full_scan(p):
+    # scalar_indices scans only the centralizer of the generators
+    for G, scalars in _scalar_test_groups(p):
+        full = [i for i in range(G.order) if G.matrix(i).is_scalar()]
+        assert scalar_indices(G) == full
+        assert len(full) == scalars
+
+
 def test_diagonal_matrix_relations():
     for p in (3, 5, 7):
         A = std_matrix(p, "A")
@@ -196,8 +221,10 @@ def test_p2_catalog():
 
 
 def test_p7_chain_normalizer_store_is_small():
-    # the largest closure verify builds: 14406 permutations of the 98
-    # orbit points, one byte per point (as tuples of ints, about 12 MB)
+    # the closure of the p = 7 chain normalizer, which verify certifies
+    # from Gamma and K without closing it, but test_acceptance's
+    # enumerated route builds: 14406 permutations of the 98 orbit
+    # points, one byte per point (as tuples of ints, about 12 MB)
     p = 7
     gens = [std_matrix(p, w) for w in "ABD"] + [std_matrix(p, "sigma", k=smallest_primitive_root(p))]
     G = closure(gens, expected=p ** 4 * (p - 1))
@@ -401,8 +428,9 @@ def _assert_propagates_as_mult_bfs(G, cases):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_propagate_hom_into_semidirect_matches_mult_bfs(p):
-    """The chain embedding of build_normalizers, whose target steps are
-    SemidirectGroup.right_mult: the same map in the same order as the
+    """The chain embedding propagated over the whole chain normalizer (the
+    enumerated route that cases.chain_certificate replaced), whose target
+    steps are SemidirectGroup.right_mult: the same map in the same order as the
     mult BFS, and the same verdict for a wrong image (a*z, 1)."""
     cfg = CaseConfig("sup", p)
     A, B = gamma_matrices(cfg)
