@@ -56,6 +56,7 @@ from .fingroup import (
     symmetric_group,
 )
 from .matgroup import (
+    CapExceeded,
     CycMatrix,
     MatrixGroup,
     closure,
@@ -276,7 +277,12 @@ def scalar_matrix(cfg: CaseConfig, order: int) -> CycMatrix:
 # -- gamma ------------------------------------------------------------------
 
 
-def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
+def verify_gamma(cfg: CaseConfig,
+                 rep: VerificationReport) -> tuple[MatrixGroup, list[int], list[int] | None]:
+    """Gamma, the indices of its scalar matrices (read off the one scan of
+    its generators' centralizer), and at odd p the certified isomorphism
+    from the coordinate model as its images in HeisenbergGroup(p)'s index
+    order (None at p = 2, or when gamma.coordinates fails)."""
     p, m = cfg.prime, cfg.conductor
     A, B = gamma_matrices(cfg)
     z = CycNum.zeta(m, m // p)
@@ -321,8 +327,8 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
             "the squares of the generators and of their product all equal -I",
             (A * A) == minus and (B * B) == minus and ((A * B) ** 2) == minus,
         )
-    scal = scalar_indices(gam)
     cent = centralizer(gam, gam.generator_indices)
+    scal = scalar_indices(gam, cent)
     rep.add(
         "gamma.center",
         "the center consists of the p scalar matrices of p-power order",
@@ -349,22 +355,25 @@ def verify_gamma(cfg: CaseConfig, rep: VerificationReport) -> MatrixGroup:
         tag == want_tag,
         tag=tag,
     )
+    coords = None
     if p != 2:
         hberg = HeisenbergGroup(p)
         iso = hom_by_generators(hberg, gam, [hberg.a_index, hberg.b_index], gam.generator_indices)
-        rep.add(
+        if rep.add(
             "gamma.coordinates",
             "central/row/column coordinates give a certified isomorphism "
             "onto the matrix group",
-            iso is not None and len(set(iso)) == len(iso),
-        )
-    return gam
+            iso is not None and len(set(iso)) == len(iso) == gam.order,
+        ):
+            coords = iso
+    return gam, scal, coords
 
 
 # -- tau --------------------------------------------------------------------
 
 
-def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> None:
+def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
+               scalars: list[int]) -> None:
     p, m = cfg.prime, cfg.conductor
     assert p != 2
     A, B = gamma_matrices(cfg)
@@ -397,7 +406,6 @@ def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
     )
     # no map when tau does not normalize the p-group: both checks then fail
     by_tau = conjugation_on(gam, conjugation_by(tau)) or []
-    scalars = set(scalar_indices(gam))
     fixed = [i for i, c in enumerate(by_tau) if c == i]
     central_fixed = [i for i, c in enumerate(by_tau) if gam.mult(c, gam.inv(i)) in scalars]
     rep.add(
@@ -419,10 +427,13 @@ def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
 # -- rho --------------------------------------------------------------------
 
 
-def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> None:
+def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
+               coords: list[int] | None) -> tuple[MatrixGroup | None, bool]:
     """The diagonal/scaling normalizer piece at odd p: relations, image
     order, the certified isomorphism from the upper-triangular group, and
-    the induced coordinate matrices."""
+    the induced coordinate matrices, read through verify_gamma's coords.
+    Returns the suite's one K = <D, sigma_g> (None past 4p(p-1) elements)
+    and the verdict that USL2 -> K is a certified bijection."""
     p, m = cfg.prime, cfg.conductor
     assert p != 2
     A, B = gamma_matrices(cfg)
@@ -465,24 +476,27 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
         ),
     )
 
-    im = closure([D, sigma[g]], cap=4 * p * (p - 1))
+    try:
+        K = closure([D, sigma[g]], cap=4 * p * (p - 1))
+    except CapExceeded:
+        K = None
     rep.add(
         "rho.image_order",
         "D and a primitive scaling matrix generate a group of order p(p-1)",
-        im.order == p * (p - 1),
-        order=im.order,
+        K is not None and K.order == p * (p - 1),
+        order=None if K is None else K.order,
         expected=p * (p - 1),
     )
     usl = mat2_group(p, "USL")
-    iso = hom_by_generators(
-        usl, im, [usl.index[M] for M in d_sigma_matrices(p, g)], im.generator_indices
+    iso = None if K is None else hom_by_generators(
+        usl, K, [usl.index[M] for M in d_sigma_matrices(p, g)], K.generator_indices
     )
-    rep.add(
+    usl_ok = rep.add(
         "rho.usl_iso",
         "the image is certified isomorphic to the upper-triangular "
         "determinant-one group, by D <-> [[1,2],[0,1]] and "
         "sigma_g <-> diag(g, g^-1)",
-        iso is not None and len(set(iso)) == len(iso),
+        iso is not None and len(set(iso)) == len(iso) == K.order,
     )
 
     # conj[0] is conjugation by D and conj[k] by sigma_k; on_gam[k] is
@@ -506,14 +520,13 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
         ),
     )
 
-    hberg = HeisenbergGroup(p)
-    images = propagate_hom(hberg, gam, [hberg.a_index, hberg.b_index], gam.generator_indices)
-    ok_induced = images is not None and len(images) == gam.order and None not in on_gam
+    ok_induced = coords is not None and None not in on_gam
     if ok_induced:
-        back = {v: k for k, v in images.items()}
+        hberg = HeisenbergGroup(p)
+        back = {y: x for x, y in enumerate(coords)}
 
         def induced_perm(h: list[int]) -> tuple[int, ...]:
-            return tuple(back[h[images[x]]] for x in range(hberg.order))
+            return tuple(back[h[y]] for y in coords)
 
         ok_d = induced_perm(on_gam[0]) == section_perm(hberg, d_sigma_matrices(p, g)[0])
         ok_s = all(
@@ -528,6 +541,7 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> No
         "diag(k, k^-1)",
         ok_induced,
     )
+    return K, usl_ok
 
 
 # -- normalizers ------------------------------------------------------------
@@ -539,10 +553,11 @@ class ChainCertificate:
 
     order is |Gamma| |K|, and None unless Gamma is normal in N and meets K
     trivially; f_gam and f_k are the certified maps of Gamma and K into
-    the full model, None where there is none.
+    the full model, None where there is none.  Without K every verdict
+    fails.
     """
 
-    K: MatrixGroup
+    K: MatrixGroup | None
     normal: bool
     order: int | None
     quotient: bool
@@ -556,19 +571,20 @@ class ChainCertificate:
         return 0 if self.order is None else self.K.order
 
 
-def chain_certificate(gam: MatrixGroup, k_gens: list[CycMatrix],
-                      k_usl: Sequence[tuple[int, int, int, int]],
+def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
+                      k_usl: Sequence[tuple[int, int, int, int]], usl_ok: bool,
                       n_full: SemidirectGroup) -> ChainCertificate:
     """The chain normalizer N = <Gamma, K> certified as Gamma x| K from
     generators, so that N itself is never closed (Holt, Eick & O'Brien,
     Handbook of Computational Group Theory, 2005).
 
     gam is Gamma, certified of order p^3 with generators A and B.  K is
-    the closure of the matrices k_gens (D and sigma_g), which stand for
-    the upper-triangular 2x2 matrices k_usl over F_p; past |Gamma|
-    elements the closure raises CapExceeded.  n_full is the semidirect
-    product Heisenberg x| SL2(F_p).  Only the p^3 elements of Gamma and
-    the p(p-1) of K are enumerated:
+    verify_rho's closure of its generators k_gens (D and sigma_g), None
+    when that closure passed its cap; they stand for the upper-triangular
+    2x2 matrices k_usl over F_p, and usl_ok is verify_rho's verdict that
+    hom_by_generators(USL2 -> K), k_usl to k_gens, is a bijection.
+    n_full is the semidirect product Heisenberg x| SL2(F_p).  Only the
+    p^3 elements of Gamma and the p(p-1) of K are enumerated:
 
     1. Normal: conjugation by each generator of K sends A and B into
        Gamma, an exact matrix product found by index_of.  Conjugation is
@@ -577,8 +593,7 @@ def chain_certificate(gam: MatrixGroup, k_gens: list[CycMatrix],
     2. Gamma meets K trivially: no nonidentity element of K is a matrix
        of Gamma.
     3. Order: by 1 and 2, |N| = |Gamma| |K|.
-    4. Quotient: N/Gamma = Gamma K/Gamma is K, and K is USL2 by the
-       certified bijection hom_by_generators(USL2 -> K), k_usl to k_gens.
+    4. Quotient: N/Gamma = Gamma K/Gamma is K, and K is USL2 by usl_ok.
     5. Split: K is a complement of Gamma, with k_gens as the witness.
     6. Embedding: hom_by_generators certifies f_gam on Gamma (A and B to
        the Heisenberg generators) and f_k on K (k_gens to their SL2
@@ -591,18 +606,17 @@ def chain_certificate(gam: MatrixGroup, k_gens: list[CycMatrix],
        images meet only in the identity: f(x k) = 1 puts f_gam(x) =
        f_k(k)^-1 in both images.
     """
+    if K is None:
+        return ChainCertificate(None, False, None, False, None, None, False)
     gam_gens = [gam.matrix(i) for i in gam.generator_indices]
-    K = closure(k_gens, cap=gam.order)
+    k_gens = [K.matrix(k) for k in K.generator_indices]
     # conj[j][i]: the index in Gamma of k x k^-1 for k = k_gens[j] and
     # x = gam_gens[i], None when it lies outside Gamma
     conj = [[gam.index_of(c(x)) for x in gam_gens] for c in map(conjugation_by, k_gens)]
     normal = all(None not in row for row in conj)
     meet = all(gam.index_of(K.matrix(k)) is None for k in range(K.order) if k != K.identity)
     order = gam.order * K.order if normal and meet else None
-
-    usl = mat2_group(gam.dim, "USL")
-    iso = hom_by_generators(usl, K, [usl.index[M] for M in k_usl], K.generator_indices)
-    quotient = order is not None and iso is not None and len(set(iso)) == len(iso) == K.order
+    quotient = order is not None and usl_ok
 
     hberg, sl = n_full.N, n_full.H
     f_gam = hom_by_generators(
@@ -629,75 +643,74 @@ def chain_certificate(gam: MatrixGroup, k_gens: list[CycMatrix],
     return ChainCertificate(K, normal, order, quotient, f_gam, f_k, embedded)
 
 
-def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup) -> None:
-    """The chain-level and full normalizer models with their extension
-    certificates.  Odd p: the chain normalizer certified from generators
-    as Gamma (verify_gamma's group) x| <D, sigma_g> by chain_certificate,
-    split by the upper-triangular group and embedded in the abstract
-    semidirect product with the special linear group.  p = 2: the
-    quaternion tower, closed whole."""
-    p, m = cfg.prime, cfg.conductor
-    if p != 2:
-        D = std_matrix(p, "D", conductor=m)
-        g = smallest_primitive_root(p)
-        sg = std_matrix(p, "sigma", k=g, conductor=m)
-        n_full = heisenberg_semidirect(p, "SL")
-        cert = chain_certificate(gam, [D, sg], d_sigma_matrices(p, g), n_full)
-        rep.add(
-            "normalizer.chain_order",
-            "the p-group together with the diagonal/scaling piece closes "
-            "to a group of order p^4(p-1)",
-            cert.order == p ** 4 * (p - 1),
-            order=cert.order,
-            expected=p ** 4 * (p - 1),
-        )
-        rep.add(
-            "normalizer.chain_normal",
-            "the p-group is normal in the chain-level normalizer",
-            cert.normal,
-        )
-        rep.add(
-            "normalizer.chain_quotient",
-            "the quotient is certified isomorphic to the upper-triangular "
-            "determinant-one group",
-            cert.quotient,
-        )
-        rep.add(
-            "normalizer.chain_split",
-            "a complement exists (the extension splits), with the "
-            "diagonal/scaling lift as witness",
-            cert.complement_order > 0,
-            complement_order=cert.complement_order,
-        )
+def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
+                      K: MatrixGroup | None, usl_ok: bool) -> None:
+    """The chain-level and full normalizer models at odd p, with their
+    extension certificates.  The chain normalizer is certified from
+    generators by chain_certificate as Gamma (verify_gamma's group) x| K,
+    with K = <D, sigma_g> and its USL2 verdict from verify_rho, split by
+    the upper-triangular group and embedded in the abstract semidirect
+    product with the special linear group.  Nothing is closed here."""
+    p = cfg.prime
+    n_full = heisenberg_semidirect(p, "SL")
+    cert = chain_certificate(gam, K, d_sigma_matrices(p, smallest_primitive_root(p)),
+                             usl_ok, n_full)
+    rep.add(
+        "normalizer.chain_order",
+        "the p-group together with the diagonal/scaling piece closes "
+        "to a group of order p^4(p-1)",
+        cert.order == p ** 4 * (p - 1),
+        order=cert.order,
+        expected=p ** 4 * (p - 1),
+    )
+    rep.add(
+        "normalizer.chain_normal",
+        "the p-group is normal in the chain-level normalizer",
+        cert.normal,
+    )
+    rep.add(
+        "normalizer.chain_quotient",
+        "the quotient is certified isomorphic to the upper-triangular "
+        "determinant-one group",
+        cert.quotient,
+    )
+    rep.add(
+        "normalizer.chain_split",
+        "a complement exists (the extension splits), with the "
+        "diagonal/scaling lift as witness",
+        cert.complement_order > 0,
+        complement_order=cert.complement_order,
+    )
 
-        rep.add(
-            "normalizer.full_order",
-            "the semidirect product with the special linear group, built "
-            "from the certified coordinate section of the automorphism "
-            "group, has order p^4(p^2-1)",
-            n_full.order == p ** 4 * (p * p - 1),
-            order=n_full.order,
-            expected=p ** 4 * (p * p - 1),
-        )
-        sl = n_full.H
-        comp = [n_full.encode(n_full.N.identity, h) for h in range(sl.order)]
-        rep.add(
-            "normalizer.full_split",
-            "the section {identity} x SL2 is a complement by construction",
-            all(
-                n_full.decode(x)[0] == n_full.N.identity for x in comp
-            ) and len(comp) == sl.order,
-        )
-        rep.add(
-            "normalizer.chain_embedding",
-            "the chain-level normalizer embeds in the full model with "
-            "index p+1",
-            cert.embedded and n_full.order == (p + 1) * cert.order,
-            index=(n_full.order // cert.order) if cert.embedded else None,
-        )
-        return
+    rep.add(
+        "normalizer.full_order",
+        "the semidirect product with the special linear group, built "
+        "from the certified coordinate section of the automorphism "
+        "group, has order p^4(p^2-1)",
+        n_full.order == p ** 4 * (p * p - 1),
+        order=n_full.order,
+        expected=p ** 4 * (p * p - 1),
+    )
+    sl = n_full.H
+    comp = [n_full.encode(n_full.N.identity, h) for h in range(sl.order)]
+    rep.add(
+        "normalizer.full_split",
+        "the section {identity} x SL2 is a complement by construction",
+        all(n_full.decode(x)[0] == n_full.N.identity for x in comp) and len(comp) == sl.order,
+    )
+    rep.add(
+        "normalizer.chain_embedding",
+        "the chain-level normalizer embeds in the full model with "
+        "index p+1",
+        cert.embedded and n_full.order == (p + 1) * cert.order,
+        index=(n_full.order // cert.order) if cert.embedded else None,
+    )
 
-    # p = 2
+
+def build_quaternion_normalizers(cfg: CaseConfig, rep: VerificationReport) -> None:
+    """The p = 2 tower, closed whole: Q16, its non-split extension of the
+    quaternion core, and the binary octahedral group O48."""
+    m = cfg.conductor
     A, B = gamma_matrices(cfg)
     F = std_matrix(2, "F", conductor=m)
     H = std_matrix(2, "H", conductor=m)
@@ -753,18 +766,16 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
         isomorphism(q48, symmetric_group(3)) is not None,
     )
 
-    if cfg.case == "up":
-        _verify_u2_models(cfg, rep)
-
 
 def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
-                         gam: MatrixGroup) -> None:
+                         gam: MatrixGroup, K: MatrixGroup | None) -> None:
     """Scalar-extended models for the full unitary family at odd p.
 
     At level 1 the p-torsion scalars already sit inside the p-group, so the
     scalar-extended core is the core itself; at higher levels the core
     grows to p^(level+2), verified concretely where the closure stays at
-    desk scale (p = 3) and recorded as encoded data otherwise.
+    desk scale (p = 3) and recorded as encoded data otherwise.  The chain
+    normalizer adjoins the generators of verify_rho's K (None: it fails).
     """
     p, n = cfg.prime, cfg.level
     zI = scalar_matrix(cfg, p ** n)
@@ -785,15 +796,15 @@ def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
             core.order == p ** (n + 2),
             order=core.order,
         )
-        D = std_matrix(p, "D", conductor=cfg.conductor)
-        sg = std_matrix(p, "sigma", k=smallest_primitive_root(p), conductor=cfg.conductor)
-        chain_u = closure([A, B, zI, D, sg], cap=8 * p ** (n + 2) * (p - 1))
+        order = None if K is None else closure(
+            [A, B, zI] + [K.matrix(k) for k in K.generator_indices],
+            cap=8 * p ** (n + 2) * (p - 1)).order
         rep.add(
             "normalizer.u_chain_order",
             "the scalar-extended chain normalizer has the encoded order "
             "p^(level+2) * p(p-1)",
-            chain_u.order == p ** (n + 2) * p * (p - 1),
-            order=chain_u.order,
+            order == p ** (n + 2) * p * (p - 1),
+            order=order,
         )
     else:
         rep.skip(
@@ -1184,39 +1195,33 @@ def verify_encoded_poset(cfg: CaseConfig, rep: VerificationReport,
 # -- suite driver -----------------------------------------------------------
 
 
-def run_suite(cfg: CaseConfig, extended: bool = False) -> VerificationReport:
+def run_suite(cfg: CaseConfig) -> VerificationReport:
     """The full verification suite for one configuration.
 
-    extended=True additionally runs the p = 7 normalizer tower, which
-    certifies the 14406-element chain normalizer as Gamma x| K from the
-    343 elements of Gamma and the 42 of K, without closing it, and embeds
-    it in the semidirect product Gamma x| SL2(F_7) of order
-    p^4 (p^2 - 1) = 115248; everything else runs unconditionally.
+    At odd p every object of the tower is built once and passed on:
+    verify_gamma's Gamma with its scalars and coordinates, and verify_rho's
+    K = <D, sigma_g> with its USL2 verdict, from which build_normalizers
+    certifies the chain normalizer (14406 elements at p = 7) as
+    Gamma x| K without closing it and embeds it in Gamma x| SL2(F_p).
     """
     rep = VerificationReport(cfg)
-    gam = verify_gamma(cfg, rep)
+    gam, scalars, coords = verify_gamma(cfg, rep)
     if cfg.case == "az":
-        verify_rho(cfg, rep, gam)
+        verify_rho(cfg, rep, gam, coords)
         verify_az(cfg, rep)
         emit_decomposition(cfg, rep)
         return rep
 
-    if cfg.prime != 2:
-        verify_tau(cfg, rep, gam)
-        verify_rho(cfg, rep, gam)
-        if cfg.prime == 7 and not extended:
-            rep.skip(
-                "normalizer.suite",
-                "chain and full normalizer tower at p = 7",
-                "pass --extended (or FUSIONKIT_EXTENDED=1) to run the "
-                "p = 7 tower",
-            )
-        else:
-            build_normalizers(cfg, rep, gam)
+    if cfg.prime == 2:
+        build_quaternion_normalizers(cfg, rep)
         if cfg.case == "up":
-            _verify_u_odd_models(cfg, rep, gam)
+            _verify_u2_models(cfg, rep)
     else:
-        build_normalizers(cfg, rep, gam)
+        verify_tau(cfg, rep, gam, scalars)
+        K, usl_ok = verify_rho(cfg, rep, gam, coords)
+        build_normalizers(cfg, rep, gam, K, usl_ok)
+        if cfg.case == "up":
+            _verify_u_odd_models(cfg, rep, gam, K)
     verify_encoded_poset(cfg, rep, gam)
     emit_decomposition(cfg, rep)
     return rep

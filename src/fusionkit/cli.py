@@ -47,8 +47,7 @@ ENV_PREFIX = "FUSIONKIT_"
 class Option:
     """One flag.  With env set, the variable FUSIONKIT_<FLAG> stands in for
     an absent flag, converted by the same type and checked against the
-    same choices; a bool option is a switch, and its variable reads
-    1/true/yes or 0/false/no."""
+    same choices.  A bool option is a switch, set by its flag alone."""
 
     help: str
     type: type = str
@@ -67,14 +66,11 @@ OPTIONS = {
     "format": Option("output format", dest="fmt"),
     "out": Option("output path (default: stdout)"),
     "cap": Option("largest admissible group order", int),
-    "extended": Option("include the long-running p = 7 normalizer tower", bool),
     "all": Option("run every supported configuration", bool, env=False),
     "full-poset": Option("with --format dot, emit the uncollapsed poset instead", bool, env=False),
     "collapse": Option("also collapse iso edges", bool, env=False),
     "input": Option("group-table JSON path", env=False, required=True),
 }
-
-_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _var(name: str) -> str:
@@ -91,11 +87,6 @@ def _from_env(name: str, opt: Option):
     text = os.environ.get(var, "")
     if text == "":
         return None
-    if opt.type is bool:
-        value = _SWITCH.get(text.lower())
-        if value is None:
-            raise ValueError("%s: %s must be 1/true/yes or 0/false/no, got %r" % (var, name, text))
-        return value
     try:
         value = opt.type(text)
     except ValueError:
@@ -106,15 +97,14 @@ def _from_env(name: str, opt: Option):
 
 
 def _resolve(args: argparse.Namespace) -> None:
-    """Fill each option that no flag set (None, or False for a switch; other
-    subcommands' options are absent from args) from its variable, if any.
-    args.from_env maps the name of each option so filled to its variable's
-    text, for the errors of the checks that come later."""
+    """Fill each option that no flag set (None; other subcommands' options
+    are absent from args) from its variable, if any.  args.from_env maps
+    the name of each option so filled to its variable's text, for the
+    errors of the checks that come later."""
     args.from_env = {}
     for name, opt in OPTIONS.items():
         dest = opt.dest or name.replace("-", "_")
-        unset = False if opt.type is bool else None
-        if opt.env and getattr(args, dest, True) is unset:
+        if opt.env and getattr(args, dest, True) is None:
             value = _from_env(name, opt)
             if value is not None:
                 setattr(args, dest, value)
@@ -173,7 +163,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         configs = all_configs()
     else:
         configs = [_config_from(args)]
-    reports = [run_suite(cfg, extended=args.extended) for cfg in configs]
+    reports = [run_suite(cfg) for cfg in configs]
     ok = all(rep.all_ok for rep in reports)
 
     if fmt == "json":
@@ -374,7 +364,7 @@ def cmd_dump_group(args: argparse.Namespace) -> int:
 CONFIG = ("case", "index", "level", "prime", "format", "out")
 
 COMMANDS = {
-    "verify": (cmd_verify, "run a verification suite", CONFIG + ("all", "extended")),
+    "verify": (cmd_verify, "run a verification suite", CONFIG + ("all",)),
     "decompose": (cmd_decompose, "emit the decomposition diagram", CONFIG + ("full-poset",)),
     "aut-gamma": (cmd_aut_gamma, "automorphism certificate for the p-group core",
                   ("prime", "format", "out")),

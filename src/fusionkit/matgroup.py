@@ -36,7 +36,6 @@ from .fingroup import (
     FiniteGroup,
     PermGroup,
     bfs_closure,
-    centralizer,
     perm_closure,
 )
 
@@ -340,11 +339,11 @@ class MatrixGroup(PermGroup):
 # -- predicates over groups -------------------------------------------------
 
 
-def scalar_indices(G: MatrixGroup) -> list[int]:
+def scalar_indices(G: MatrixGroup, cent) -> list[int]:
     """The indices of the scalar matrices of G, in index order.  A scalar
-    commutes with everything, so only the centralizer of G's generators
-    is scanned."""
-    return [i for i in centralizer(G, G.generator_indices) if G.matrix(i).is_scalar()]
+    commutes with everything, so only cent, the centralizer of G's
+    generators in index order, is scanned."""
+    return [i for i in cent if G.matrix(i).is_scalar()]
 
 
 # -- torus truncation membership -------------------------------------------

@@ -15,7 +15,7 @@ from fusionkit.cases import (
     AZ_PRIME_OF_INDEX,
     CaseConfig,
     VerificationReport,
-    build_normalizers,
+    build_quaternion_normalizers,
     chain_classes,
     emit_decomposition,
     verify_az,
@@ -86,8 +86,8 @@ def test_criterion_02_rho_splitting():
         start = time.perf_counter()
         cfg = CaseConfig("sup", p)
         rep = VerificationReport(cfg)
-        gam = verify_gamma(cfg, rep)
-        verify_rho(cfg, rep, gam)
+        gam, _, coords = verify_gamma(cfg, rep)
+        verify_rho(cfg, rep, gam, coords)
         ok = passed_ids(rep)
         assert relation_ids <= ok, relation_ids - ok
         assert "rho.image_order" in ok
@@ -183,7 +183,7 @@ def test_criterion_05_p2_suite():
     assert o48.order == 48
     cfg = CaseConfig("sup", 2)
     rep = VerificationReport(cfg)
-    build_normalizers(cfg, rep, q8)
+    build_quaternion_normalizers(cfg, rep)
     ok = passed_ids(rep)
     assert {"normalizer.q16_recognize", "normalizer.o48_recognize"} <= ok
     elapsed = time.perf_counter() - start
@@ -243,8 +243,8 @@ def test_criterion_07_adams_matrix():
     for index, p in sorted(AZ_PRIME_OF_INDEX.items()):
         cfg = CaseConfig("az", p, az_index=index)
         rep = VerificationReport(cfg)
-        gam = verify_gamma(cfg, rep)
-        verify_rho(cfg, rep, gam)
+        gam, _, coords = verify_gamma(cfg, rep)
+        verify_rho(cfg, rep, gam, coords)
         verify_az(cfg, rep)
         ok = passed_ids(rep)
         need = {"az.adams_shape", "az.adams_automorphism", "az.adams_extends"}

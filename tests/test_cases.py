@@ -26,6 +26,7 @@ from fusionkit.cases import (
     gamma_matrices,
     run_suite,
     verify_gamma,
+    verify_rho,
     weyl_op_trivial,
 )
 from fusionkit.cyclo import CycNum
@@ -104,11 +105,15 @@ def test_suite_p5(case, p):
     assert rep.all_ok, rep.failed_ids()
 
 
-def test_suite_p7_default_skips_tower():
-    rep = run_suite(CaseConfig("sup", 7))
+@pytest.mark.parametrize("case", ["sup", "up"])
+def test_suite_p7_runs_the_tower(case):
+    # the chain and full normalizer tower runs at p = 7 with no option
+    rep = run_suite(CaseConfig(case, 7))
     assert rep.all_ok, rep.failed_ids()
-    skipped = [c.check_id for c in rep.checks if c.status == "skipped"]
-    assert "normalizer.suite" in skipped
+    tower = [c.status for c in rep.checks
+             if c.check_id.startswith(("normalizer.chain_", "normalizer.full_"))]
+    assert tower == ["pass"] * 7
+    assert rep.counts()["skipped"] == 0
 
 
 @pytest.mark.parametrize("index", sorted(AZ_PRIME_OF_INDEX))
@@ -147,13 +152,15 @@ CHAIN_IDS = ("normalizer.chain_order", "normalizer.chain_normal", "normalizer.ch
 
 
 def _chain_inputs(p: int):
-    """Gamma, K's generators D and sigma_g with their USL2 matrices, and
-    the full model, as build_normalizers passes them at level 1."""
-    A, B = gamma_matrices(CaseConfig("sup", p))
-    g = smallest_primitive_root(p)
-    k_gens = [std_matrix(p, "D"), std_matrix(p, "sigma", k=g)]
-    gam = closure([A, B], expected=p ** 3)
-    return gam, k_gens, d_sigma_matrices(p, g), heisenberg_semidirect(p, "SL")
+    """Gamma, verify_rho's K = <D, sigma_g> and its USL2 verdict, the USL2
+    matrices of K's generators, and the full model, as build_normalizers
+    passes them to chain_certificate at level 1."""
+    cfg = CaseConfig("sup", p)
+    rep = VerificationReport(cfg)
+    gam, _, coords = verify_gamma(cfg, rep)
+    K, usl_ok = verify_rho(cfg, rep, gam, coords)
+    k_usl = d_sigma_matrices(p, smallest_primitive_root(p))
+    return gam, K, usl_ok, k_usl, heisenberg_semidirect(p, "SL")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -162,8 +169,8 @@ def test_chain_certificate_matches_the_enumerated_route(p):
     over it, and propagate the embedding over all of N.  Same order,
     verdicts, complement order and index; at p in {3, 5} f is the
     enumerated embedding element by element."""
-    gam, k_gens, k_usl, n_full = _chain_inputs(p)
-    cert = chain_certificate(gam, k_gens, k_usl, n_full)
+    gam, K, usl_ok, k_usl, n_full = _chain_inputs(p)
+    cert = chain_certificate(gam, K, k_usl, usl_ok, n_full)
 
     n_chain, (A, B) = _chain_normalizer_group(p)
     a_i, b_i, d_i, sg_i = n_chain.generator_indices
@@ -196,18 +203,18 @@ def test_chain_certificate_matches_the_enumerated_route(p):
 
 
 def _chain_statuses(monkeypatch, p, mutate):
-    """The chain checks of build_normalizers when chain_certificate gets
-    mutate(k_gens, k_usl) in place of D, sigma_g and their USL2 matrices."""
+    """The chain checks of run_suite when chain_certificate gets, in place
+    of verify_rho's K = <D, sigma_g> and the USL2 matrices of D and
+    sigma_g, the closure of k_gens and k_usl = mutate(K's generators,
+    their USL2 matrices); the USL2 verdict is verify_rho's."""
     real = cases.chain_certificate
 
-    def mutated(gam, k_gens, k_usl, n_full):
-        return real(gam, *mutate(list(k_gens), list(k_usl)), n_full)
+    def mutated(gam, K, k_usl, usl_ok, n_full):
+        k_gens, k_usl = mutate([K.matrix(k) for k in K.generator_indices], list(k_usl))
+        return real(gam, closure(k_gens), k_usl, usl_ok, n_full)
 
-    cfg = CaseConfig("sup", p)
-    rep = VerificationReport(cfg)
-    gam = verify_gamma(cfg, rep)
     monkeypatch.setattr(cases, "chain_certificate", mutated)
-    build_normalizers(cfg, rep, gam)
+    rep = run_suite(CaseConfig("sup", p))
     status = {c.check_id: c.status for c in rep.checks}
     witness = {c.check_id: c.witness for c in rep.checks}
     return [status[i] for i in CHAIN_IDS], witness
@@ -267,13 +274,24 @@ def test_chain_certificate_rejects_a_wrong_sl2_image(monkeypatch):
     assert witness["normalizer.chain_embedding"]["index"] is None
 
 
+def test_chain_certificate_takes_the_usl2_verdict(monkeypatch):
+    # a failed USL2 -> K certificate fails the quotient alone: K is still a
+    # complement of Gamma, and N still embeds
+    real = cases.chain_certificate
+    monkeypatch.setattr(cases, "chain_certificate",
+                        lambda gam, K, k_usl, usl_ok, n_full: real(gam, K, k_usl, False, n_full))
+    assert run_suite(CaseConfig("sup", 5)).failed_ids() == ["normalizer.chain_quotient"]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_odd_tower_closes_nothing_past_gamma(monkeypatch, p):
-    """The odd-p tower never closes the chain normalizer: no closure past
-    p^3 elements and no sesverify call."""
+    """The odd-p tower never closes the chain normalizer: build_normalizers
+    takes Gamma and K from verify_gamma and verify_rho, and makes no
+    closure at all and no sesverify call."""
     cfg = CaseConfig("sup", p)
     rep = VerificationReport(cfg)
-    gam = verify_gamma(cfg, rep)
+    gam, _, coords = verify_gamma(cfg, rep)
+    K, usl_ok = verify_rho(cfg, rep, gam, coords)
     sizes, ses_calls = [], []
     real_closure = cases.closure
 
@@ -284,10 +302,47 @@ def test_odd_tower_closes_nothing_past_gamma(monkeypatch, p):
 
     monkeypatch.setattr(cases, "closure", counted_closure)
     monkeypatch.setattr(cases, "sesverify", lambda *a, **k: ses_calls.append(a))
-    build_normalizers(cfg, rep, gam)
+    build_normalizers(cfg, rep, gam, K, usl_ok)
     assert rep.all_ok, rep.failed_ids()
-    assert sizes == [p * (p - 1)]
+    assert sizes == []
     assert ses_calls == []
+
+
+@pytest.mark.parametrize("case", ["sup", "up"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_suite_builds_each_odd_p_object_once(monkeypatch, case, p):
+    """Over one run_suite: one closure of <D, sigma_g>, one USL2 -> K
+    certificate, and one centralizer scan of Gamma's generators (recognize
+    scans its own center inside fingroup, which cases does not see)."""
+    cfg = CaseConfig(case, p)
+    k_gens = [std_matrix(p, "D", conductor=cfg.conductor),
+              std_matrix(p, "sigma", k=smallest_primitive_root(p), conductor=cfg.conductor)]
+    real_closure, real_hom, real_centralizer = cases.closure, cases.hom_by_generators, cases.centralizer
+    k_closures, usl_homs, gen_scans = [], [], []
+
+    def counted_closure(gens, *args, **kwargs):
+        G = real_closure(gens, *args, **kwargs)
+        if list(gens) == k_gens:
+            k_closures.append(G.order)
+        return G
+
+    def counted_hom(G, H, gen_idx, img_idx):
+        if getattr(G, "kind", None) == "USL":
+            usl_homs.append(H.order)
+        return real_hom(G, H, gen_idx, img_idx)
+
+    def counted_centralizer(G, members, within=None):
+        if list(members) == G.generator_indices:
+            gen_scans.append(G.order)
+        return real_centralizer(G, members, within)
+
+    monkeypatch.setattr(cases, "closure", counted_closure)
+    monkeypatch.setattr(cases, "hom_by_generators", counted_hom)
+    monkeypatch.setattr(cases, "centralizer", counted_centralizer)
+    rep = run_suite(cfg)
+    assert rep.all_ok, rep.failed_ids()
+    assert k_closures == usl_homs == [p * (p - 1)]
+    assert gen_scans == [p ** 3]
 
 
 def test_tau_dichotomy_in_reports():

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,9 +121,7 @@ def test_malformed_integer_env_is_usage_error(var):
     assert var in res.stderr
 
 
-@pytest.mark.parametrize("var, value", [("FUSIONKIT_EXTENDED", "off"),
-                                        ("FUSIONKIT_EXTENDED", "banana"),
-                                        ("FUSIONKIT_INDEX", "99")])
+@pytest.mark.parametrize("var, value", [("FUSIONKIT_INDEX", "99")])
 def test_env_value_its_flag_would_reject_is_usage_error(var, value):
     res = run_cli("verify", "--case", "sup", "--prime", "2", env_extra={var: value})
     assert res.returncode == 2
@@ -146,13 +146,23 @@ def test_env_value_the_command_refuses_names_the_variable(var, value, args, mess
     assert "FUSIONKIT_" not in flag.stderr
 
 
-@pytest.mark.parametrize("value, tower", [("1", True), ("TRUE", True), ("0", False), ("", False)])
-def test_env_extended_switches_the_p7_tower(value, tower):
-    res = run_cli("verify", "--case", "sup", "--prime", "7", "--format", "json",
-                  env_extra={"FUSIONKIT_EXTENDED": value})
-    assert res.returncode == 0, res.stderr
-    status = {c["id"]: c["status"] for c in json.loads(res.stdout)["checks"]}
-    assert ("normalizer.suite" not in status) == tower
+def test_verify_extended_is_usage_error():
+    # the p = 7 tower always runs, and the flag that once enabled it is gone
+    res = run_cli("verify", "--case", "sup", "--prime", "7", "--extended")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --extended" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_readme_names_exactly_the_env_variables():
+    # the Configuration section of the README lists every variable that
+    # stands in for a flag, and no other
+    from fusionkit import cli
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"FUSIONKIT_[A-Z][A-Z_]*", section))
+    assert named == {cli._var(name) for name, opt in cli.OPTIONS.items() if opt.env}
 
 
 def test_dump_group_round_trip(tmp_path):

@@ -44,14 +44,12 @@ ARTIFACTS = {
     "fusion-q8.json": ["fusion", "--input", "{q8}", "--format", "json"],
 }
 
-# the slower configurations: verify at p in {5, 7}, the p = 7 tower, az
-# 29/31/34, and aut-gamma at p in {5, 7}
+# the slower configurations: verify at p in {5, 7} (with the p = 7
+# tower), az 29/31/34, and aut-gamma at p in {5, 7}
 ARTIFACTS.update({
     "verify-%s-%d.json" % (case, p): ["verify", "--case", case, "--prime", str(p), "--format", "json"]
     for case in ("sup", "up") for p in (5, 7)
 })
-ARTIFACTS["verify-sup-7-extended.json"] = [
-    "verify", "--case", "sup", "--prime", "7", "--extended", "--format", "json"]
 ARTIFACTS.update({
     "verify-az-%d.json" % i: ["verify", "--case", "az", "--index", str(i), "--format", "json"]
     for i in (29, 31, 34)
