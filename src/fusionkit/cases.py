@@ -278,23 +278,29 @@ def scalar_matrix(cfg: CaseConfig, order: int) -> CycMatrix:
 
 
 def verify_gamma(cfg: CaseConfig,
-                 rep: VerificationReport) -> tuple[MatrixGroup, list[int], list[int] | None]:
+                 rep: VerificationReport) -> tuple[MatrixGroup | None, list[int], list[int] | None]:
     """Gamma, the indices of its scalar matrices (read off the one scan of
     its generators' centralizer), and at odd p the certified isomorphism
     from the coordinate model as its images in HeisenbergGroup(p)'s index
-    order (None at p = 2, or when gamma.coordinates fails)."""
+    order (None at p = 2, or when gamma.coordinates fails).  Past 4p^3
+    elements there is no Gamma: gamma.order fails and Gamma is None."""
     p, m = cfg.prime, cfg.conductor
     A, B = gamma_matrices(cfg)
     z = CycNum.zeta(m, m // p)
-    gam = closure([A, B], cap=4 * p ** 3)
+    try:
+        gam = closure([A, B], cap=4 * p ** 3)
+    except CapExceeded:
+        gam = None
 
     rep.add(
         "gamma.order",
         "the clock and shift matrices generate a group of order p^3",
-        gam.order == p ** 3,
-        order=gam.order,
+        gam is not None and gam.order == p ** 3,
+        order=None if gam is None else gam.order,
         expected=p ** 3,
     )
+    if gam is None:
+        return None, [], None
     one = CycNum.one(m)
     rep.add(
         "gamma.det",
@@ -1203,9 +1209,13 @@ def run_suite(cfg: CaseConfig) -> VerificationReport:
     K = <D, sigma_g> with its USL2 verdict, from which build_normalizers
     certifies the chain normalizer (14406 elements at p = 7) as
     Gamma x| K without closing it and embeds it in Gamma x| SL2(F_p).
+    Without Gamma (gamma.order failed past its cap) the suite ends there.
     """
     rep = VerificationReport(cfg)
     gam, scalars, coords = verify_gamma(cfg, rep)
+    if gam is None:
+        # every later check reads Gamma
+        return rep
     if cfg.case == "az":
         verify_rho(cfg, rep, gam, coords)
         verify_az(cfg, rep)

@@ -11,6 +11,11 @@ studies at an odd prime p (conductor p^level) and at p = 2 (conductor 8):
   F       diag(z8, z8^-1), the extra diagonal normalizer generator at p = 2
   H       rotation by pi/4 (entries 1/sqrt2), the second p = 2 generator
 
+Every catalog matrix but H is monomial, and so is every element of the
+torus normalizer, so a CycMatrix stores only its nonzero entries, row by
+row: a product, a determinant or a matrix-vector product costs a pass over
+those entries, not over all dim^2 of them.
+
 Groups are built by breadth-first closure with a hard element cap; exceeding
 the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
 only compiles the generators to permutations of the orbit of the standard
@@ -28,6 +33,7 @@ matrices, and matrix membership.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclo import CycNum, ConductorMismatch
 from .fingroup import (
@@ -41,132 +47,135 @@ from .fingroup import (
 
 
 class CycMatrix:
-    """Square matrix over Q(zeta_m), immutable and hashable."""
+    """Square matrix over Q(zeta_m), immutable and hashable.
 
-    __slots__ = ("dim", "m", "rows", "_hash")
+    nz holds, for each row, a tuple of (column, value) pairs in column
+    order with no zero value.  The form is canonical, so equality and
+    hashing read (dim, m, nz); rows is the dense view, built on request.
+    """
 
-    def __init__(self, dim: int, m: int, rows):
+    __slots__ = ("dim", "m", "nz", "_hash")
+
+    def __init__(self, dim: int, m: int, nz):
         self.dim = dim
         self.m = m
-        self.rows = tuple(tuple(r) for r in rows)
-        assert len(self.rows) == dim and all(len(r) == dim for r in self.rows)
+        self.nz = tuple(tuple(r) for r in nz)
+        if len(self.nz) != dim:
+            raise ValueError("%d rows given for a %dx%d matrix" % (len(self.nz), dim, dim))
         self._hash = None
 
     @staticmethod
+    def from_rows(dim: int, m: int, rows) -> "CycMatrix":
+        """The matrix with the given dense rows."""
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != dim for r in rows):
+            raise ValueError("a %dx%d matrix needs rows of length %d" % (dim, dim, dim))
+        return CycMatrix(dim, m, [[(j, x) for j, x in enumerate(r) if not x.is_zero] for r in rows])
+
+    @staticmethod
+    @lru_cache(maxsize=None)
     def identity(dim: int, m: int) -> "CycMatrix":
-        one, zero = CycNum.one(m), CycNum.zero(m)
-        return CycMatrix(dim, m, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return _monomial(m, [(i, CycNum.one(m)) for i in range(dim)])
+
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, zeros filled in."""
+        zero = CycNum.zero(self.m)
+        return tuple(tuple(map(dict(r).get, range(self.dim), [zero] * self.dim)) for r in self.nz)
 
     def __mul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.m != other.m:
             raise ConductorMismatch("matrix conductors differ: %d vs %d" % (self.m, other.m))
-        assert self.dim == other.dim
-        n = self.dim
-        zero = CycNum.zero(self.m)
-        # the nonzero (j, y) of each row of the right factor, found once
-        right = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in other.rows]
+        if self.dim != other.dim:
+            raise ValueError("matrix dimensions differ: %d vs %d" % (self.dim, other.dim))
+        right = other.nz
         out = []
-        for row in self.rows:
-            # each entry starts from its first term: zero + t is t
-            acc: list = [None] * n
-            for x, terms in zip(row, right):
-                if x.is_zero:
-                    continue
-                for j, y in terms:
-                    s = acc[j]
+        for row in self.nz:
+            if len(row) == 1:
+                # a field has no zero divisors: x * y is never zero
+                (k, x), = row
+                out.append([(j, x * y) for j, y in right[k]])
+                continue
+            acc: dict = {}
+            for k, x in row:
+                for j, y in right[k]:
+                    s = acc.get(j)
                     acc[j] = x * y if s is None else s + x * y
-            out.append([zero if s is None else s for s in acc])
-        return CycMatrix(n, self.m, out)
+            out.append([(j, s) for j, s in sorted(acc.items()) if not s.is_zero])
+        return CycMatrix(self.dim, self.m, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        return self.m == other.m and self.rows == other.rows
+        return self.dim == other.dim and self.m == other.m and self.nz == other.nz
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.dim, self.m, self.rows))
+            h = hash((self.dim, self.m, self.nz))
             self._hash = h
         return h
 
     def apply(self, v: tuple) -> tuple:
         """The matrix-vector product self * v."""
         zero = CycNum.zero(self.m)
-        terms = [(k, y) for k, y in enumerate(v) if not y.is_zero]
+        terms = {k: y for k, y in enumerate(v) if not y.is_zero}
         out = []
-        for row in self.rows:
+        for row in self.nz:
             acc = None
-            for k, y in terms:
-                x = row[k]
-                if not x.is_zero:
+            for k, x in row:
+                y = terms.get(k)
+                if y is not None:
                     acc = x * y if acc is None else acc + x * y
             out.append(zero if acc is None else acc)
         return tuple(out)
 
     def scalar_mul(self, c: CycNum) -> "CycMatrix":
-        return CycMatrix(self.dim, self.m, [[c * x for x in row] for row in self.rows])
+        keep = not c.is_zero  # a zero scalar leaves no entry
+        return CycMatrix(self.dim, self.m, [[(j, c * x) for j, x in r if keep] for r in self.nz])
 
     def conj_transpose(self) -> "CycMatrix":
-        n = self.dim
-        return CycMatrix(n, self.m, [[self.rows[j][i].conjugate() for j in range(n)] for i in range(n)])
+        cols: list = [[] for _ in range(self.dim)]
+        for i, r in enumerate(self.nz):
+            for j, x in r:
+                cols[j].append((i, x.conjugate()))
+        return CycMatrix(self.dim, self.m, cols)
 
     def trace(self) -> CycNum:
-        t = CycNum.zero(self.m)
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
+        return sum((x for i, r in enumerate(self.nz) for j, x in r if j == i), CycNum.zero(self.m))
 
     def det(self) -> CycNum:
-        # subset dynamic program over column sets, zero entries skipped
-        n = self.dim
+        # subset dynamic program over column sets, nonzero entries only
         prev = {0: CycNum.one(self.m)}
-        for i in range(n):
+        for row in self.nz:
             cur: dict[int, CycNum] = {}
-            row = self.rows[i]
             for used, val in prev.items():
-                for j in range(n):
+                for j, x in row:
                     bit = 1 << j
-                    if used & bit or row[j].is_zero:
+                    if used & bit:
                         continue
-                    term = val * row[j]
+                    term = val * x
                     # sign: number of used columns above j
                     if bin(used >> (j + 1)).count("1") & 1:
                         term = -term
                     key = used | bit
-                    if key in cur:
-                        cur[key] = cur[key] + term
-                    else:
-                        cur[key] = term
+                    s = cur.get(key)
+                    cur[key] = term if s is None else s + term
             prev = cur
-        full = (1 << n) - 1
-        return prev.get(full, CycNum.zero(self.m))
+        return prev.get((1 << self.dim) - 1, CycNum.zero(self.m))
 
     def is_identity(self) -> bool:
         return self == CycMatrix.identity(self.dim, self.m)
 
     def is_scalar(self) -> bool:
-        d = self.rows[0][0]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i == j:
-                    if self.rows[i][j] != d:
-                        return False
-                elif not self.rows[i][j].is_zero:
-                    return False
-        return True
+        """Whether self is c * I for some c, zero included."""
+        first = self.nz[0]
+        return all(r == ((i, first[0][1]),) if first else not r for i, r in enumerate(self.nz))
 
     def permutation_part(self):
         """For a monomial matrix, the map i -> j with entry (i, j) nonzero."""
-        perm = []
-        for row in self.rows:
-            nz = [j for j, x in enumerate(row) if not x.is_zero]
-            if len(nz) != 1:
-                return None
-            perm.append(nz[0])
-        if len(set(perm)) != self.dim:
-            return None
-        return tuple(perm)
+        perm = tuple(r[0][0] if len(r) == 1 else None for r in self.nz)
+        return perm if None not in perm and len(set(perm)) == self.dim else None
 
     def __pow__(self, n: int) -> "CycMatrix":
         if n < 0:
@@ -188,9 +197,10 @@ class CycMatrix:
 # -- standard generator catalog -------------------------------------------
 
 
-def _zeta_p(p: int, m: int) -> CycNum:
-    assert m % p == 0
-    return CycNum.zeta(m, m // p)
+def _monomial(m: int, entries) -> CycMatrix:
+    """The monomial matrix whose row i holds the one nonzero (column,
+    value) pair entries[i]."""
+    return CycMatrix(len(entries), m, [(e,) for e in entries])
 
 
 def legendre_symbol(k: int, p: int) -> int:
@@ -213,53 +223,42 @@ def std_matrix(p: int, which: str, k: int | None = None, conductor: int | None =
         m = conductor if conductor is not None else p
         if m % p != 0:
             raise ValueError("conductor %d not divisible by p = %d" % (m, p))
-    zero, one = CycNum.zero(m), CycNum.one(m)
-    z = _zeta_p(p, m)
+    one = CycNum.one(m)
+    z = CycNum.zeta(m, m // p)
 
-    if which == "A":
-        rows = [[z ** (i) if i == j else zero for j in range(p)] for i in range(p)]
-        mat = CycMatrix(p, m, rows)
-        if p == 2 and det_one:
-            mat = mat.scalar_mul(CycNum.zeta(m, m // 4))
-        return mat
-    if which == "B":
-        rows = [[one if j == (i + 1) % p else zero for j in range(p)] for i in range(p)]
-        mat = CycMatrix(p, m, rows)
+    if which in ("A", "B"):
+        mat = _monomial(m, [(i, z ** i) if which == "A" else ((i + 1) % p, one)
+                            for i in range(p)])
         if p == 2 and det_one:
             mat = mat.scalar_mul(CycNum.zeta(m, m // 4))
         return mat
     if which == "D":
         if p == 2:
             raise ValueError("D is defined for odd p only")
-        rows = [[z ** (-((i) ** 2) % p) if i == j else zero for j in range(p)] for i in range(p)]
-        return CycMatrix(p, m, rows)
+        return _monomial(m, [(i, z ** (-(i * i) % p)) for i in range(p)])
     if which == "sigma":
         if p == 2:
             raise ValueError("sigma is defined for odd p only")
         if k is None or not 1 <= k <= p - 1:
             raise ValueError("sigma requires 1 <= k <= p-1")
         # row i (0-based) maps to column k*i mod p
-        rows = [[one if j == (k * i) % p else zero for j in range(p)] for i in range(p)]
-        mat = CycMatrix(p, m, rows)
-        if legendre_symbol(k, p) == -1:
-            mat = mat.scalar_mul(-one)
-        return mat
+        sign = -one if legendre_symbol(k, p) == -1 else one
+        return _monomial(m, [(k * i % p, sign) for i in range(p)])
     if which == "tau":
         if p == 2:
             raise ValueError("tau is defined for odd p only")
-        rows = [[one if j == (-i) % p else zero for j in range(p)] for i in range(p)]
-        return CycMatrix(p, m, rows)
+        return _monomial(m, [(-i % p, one) for i in range(p)])
     if which == "F":
         if p != 2:
             raise ValueError("F exists at p = 2 only")
         z8 = CycNum.zeta(m, m // 8)
-        return CycMatrix(2, m, [[z8, zero], [zero, z8 ** 7]])
+        return _monomial(m, [(0, z8), (1, z8 ** 7)])
     if which == "H":
         if p != 2:
             raise ValueError("H exists at p = 2 only")
         z8 = CycNum.zeta(m, m // 8)
         inv_sqrt2 = (z8 + z8 ** 7) * CycNum.rational(m, Fraction(1, 2))
-        return CycMatrix(2, m, [[inv_sqrt2, -inv_sqrt2], [inv_sqrt2, inv_sqrt2]])
+        return CycMatrix.from_rows(2, m, [[inv_sqrt2, -inv_sqrt2], [inv_sqrt2, inv_sqrt2]])
     raise ValueError("unknown standard matrix %r" % which)
 
 
@@ -280,15 +279,15 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
     CapExceeded.
     """
     gens = list(gens)
-    assert gens, "need at least one generator"
+    if not gens:
+        raise ValueError("need at least one generator")
     dim, m = gens[0].dim, gens[0].m
     for g in gens:
         if g.dim != dim or g.m != m:
             raise ConductorMismatch("generators disagree in dim or conductor")
     if cap is None:
         cap = 2 * expected if expected is not None else DEFAULT_CAP
-    one, zero = CycNum.one(m), CycNum.zero(m)
-    basis = [tuple(one if i == j else zero for i in range(dim)) for j in range(dim)]
+    basis = list(CycMatrix.identity(dim, m).rows)
     # the orbit is the union of dim orbits of size at most |G|
     found = bfs_closure(basis, gens, lambda v, g: g.apply(v), dim * cap)
     if found is None:
@@ -317,8 +316,12 @@ class MatrixGroup(PermGroup):
     label = FiniteGroup.label  # g0, g1, ... as in the dumped group tables
 
     def matrix(self, i: int) -> CycMatrix:
-        cols = [self.orbit[q] for q in self.bases[i]]
-        return CycMatrix(self.dim, self.m, zip(*cols))
+        nz: list = [[] for _ in range(self.dim)]
+        for j, q in enumerate(self.bases[i]):
+            for r, x in enumerate(self.orbit[q]):
+                if not x.is_zero:
+                    nz[r].append((j, x))
+        return CycMatrix(self.dim, self.m, nz)
 
     def index_of(self, mat: CycMatrix) -> int | None:
         """The index of mat, or None when mat is not in the group."""
@@ -378,9 +381,8 @@ def in_truncated_torus_extension(mat: CycMatrix, p: int, level: int, det_one: bo
     # mat = diag * B^shift, and row i of mat carries diag's entry i
     torsion = p ** level
     one = CycNum.one(mat.m)
-    for i in range(p):
-        if mat.rows[i][perm[i]] ** torsion != one:
-            return False
+    if any(r[0][1] ** torsion != one for r in mat.nz):
+        return False
     if det_one and mat.det() != one:
         return False
     return True
@@ -392,31 +394,16 @@ def torus_extension_generators(p: int, level: int, det_one: bool = True,
     (difference form on the det-one side) followed by the shift matrix."""
     m = conductor if conductor is not None else default_conductor(p, level)
     torsion = p ** level
-    assert m % torsion == 0, "conductor %d lacks p^level torsion" % m
+    if m % torsion:
+        raise ValueError("conductor %d lacks p^level torsion" % m)
     zt = CycNum.zeta(m, m // torsion)
     gens = []
-    if det_one:
-        for r in range(p - 1):
-            rows = [
-                [
-                    (zt if i == r else (zt ** (torsion - 1) if i == r + 1 else CycNum.one(m)))
-                    if i == j
-                    else CycNum.zero(m)
-                    for j in range(p)
-                ]
-                for i in range(p)
-            ]
-            gens.append(CycMatrix(p, m, rows))
-    else:
-        for r in range(p):
-            rows = [
-                [
-                    (zt if i == r else CycNum.one(m)) if i == j else CycNum.zero(m)
-                    for j in range(p)
-                ]
-                for i in range(p)
-            ]
-            gens.append(CycMatrix(p, m, rows))
+    for r in range(p - 1 if det_one else p):
+        diag = [CycNum.one(m)] * p
+        diag[r] = zt
+        if det_one:
+            diag[r + 1] = zt ** (torsion - 1)
+        gens.append(_monomial(m, list(enumerate(diag))))
     gens.append(std_matrix(p, "B", conductor=m, det_one=(p == 2 and det_one)))
     return gens
 

@@ -232,7 +232,8 @@ def _swap12(p: int) -> CycMatrix:
     """The permutation matrix of the transposition (1 2) of the basis."""
     one, zero = CycNum.one(p), CycNum.zero(p)
     perm = [1, 0] + list(range(2, p))
-    return CycMatrix(p, p, [[one if j == perm[i] else zero for j in range(p)] for i in range(p)])
+    return CycMatrix.from_rows(p, p, [[one if j == perm[i] else zero for j in range(p)]
+                                      for i in range(p)])
 
 
 def test_chain_certificate_rejects_a_non_normalizing_generator(monkeypatch):

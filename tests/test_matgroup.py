@@ -7,6 +7,7 @@ determinant-one clock and shift by explicit isomorphism search.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 import sys
@@ -308,7 +309,7 @@ def test_permutation_layer_matches_matrices(name):
     for _ in range(10):
         M = mats[rng.randrange(G.order)]
         # swapping two columns keeps them in the orbit but leaves the group
-        swapped = CycMatrix(M.dim, M.m, [(r[1], r[0]) + r[2:] for r in M.rows])
+        swapped = CycMatrix.from_rows(M.dim, M.m, [(r[1], r[0]) + r[2:] for r in M.rows])
         for outside in (swapped, M.scalar_mul(two)):
             assert outside not in members
             assert G.index_of(outside) is None
@@ -450,8 +451,8 @@ def test_propagate_hom_into_semidirect_matches_mult_bfs(p):
     assert propagate_hom(n_chain, n_full, gens, wrong) is None
 
 
-def _dense_mul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
-    """Schoolbook product: every term summed into CycNum.zero."""
+def _dense_mul(A: CycMatrix, B: CycMatrix) -> tuple:
+    """Schoolbook product rows: every term summed into CycNum.zero."""
     n, zero = A.dim, CycNum.zero(A.m)
     rows = []
     for i in range(n):
@@ -461,8 +462,8 @@ def _dense_mul(A: CycMatrix, B: CycMatrix) -> CycMatrix:
             for k in range(n):
                 s = s + A.rows[i][k] * B.rows[k][j]
             row.append(s)
-        rows.append(row)
-    return CycMatrix(n, A.m, rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _dense_apply(A: CycMatrix, v: tuple) -> tuple:
@@ -473,6 +474,66 @@ def _dense_apply(A: CycMatrix, v: tuple) -> tuple:
             s = s + x * y
         out.append(s)
     return tuple(out)
+
+
+def _dense_det(A: CycMatrix) -> CycNum:
+    """The Leibniz sum over all n! permutations, zero terms included."""
+    n, total = A.dim, CycNum.zero(A.m)
+    for perm in itertools.permutations(range(n)):
+        term = CycNum.one(A.m)
+        for i in range(n):
+            term = term * A.rows[i][perm[i]]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def _dense_trace(A: CycMatrix) -> CycNum:
+    s = CycNum.zero(A.m)
+    for i in range(A.dim):
+        s = s + A.rows[i][i]
+    return s
+
+
+def _dense_conj_transpose(A: CycMatrix) -> tuple:
+    n = A.dim
+    return tuple(tuple(A.rows[j][i].conjugate() for j in range(n)) for i in range(n))
+
+
+def _dense_scalar_mul(A: CycMatrix, c: CycNum) -> tuple:
+    return tuple(tuple(c * x for x in row) for row in A.rows)
+
+
+def _dense_is_scalar(A: CycMatrix) -> bool:
+    zero, d = CycNum.zero(A.m), A.rows[0][0]
+    return all(A.rows[i][j] == (d if i == j else zero)
+               for i in range(A.dim) for j in range(A.dim))
+
+
+def _dense_is_identity(A: CycMatrix) -> bool:
+    one, zero = CycNum.one(A.m), CycNum.zero(A.m)
+    return all(A.rows[i][j] == (one if i == j else zero)
+               for i in range(A.dim) for j in range(A.dim))
+
+
+def _dense_permutation_part(A: CycMatrix):
+    perm = []
+    for row in A.rows:
+        cols = [j for j, x in enumerate(row) if x != CycNum.zero(A.m)]
+        if len(cols) != 1:
+            return None
+        perm.append(cols[0])
+    return tuple(perm) if sorted(perm) == list(range(A.dim)) else None
+
+
+def _canonical(A: CycMatrix) -> bool:
+    """One tuple per row of (column, value) pairs, columns in range and
+    strictly increasing, and no stored value zero."""
+    return len(A.nz) == A.dim and all(
+        [j for j, _ in r] == sorted({j for j, _ in r})
+        and all(0 <= j < A.dim and not x.is_zero for j, x in r)
+        for r in A.nz
+    )
 
 
 def _random_entry(rng: random.Random, m: int) -> CycNum:
@@ -491,30 +552,139 @@ def _random_matrix(rng: random.Random, n: int, m: int, shape: str) -> CycMatrix:
         perm = rng.sample(range(n), n)
         rows = [[_random_entry(rng, m) if j == perm[i] else zero for j in range(n)]
                 for i in range(n)]
+    elif shape == "scalar":
+        c = rng.choice((CycNum.one(m), zero, _random_entry(rng, m)))
+        rows = [[c if i == j else zero for j in range(n)] for i in range(n)]
     else:
         density = 0.3 if shape == "sparse" else 1.0
         rows = [[_random_entry(rng, m) if rng.random() < density else zero for _ in range(n)]
                 for _ in range(n)]
     if n > 1 and rng.random() < 0.3:
         rows[rng.randrange(n)] = [zero] * n
-    return CycMatrix(n, m, rows)
+    return CycMatrix.from_rows(n, m, rows)
 
 
 @pytest.mark.parametrize("m", [3, 5, 8, 9])
 def test_sparse_product_matches_dense_schoolbook(m):
-    """CycMatrix products and apply against the dense schoolbook sums, on
-    monomial, sparse and dense matrices with zero rows and rational
-    entries; the entries are canonical, so equal values compare equal."""
+    """Every operation of the exact layer against its dense schoolbook
+    oracle, on monomial, scalar, sparse and dense matrices with zero rows
+    and rational entries: products, apply, det, trace, conj_transpose,
+    scalar_mul, is_scalar, is_identity and permutation_part.  Every result
+    is canonical, so equal values compare equal, and the same matrix read
+    back from its dense rows has the same hash."""
     rng = random.Random(20261020 + m)
-    shapes = ("monomial", "sparse", "dense")
-    for _ in range(40):
+    shapes = ("monomial", "scalar", "sparse", "dense")
+    verdicts = set()
+    for _ in range(60):
         n = rng.randint(1, 5)
         A = _random_matrix(rng, n, m, rng.choice(shapes))
         B = _random_matrix(rng, n, m, rng.choice(shapes))
-        assert A * B == _dense_mul(A, B)
+        assert _canonical(A) and _canonical(B)
+        prod = A * B
+        assert _canonical(prod)
+        assert prod.rows == _dense_mul(A, B)
+        assert prod == CycMatrix.from_rows(n, m, _dense_mul(A, B))
+        assert hash(CycMatrix.from_rows(n, m, A.rows)) == hash(A)
         v = _random_matrix(rng, n, m, rng.choice(shapes)).rows[0]
         assert A.apply(v) == _dense_apply(A, v)
         assert A.apply(tuple(CycNum.zero(m) for _ in range(n))) == (CycNum.zero(m),) * n
+        assert A.det() == _dense_det(A)
+        assert prod.det() == A.det() * B.det()
+        assert A.trace() == _dense_trace(A)
+        star = A.conj_transpose()
+        assert _canonical(star) and star.rows == _dense_conj_transpose(A)
+        c = rng.choice((CycNum.zero(m), _random_entry(rng, m)))
+        scaled = A.scalar_mul(c)
+        assert _canonical(scaled) and scaled.rows == _dense_scalar_mul(A, c)
+        for M in (A, prod, scaled):
+            verdict = (M.is_scalar(), M.is_identity(), M.permutation_part() is not None)
+            assert verdict == (_dense_is_scalar(M), _dense_is_identity(M),
+                               _dense_permutation_part(M) is not None)
+            assert M.permutation_part() == _dense_permutation_part(M)
+            verdicts.add(verdict)
+    # each predicate is seen both true and false
+    assert all({v[k] for v in verdicts} == {True, False} for k in range(3))
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 9])
+def test_sparse_product_drops_cancelled_sums(m):
+    """Products whose sums cancel: column 1 of the left factor repeats
+    column 0 and row 1 of the right factor negates row 0, so the k = 0 and
+    k = 1 terms of every entry cancel, and entries with no other term
+    vanish.  Each vanished entry is dropped, never stored as zero."""
+    rng = random.Random(20261021 + m)
+    zero = CycNum.zero(m)
+    dropped = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        left = [(r[0], r[0]) + r[2:] for r in _random_matrix(rng, n, m, "dense").rows]
+        right = list(_random_matrix(rng, n, m, "dense").rows)
+        right[1] = tuple(-y for y in right[0])
+        right[2:] = [r if rng.random() < 0.5 else (zero,) * n for r in right[2:]]
+        A, B = CycMatrix.from_rows(n, m, left), CycMatrix.from_rows(n, m, right)
+        prod = A * B
+        assert _canonical(prod)
+        assert prod.rows == _dense_mul(A, B)
+        dropped += sum(n - len(r) for r in prod.nz)
+    assert dropped > 0
+
+
+def test_rotation_powers_cancel_to_the_identity():
+    """H, the rotation by pi/4 at conductor 8, is the one dense catalog
+    matrix: its square cancels to the monomial rotation by pi/2 and its
+    eighth power to the identity, by repeated products and by __pow__."""
+    H = std_matrix(2, "H")
+    one = CycNum.one(8)
+    assert (H * H).nz == (((1, -one),), ((0, one),))
+    ident = CycMatrix.identity(2, 8)
+    acc = ident
+    for k in range(1, 9):
+        acc = acc * H
+        assert _canonical(acc)
+        assert acc.is_identity() == (k == 8)
+    assert acc == H ** 8 == ident
+    assert hash(acc) == hash(H ** 8) == hash(ident)
+    assert H.det() == one
+
+
+def test_equal_matrices_hash_equal_by_every_route():
+    """The same matrix built by products, powers, scalars, transposes, the
+    dense constructor and a closure is equal and hashes equal."""
+    p = 5
+    A, B = std_matrix(p, "A"), std_matrix(p, "B")
+    z = CycNum.zeta(p)
+    G = closure([A, B])
+    routes = [
+        (B * A, (A * B).scalar_mul(z)),
+        (A ** p, CycMatrix.identity(p, p)),
+        (B.conj_transpose(), B ** (p - 1)),
+        ((A * B).conj_transpose().conj_transpose(), A * B),
+        (CycMatrix.from_rows(p, p, (A * B * B).rows),
+         G.matrix(G.mult(G.index_of(A * B), G.index_of(B)))),
+        (std_matrix(p, "sigma", k=p - 1), std_matrix(p, "tau").scalar_mul(
+            CycNum.one(p) if legendre_symbol(p - 1, p) == 1 else -CycNum.one(p))),
+    ]
+    for x, y in routes:
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+    assert len({x for x, _ in routes} | {y for _, y in routes}) == len(routes)
+
+
+def test_exact_layer_checks_raise_value_error():
+    """Shape and generator checks raise ValueError, which python -O keeps,
+    not a bare assert, which it skips."""
+    m = 3
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    with pytest.raises(ValueError, match="2 rows given for a 3x3 matrix"):
+        CycMatrix(3, m, [((0, one),), ((1, one),)])
+    with pytest.raises(ValueError, match="rows of length 2"):
+        CycMatrix.from_rows(2, m, [(one, zero), (one,)])
+    with pytest.raises(ValueError, match="dimensions differ"):
+        _ = CycMatrix.identity(2, m) * CycMatrix.identity(3, m)
+    with pytest.raises(ValueError, match="at least one generator"):
+        closure([])
+    with pytest.raises(ValueError, match="lacks p\\^level torsion"):
+        torus_extension_generators(3, 2, conductor=3)
 
 
 def test_group_inverse_and_negative_power_policy():

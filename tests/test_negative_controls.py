@@ -16,7 +16,9 @@ import os
 import pytest
 
 from fusionkit import cases, cli
+from fusionkit.cyclo import CycNum
 from fusionkit.fingroup import smallest_primitive_root
+from fusionkit.matgroup import CycMatrix, torus_extension_generators
 
 
 @pytest.fixture(autouse=True)
@@ -44,6 +46,7 @@ GAMMA_MUTATIONS = {
     "A,AB": lambda A, B: (A, A * B),
     "B,A": lambda A, B: (B, A),
     "A,B2": lambda A, B: (A, B * B),
+    "-A,B": lambda A, B: (A.scalar_mul(-CycNum.one(A.m)), B),
 }
 
 GAMMA_FAILED = {
@@ -57,6 +60,11 @@ GAMMA_FAILED = {
             "rho.sigma_shift", "rho.induced_coordinates", "normalizer.chain_embedding"),
     "A,B2": ("gamma.commutator", "rho.d_shift", "rho.induced_coordinates",
              "normalizer.chain_embedding"),
+    "-A,B": ("gamma.order", "gamma.det", "gamma.generator_powers", "gamma.exponent",
+             "gamma.center", "gamma.in_torus_extension", "gamma.recognize", "gamma.coordinates",
+             "tau.inverts_generators", "tau.centralizer_in_gamma", "tau.free_on_central_quotient",
+             "rho.sigma_clock", "rho.induced_coordinates", "normalizer.chain_order",
+             "normalizer.chain_embedding", "poset.containments"),
 }
 
 # at p = 3 every k is its own inverse mod p, so sigma_k raises a clock in
@@ -82,6 +90,11 @@ def test_mutated_gamma_fails_its_checks(monkeypatch, mutation, case, p):
         # Gamma is <A>, of order p; K still normalizes it and meets it trivially
         assert got["gamma.order"] == {"order": p, "expected": p ** 3}
         assert got["normalizer.chain_order"] == {"order": p * p * (p - 1),
+                                                 "expected": p ** 4 * (p - 1)}
+    if mutation == "-A,B":
+        # -A has determinant -1 and (-A)^p = -I: Gamma doubles to <-I> x Gamma
+        assert got["gamma.order"] == {"order": 2 * p ** 3, "expected": p ** 3}
+        assert got["normalizer.chain_order"] == {"order": 2 * p ** 4 * (p - 1),
                                                  "expected": p ** 4 * (p - 1)}
 
 
@@ -112,3 +125,85 @@ def test_k_past_its_cap_fails_rho_and_the_chain(monkeypatch, case, p, level):
     assert got["normalizer.chain_order"] == {"order": None, "expected": p ** 4 * (p - 1)}
     assert got["normalizer.chain_split"] == {"complement_order": 0}
     assert got["normalizer.chain_embedding"] == {"index": None}
+
+
+def transposition(p: int, m: int) -> CycMatrix:
+    """The permutation matrix swapping the first two basis vectors."""
+    one = CycNum.one(m)
+    return CycMatrix(p, m, [((1, one),), ((0, one),)] + [((i, one),) for i in range(2, p)])
+
+
+# catalog matrix -> its replacement, from the real matrix, p and the conductor
+STD_MUTATIONS = {
+    "tau,-tau": ("tau", lambda tau, p, m: tau.scalar_mul(-CycNum.one(m))),
+    "tau,B": ("tau", lambda tau, p, m: CycMatrix(p, m, [(((i + 1) % p, CycNum.one(m)),)
+                                                        for i in range(p)])),
+    "D,transposition": ("D", lambda D, p, m: transposition(p, m)),
+}
+
+TAU_B_FAILED = ("tau.involution", "tau.inverts_generators", "tau.trace", "tau.det",
+                "tau.su_dichotomy", "tau.centralizer_in_gamma", "tau.free_on_central_quotient")
+D_SWAP_FAILED = ("rho.d_power", "rho.d_fixes_clock", "rho.d_shift", "rho.sigma_d",
+                 "rho.image_order", "rho.usl_iso", "rho.normalizes_gamma",
+                 "rho.normalizes_torus_extension", "rho.induced_coordinates",
+                 "normalizer.chain_order", "normalizer.chain_normal", "normalizer.chain_quotient",
+                 "normalizer.chain_split", "normalizer.chain_embedding")
+
+
+def std_failed(mutation: str, p: int) -> list[str]:
+    """The failed ids of a catalog mutation at p, in report order."""
+    if mutation == "tau,-tau":
+        # -tau is still an involution normalizing Gamma; det and trace flip
+        return ["tau.trace", "tau.det", "tau.su_dichotomy"]
+    if mutation == "tau,B":
+        # det(B) = 1, which det(tau) is at p = 1 mod 4
+        return [i for i in TAU_B_FAILED
+                if p % 4 == 3 or i not in ("tau.det", "tau.su_dichotomy")]
+    # at p = 3 every permutation of the basis is affine, so the swap
+    # normalizes Gamma and the torus extension, and <swap, sigma_2> has
+    # order 12, under K's cap
+    return [i for i in D_SWAP_FAILED if p != 3 or i not in (
+        "rho.normalizes_gamma", "rho.normalizes_torus_extension", "normalizer.chain_normal")]
+
+
+@pytest.mark.parametrize("case, p", CONFIGS, ids=["%s-%d" % c for c in CONFIGS])
+@pytest.mark.parametrize("mutation", list(STD_MUTATIONS))
+def test_mutated_catalog_matrix_fails_its_checks(monkeypatch, mutation, case, p):
+    which, replace = STD_MUTATIONS[mutation]
+    real = cases.std_matrix
+
+    def mutated(q, name, k=None, conductor=None, **kw):
+        mat = real(q, name, k=k, conductor=conductor, **kw)
+        return replace(mat, q, mat.m) if name == which else mat
+
+    monkeypatch.setattr(cases, "std_matrix", mutated)
+    got = failed(verify_report(case, p))
+    assert list(got) == std_failed(mutation, p)
+    if mutation == "tau,-tau":
+        assert got["tau.su_dichotomy"] == {"tau_has_det_one": p % 4 == 3}
+    if mutation == "D,transposition":
+        assert got["rho.image_order"] == {"order": 12 if p == 3 else None,
+                                          "expected": p * (p - 1)}
+
+
+GAMMA_PAST_CAP = {
+    "D,B": lambda cfg, A, B: (cases.std_matrix(cfg.prime, "D", conductor=cfg.conductor), B),
+    "diag,B": lambda cfg, A, B: (
+        torus_extension_generators(cfg.prime, 1, det_one=False, conductor=cfg.conductor)[0], B),
+}
+
+
+@pytest.mark.parametrize("case, p", [c for c in CONFIGS if c[1] != 3],
+                         ids=["%s-%d" % c for c in CONFIGS if c[1] != 3])
+@pytest.mark.parametrize("mutation", list(GAMMA_PAST_CAP))
+def test_gamma_past_its_cap_ends_the_suite(monkeypatch, mutation, case, p):
+    # <D, B> has order p^4 (its diagonal part has the exponents 1, i and
+    # i^2) and <diag(zeta, 1, ..., 1), B> order p^(p+1): both pass Gamma's
+    # cap of 4p^3 from p = 5 on.  gamma.order fails with no order, and
+    # nothing after it runs
+    real = cases.gamma_matrices
+    monkeypatch.setattr(cases, "gamma_matrices",
+                        lambda cfg: GAMMA_PAST_CAP[mutation](cfg, *real(cfg)))
+    doc = verify_report(case, p)
+    assert [c["id"] for c in doc["checks"]] == ["gamma.order"]
+    assert failed(doc) == {"gamma.order": {"order": None, "expected": p ** 3}}
