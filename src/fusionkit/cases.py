@@ -34,17 +34,14 @@ from .extraspecial import (
     HeisenbergGroup,
     aut_certificate,
     heisenberg_semidirect,
-    inner_perm,
     primitive_scaling_matrix,
     section_perm,
 )
 from .fingroup import (
     SemidirectGroup,
-    automorphism_group,
     centralizer,
     cyclic_group,
     generated_subgroup,
-    greedy_generators,
     hom_by_generators,
     isomorphism,
     mat2_group,
@@ -137,7 +134,7 @@ class CaseConfig:
 class Check:
     check_id: str
     claim: str
-    status: str  # pass / fail / skipped
+    status: str  # pass / fail; counts() keeps a "skipped" key, always 0
     witness: dict = field(default_factory=dict)
 
 
@@ -149,9 +146,6 @@ class VerificationReport:
     def add(self, check_id: str, claim: str, ok: bool, **witness) -> bool:
         self.checks.append(Check(check_id, claim, "pass" if ok else "fail", witness))
         return ok
-
-    def skip(self, check_id: str, claim: str, reason: str) -> None:
-        self.checks.append(Check(check_id, claim, "skipped", {"reason": reason}))
 
     @property
     def all_ok(self) -> bool:
@@ -195,12 +189,9 @@ class VerificationReport:
         cfg = self.config
         lines = ["verification: %s" % cfg.describe()]
         for c in self.checks:
-            mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
-            line = "%s %-28s %s" % (mark, c.check_id, c.claim)
+            line = "%s %-28s %s" % (c.status.upper(), c.check_id, c.claim)
             if c.status == "fail" and c.witness:
                 line += "  [%s]" % _witness_brief(c.witness)
-            if c.status == "skipped":
-                line += "  [%s]" % c.witness.get("reason", "")
             lines.append(line)
         n = self.counts()
         lines.append(
@@ -650,13 +641,14 @@ def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
 
 
 def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
-                      K: MatrixGroup | None, usl_ok: bool) -> None:
+                      K: MatrixGroup | None, usl_ok: bool) -> ChainCertificate:
     """The chain-level and full normalizer models at odd p, with their
     extension certificates.  The chain normalizer is certified from
     generators by chain_certificate as Gamma (verify_gamma's group) x| K,
     with K = <D, sigma_g> and its USL2 verdict from verify_rho, split by
     the upper-triangular group and embedded in the abstract semidirect
-    product with the special linear group.  Nothing is closed here."""
+    product with the special linear group.  Nothing is closed here.
+    Returns the chain certificate, for the scalar-extended models."""
     p = cfg.prime
     n_full = heisenberg_semidirect(p, "SL")
     cert = chain_certificate(gam, K, d_sigma_matrices(p, smallest_primitive_root(p)),
@@ -711,6 +703,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
         cert.embedded and n_full.order == (p + 1) * cert.order,
         index=(n_full.order // cert.order) if cert.embedded else None,
     )
+    return cert
 
 
 def build_quaternion_normalizers(cfg: CaseConfig, rep: VerificationReport) -> None:
@@ -774,14 +767,18 @@ def build_quaternion_normalizers(cfg: CaseConfig, rep: VerificationReport) -> No
 
 
 def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
-                         gam: MatrixGroup, K: MatrixGroup | None) -> None:
-    """Scalar-extended models for the full unitary family at odd p.
+                         gam: MatrixGroup, cert: ChainCertificate) -> None:
+    """Scalar-extended models for the full unitary family at odd p, from
+    generators: nothing is closed.
 
-    At level 1 the p-torsion scalars already sit inside the p-group, so the
-    scalar-extended core is the core itself; at higher levels the core
-    grows to p^(level+2), verified concretely where the closure stays at
-    desk scale (p = 3) and recorded as encoded data otherwise.  The chain
-    normalizer adjoins the generators of verify_rho's K (None: it fails).
+    zI = zeta_(p^level) * I is central, so the core <Gamma, zI> is
+    Gamma <zI>, of order p^3 k for the least k > 0 with zI^k in Gamma.  At
+    level 1 zI lies in Gamma, so the core is the p-group itself.  At higher
+    levels the chain normalizer adjoins the generators of the certificate's
+    K: K normalizes Gamma and commutes with zI, so the core is normal in
+    it, and its order is |core| |K| / |core meet K|, where an element x of
+    K lies in the core when zI^-j x is in Gamma for some j < k.  Without K,
+    or when K does not normalize Gamma, there is no order.
     """
     p, n = cfg.prime, cfg.level
     zI = scalar_matrix(cfg, p ** n)
@@ -793,31 +790,31 @@ def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
             gam.contains_matrix(zI) and p ** (n + 2) == p ** 3,
         )
         return
-    if p == 3:
-        A, B = gamma_matrices(cfg)
-        core = closure([A, B, zI], cap=4 * p ** (n + 2))
-        rep.add(
-            "normalizer.u_core_order",
-            "the scalar-extended core has order p^(level+2)",
-            core.order == p ** (n + 2),
-            order=core.order,
-        )
-        order = None if K is None else closure(
-            [A, B, zI] + [K.matrix(k) for k in K.generator_indices],
-            cap=8 * p ** (n + 2) * (p - 1)).order
-        rep.add(
-            "normalizer.u_chain_order",
-            "the scalar-extended chain normalizer has the encoded order "
-            "p^(level+2) * p(p-1)",
-            order == p ** (n + 2) * p * (p - 1),
-            order=order,
-        )
-    else:
-        rep.skip(
-            "normalizer.u_core_order",
-            "scalar-extended core order p^(level+2)",
-            "closure at p = %d, level %d exceeds desk scale; encoded only" % (p, n),
-        )
+    # zI^m is the identity at conductor m, so k <= m
+    k = next((j for j in range(1, cfg.conductor + 1) if gam.contains_matrix(zI ** j)),
+             None) if zI.is_scalar() else None
+    core = None if k is None else gam.order * k
+    rep.add(
+        "normalizer.u_core_order",
+        "the scalar-extended core has order p^(level+2)",
+        core == p ** (n + 2),
+        order=core,
+    )
+    K, order = cert.K, None
+    if core is not None and cert.normal:
+        # zI has finite order, so its powers are unitary: zI^-j is the
+        # conjugate transpose of zI^j
+        back = [(zI ** j).conj_transpose() for j in range(k)]
+        meet = sum(1 for x in map(K.matrix, range(K.order))
+                   if any(gam.contains_matrix(z * x) for z in back))
+        order = core * K.order // meet
+    rep.add(
+        "normalizer.u_chain_order",
+        "the scalar-extended chain normalizer has the encoded order "
+        "p^(level+2) * p(p-1)",
+        order == p ** (n + 2) * p * (p - 1),
+        order=order,
+    )
 
 
 def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport) -> None:
@@ -919,34 +916,15 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         section=cert.section_order,
     )
 
-    if p == 3:
-        aut = automorphism_group(hberg)
-        inner = []
-        for u in range(p):
-            for v in range(p):
-                inner.append(aut.index[aut.key(inner_perm(hberg, u, v))])
-        hint = [aut.index[aut.key(section_perm(hberg, gl.elements[h]))]
-                for h in greedy_generators(gl)]
-        ses = sesverify(
-            aut,
-            tuple(sorted(set(inner))),
-            Q_expected=gl,
-            hint_lifts=hint,
-        )
-        rep.add(
-            "az.aut_ses",
-            "on the materialized automorphism group, the extension of the "
-            "general linear quotient by the inner automorphisms splits, "
-            "with the coordinate section as complement",
-            ses.split is True and ses.quotient_iso is not None,
-            aut_order=aut.order,
-        )
-    else:
-        rep.skip(
-            "az.aut_ses",
-            "materialized automorphism-group extension check",
-            "materialization is p = 3 only; the certificate covers p = %d" % p,
-        )
+    rep.add(
+        "az.aut_ses",
+        "the inner automorphisms, normal in the automorphism group, and "
+        "the certified coordinate section, a subgroup isomorphic to the "
+        "general linear group, meet trivially and have the scan count as "
+        "product: the extension splits, with the section as complement",
+        cert.split,
+        aut_order=cert.inner_order * cert.section_order,
+    )
 
     xi = smallest_primitive_root(p)
     M = primitive_scaling_matrix(p)
@@ -990,13 +968,13 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         expected=ugl.order,
     )
 
-    sd_chain = heisenberg_semidirect(p, "UGL")
+    chain_order = hberg.order * ugl.order
     rep.add(
         "az.chain_order",
         "the semidirect product with the upper-triangular group has order "
         "p^4(p-1)^2",
-        sd_chain.order == p ** 4 * (p - 1) ** 2,
-        order=sd_chain.order,
+        chain_order == p ** 4 * (p - 1) ** 2,
+        order=chain_order,
     )
     rep.add(
         "az.full_order",
@@ -1008,8 +986,8 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
     rep.add(
         "az.index",
         "the chain product sits in the full product with index p+1",
-        full_order == (p + 1) * sd_chain.order,
-        index=full_order // sd_chain.order,
+        full_order == (p + 1) * chain_order,
+        index=full_order // chain_order,
     )
     rep.add(
         "az.usl_in_ugl",
@@ -1229,9 +1207,9 @@ def run_suite(cfg: CaseConfig) -> VerificationReport:
     else:
         verify_tau(cfg, rep, gam, scalars)
         K, usl_ok = verify_rho(cfg, rep, gam, coords)
-        build_normalizers(cfg, rep, gam, K, usl_ok)
+        cert = build_normalizers(cfg, rep, gam, K, usl_ok)
         if cfg.case == "up":
-            _verify_u_odd_models(cfg, rep, gam, K)
+            _verify_u_odd_models(cfg, rep, gam, cert)
     verify_encoded_poset(cfg, rep, gam)
     emit_decomposition(cfg, rep)
     return rep

@@ -12,8 +12,8 @@ Configuration resolves in the order: explicit flags, then FUSIONKIT_*
 environment variables, then built-in defaults.  Identical resolved
 configurations produce byte-identical JSON and DOT artifacts.
 
-Exit status: 0 when every reported check passes (skips are fine), 1 when
-any check fails, 2 for usage or input errors.
+Exit status: 0 when every reported check passes, 1 when any check fails,
+2 for usage or input errors.
 """
 
 from __future__ import annotations

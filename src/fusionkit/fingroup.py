@@ -28,7 +28,8 @@ generator-image backtracking search (behind isomorphism and
 automorphism_group), short-exact-sequence verification with an exhaustive
 complement search over the product of the lift lists, and structure
 recognition against natively built reference groups (2x2 matrix groups
-over F_p, symmetric and cyclic groups).  A TableGroup holds its flat
+over F_p, built only for a prime p whose order formula gives |G|,
+symmetric and cyclic groups).  A TableGroup holds its flat
 multiplication table in one unsigned array (table_store: 2 bytes an entry
 up to order 65536).  group_from_json reads a document from an open text
 file MULT_CHUNK characters at a time and packs its mult array into that
@@ -857,6 +858,10 @@ def abelian_factor_orders(G: FiniteGroup) -> list[int]:
     return sorted(factors)
 
 
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -881,19 +886,23 @@ def recognize(G: FiniteGroup) -> str:
             Q, _ = quotient(G, zc)
             if isomorphic(Q, symmetric_group(4)):
                 return "O48"
-    for p in (3, 5, 7):
-        if n == p ** 3:
-            zc = center(G)
-            if len(zc) == p:
-                # G is not abelian (see above), and the exponent of a
-                # p-group is its largest element order
-                return "extraspecial(%d^3, exp %s)" % (p, "p" if max(hist) == p else "p^2")
-    for p in (2, 3, 5, 7):
-        for kind, name in (("SL", "SL2(F%d)"), ("GL", "GL2(F%d)"),
-                           ("USL", "U(SL2(F%d))"), ("UGL", "U(GL2(F%d))")):
-            ref = mat2_group(p, kind)
-            if ref.order == n and isomorphic(G, ref):
-                return name % p
+    r = round(n ** (1 / 3))
+    if r ** 3 == n and r > 2 and is_prime(r) and len(center(G)) == r:
+        # G is not abelian (see above), and the exponent of a p-group is
+        # its largest element order
+        return "extraspecial(%d^3, exp %s)" % (r, "p" if max(hist) == r else "p^2")
+    # the 2x2 linear groups over F_q by their orders, each a multiple of q
+    # and at least q(q-1), for the primes q in ascending order
+    q = 2
+    while q * (q - 1) <= n:
+        if n % q == 0 and is_prime(q):
+            for kind, name, order in (("SL", "SL2(F%d)", q * (q * q - 1)),
+                                      ("GL", "GL2(F%d)", q * (q - 1) ** 2 * (q + 1)),
+                                      ("USL", "U(SL2(F%d))", q * (q - 1)),
+                                      ("UGL", "U(GL2(F%d))", q * (q - 1) ** 2)):
+                if order == n and isomorphic(G, mat2_group(q, kind)):
+                    return name % q
+        q += 1
     if n % 2 == 0 and n >= 8 and hist.get(n // 2, 0):
         # the first element of order n/2 as the rotation
         r = next(r for r in range(n) if G.element_order(r) == n // 2)

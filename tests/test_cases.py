@@ -122,16 +122,44 @@ def test_suite_az(index):
     assert rep.all_ok, rep.failed_ids()
 
 
-@pytest.mark.parametrize("case,p,level", [("sup", 3, 2), ("up", 2, 3), ("up", 3, 2), ("up", 5, 2)])
+@pytest.mark.parametrize("case,p,level", [("sup", 3, 2), ("up", 2, 3), ("up", 3, 2), ("up", 5, 2),
+                                          ("up", 7, 2)])
 def test_suite_other_levels(case, p, level):
     rep = run_suite(CaseConfig(case, p, level=level))
     assert rep.all_ok, rep.failed_ids()
     if case == "up" and p != 2:
-        # the scalar-extended core (order 81) and chain normalizer (order
-        # 486) are closed at p = 3; at p = 5 the core is encoded only
-        status = {c.check_id: c.status for c in rep.checks}
-        got = [status.get("normalizer.u_core_order"), status.get("normalizer.u_chain_order")]
-        assert got == (["pass", "pass"] if p == 3 else ["skipped", None])
+        # the scalar-extended core and chain normalizer are certified from
+        # generators at every odd p: 81 and 486 at p = 3
+        witness = {c.check_id: c.witness for c in rep.checks}
+        assert [witness["normalizer.u_core_order"], witness["normalizer.u_chain_order"]] == [
+            {"order": p ** (level + 2)}, {"order": p ** (level + 2) * p * (p - 1)}]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_scalar_extended_orders_match_the_closures(p):
+    """The certified orders against the closures that the suite made at
+    p = 3 before: <A, B, zI> (81 at p = 3, 625 at p = 5), and at p = 3
+    <A, B, zI, D, sigma_g> (486)."""
+    cfg = CaseConfig("up", p, level=2)
+    A, B = gamma_matrices(cfg)
+    zI = cases.scalar_matrix(cfg, p ** 2)
+    witness = {c.check_id: c.witness for c in run_suite(cfg).checks}
+    assert closure([A, B, zI]).order == witness["normalizer.u_core_order"]["order"] == p ** 4
+    if p == 3:
+        k_gens = [std_matrix(p, "D", conductor=cfg.conductor),
+                  std_matrix(p, "sigma", k=smallest_primitive_root(p), conductor=cfg.conductor)]
+        chain = closure([A, B, zI] + k_gens)
+        assert chain.order == witness["normalizer.u_chain_order"]["order"] == 486
+
+
+@pytest.mark.parametrize("case,level", [("sup", 1), ("up", 1), ("up", 2)])
+def test_suite_at_p11(monkeypatch, case, level):
+    # every odd prime takes the one certified path; only the prime list of
+    # the configurations stops at 7
+    monkeypatch.setattr(cases, "SUPPORTED_PRIMES", cases.SUPPORTED_PRIMES + (11,))
+    rep = run_suite(CaseConfig(case, 11, level=level))
+    assert rep.all_ok, rep.failed_ids()
+    assert rep.counts() == {"pass": len(rep.checks), "fail": 0, "skipped": 0}
 
 
 def test_chain_normalizer_orders_frozen():

@@ -446,3 +446,12 @@ def test_verify_json_byte_identical_reruns(tmp_path):
     run_cli("verify", "--case", "sup", "--prime", "2", "--format", "json", "--out", str(a))
     run_cli("verify", "--case", "sup", "--prime", "2", "--format", "json", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_all_skips_nothing():
+    res = run_cli("verify", "--all", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    reports = json.loads(res.stdout)["reports"]
+    assert len(reports) == 12
+    assert [r["counts"]["skipped"] for r in reports] == [0] * 12
+    assert sum(r["counts"]["pass"] for r in reports) == 417

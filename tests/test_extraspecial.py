@@ -14,7 +14,7 @@ from dataclasses import fields
 import pytest
 
 from fusionkit import extraspecial
-from fusionkit.cases import CaseConfig, d_sigma_matrices, run_suite
+from fusionkit.cases import AZ_PRIME_OF_INDEX, CaseConfig, d_sigma_matrices, run_suite
 from fusionkit.extraspecial import (
     AutCertificate,
     HeisenbergGroup,
@@ -39,6 +39,7 @@ from fusionkit.fingroup import (
     hom_by_generators,
     mat2_group,
     perm_closure,
+    sesverify,
     smallest_primitive_root,
     spot_check_associativity,
     symmetric_group,
@@ -394,8 +395,8 @@ def test_pair_evaluation_matches_section_perm(p):
 
 
 def test_az_suite_builds_the_sections_once(monkeypatch):
-    # the certificate holds pairs, so the only sections built in full are
-    # those of the chain product's upper-triangular group
+    # the certificate holds pairs, and az.chain_order reads |Gamma| |UGL2|
+    # without building the chain product, so no section is built in full
     calls = []
     build = extraspecial.section_perms
 
@@ -405,7 +406,7 @@ def test_az_suite_builds_the_sections_once(monkeypatch):
 
     monkeypatch.setattr(extraspecial, "section_perms", counted)
     assert run_suite(CaseConfig("az", 5, az_index=29)).all_ok
-    assert calls == ["UGL"]
+    assert calls == []
 
 
 def test_aut_certificate_memory_at_p7():
@@ -428,6 +429,39 @@ def test_aut_group_materialized_at_p3():
     gam = HeisenbergGroup(3)
     A = automorphism_group(gam)
     assert A.order == 432
+
+
+def _aut_ses(p: int):
+    """The az.aut_ses check of the az suite at p."""
+    index = min(i for i, q in AZ_PRIME_OF_INDEX.items() if q == p)
+    rep = run_suite(CaseConfig("az", p, az_index=index))
+    return next(c for c in rep.checks if c.check_id == "az.aut_ses")
+
+
+def test_aut_ses_matches_the_materialized_group_at_p3():
+    """The route az.aut_ses took at p = 3 before the certificate: Aut(Gamma)
+    by backtracking, and sesverify of GL2(F3) over the inner
+    automorphisms, with the sections of GL2's generators as hint."""
+    gam, gl = HeisenbergGroup(3), mat2_group(3, "GL")
+    aut = automorphism_group(gam)
+    inner = sorted({aut.index[aut.key(f)] for f in inner_perms(gam)})
+    hint = [aut.index[aut.key(section_perm(gam, gl.elements[h]))] for h in greedy_generators(gl)]
+    ses = sesverify(aut, tuple(inner), Q_expected=gl, hint_lifts=hint)
+    check = _aut_ses(3)
+    assert ses.split is True and ses.quotient_iso is not None
+    assert check.status == "pass" and aut_certificate(3).split
+    assert check.witness == {"aut_order": aut.order} == {"aut_order": 432}
+
+
+def test_aut_ses_order_is_the_closure_of_inner_and_sections_at_p5():
+    # Inn(Gamma) x| GL2(F5), closed from the inner automorphisms by a and b
+    # and the sections of GL2's generators
+    gam, gl = HeisenbergGroup(5), mat2_group(5, "GL")
+    gens = [inner_perm(gam, 1, 0), inner_perm(gam, 0, 1)]
+    gens += [section_perm(gam, gl.elements[h]) for h in greedy_generators(gl)]
+    check = _aut_ses(5)
+    assert check.status == "pass"
+    assert perm_closure(gens).order == check.witness["aut_order"] == 12000
 
 
 def test_semidirect_orders():

@@ -33,6 +33,7 @@ from fusionkit.fingroup import (
     group_to_json_dict,
     grow_generators,
     hom_by_generators,
+    is_prime,
     isomorphic,
     isomorphism,
     left_cosets,
@@ -678,6 +679,18 @@ def test_recognize_frozen_names():
     S4 = symmetric_group(4)
     eight = next(s for s in all_subgroups(S4) if len(s) == 8)
     assert recognize(subgroup_as_group(S4, eight)) == "D8"
+
+
+def test_recognize_reads_primes_off_the_order():
+    # extraspecial at an odd prime r from |G| = r^3 and |Z(G)| = r, and the
+    # 2x2 linear groups from their order formulas, at primes past 7; D8
+    # (r = 2) and S3 keep their names (test_recognize_frozen_names)
+    from fusionkit.extraspecial import HeisenbergGroup
+
+    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert recognize(HeisenbergGroup(11)) == "extraspecial(11^3, exp p)"
+    assert recognize(mat2_group(11, "SL")) == "SL2(F11)"
+    assert recognize(mat2_group(11, "USL")) == "U(SL2(F11))"
 
 
 def test_abelian_factor_orders():

@@ -50,6 +50,13 @@ ARTIFACTS.update({
     "verify-%s-%d.json" % (case, p): ["verify", "--case", case, "--prime", str(p), "--format", "json"]
     for case in ("sup", "up") for p in (5, 7)
 })
+# the full unitary family at level 2, where the scalar-extended core and
+# chain normalizer are certified from generators
+ARTIFACTS.update({
+    "verify-up-%d-level2.json" % p: ["verify", "--case", "up", "--prime", str(p), "--level", "2",
+                                     "--format", "json"]
+    for p in (3, 5, 7)
+})
 ARTIFACTS.update({
     "verify-az-%d.json" % i: ["verify", "--case", "az", "--index", str(i), "--format", "json"]
     for i in (29, 31, 34)

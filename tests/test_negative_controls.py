@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from fusionkit import cases, cli
+from fusionkit import cases, cli, extraspecial
 from fusionkit.cyclo import CycNum
 from fusionkit.fingroup import smallest_primitive_root
 from fusionkit.matgroup import CycMatrix, torus_extension_generators
@@ -27,10 +27,11 @@ def no_env(monkeypatch):
         monkeypatch.delenv(key)
 
 
-def verify_report(case: str, p: int, *extra: str) -> dict:
+def verify_report(case: str, p: int | None, *extra: str) -> dict:
     out = io.StringIO()
+    prime = [] if p is None else ["--prime", str(p)]
     with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", "--case", case, "--prime", str(p), *extra, "--format", "json"])
+        code = cli.main(["verify", "--case", case, *prime, *extra, "--format", "json"])
     assert code == 1
     return json.loads(out.getvalue())
 
@@ -207,3 +208,24 @@ def test_gamma_past_its_cap_ends_the_suite(monkeypatch, mutation, case, p):
     doc = verify_report(case, p)
     assert [c["id"] for c in doc["checks"]] == ["gamma.order"]
     assert failed(doc) == {"gamma.order": {"order": None, "expected": p ** 3}}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_scalar_of_the_wrong_order_fails_the_scalar_extended_orders(monkeypatch, p):
+    # zeta_p I in place of zeta_(p^2) I at level 2: a scalar of Gamma, so
+    # the core is Gamma and the chain normalizer Gamma x| K
+    real = cases.scalar_matrix
+    monkeypatch.setattr(cases, "scalar_matrix", lambda cfg, order: real(cfg, order // cfg.prime))
+    got = failed(verify_report("up", p, "--level", "2"))
+    assert got == {"normalizer.u_core_order": {"order": p ** 3},
+                   "normalizer.u_chain_order": {"order": p ** 4 * (p - 1)}}
+
+
+@pytest.mark.parametrize("index", sorted(cases.AZ_PRIME_OF_INDEX))
+def test_uncorrected_section_pairs_fail_the_aut_certificate(monkeypatch, index):
+    # (f_M(a), f_M(b)) without the central corrections s_M(1, 0) and
+    # s_M(0, 1): these pairs do not compose as GL2 does
+    monkeypatch.setattr(extraspecial, "section_pair",
+                        lambda p, M: ((0, M[0], M[2]), (0, M[1], M[3])))
+    got = failed(verify_report("az", None, "--index", str(index)))
+    assert list(got) == ["az.aut_certificate", "az.aut_ses"]
