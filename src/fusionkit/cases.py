@@ -16,6 +16,10 @@ the chain and full normalizer extensions with their splitting or
 non-splitting, the automorphism-group counts, and finally emit the chain
 poset diagrams with their collapse.
 
+Each automorphism f_M of the coordinate model is read as its pair
+(f_M(a), f_M(b)) (extraspecial.section_pair): a and b generate, so
+homomorphisms agreeing on them are equal.  Nothing builds Gamma x| SL2.
+
 Every check is an exact computation; failures become report entries, never
 exceptions.  Checks run and are reported in declaration order, so reruns
 produce byte-identical artifacts.
@@ -33,15 +37,16 @@ from .diagram import chain_diagram, contract_iso_edges
 from .extraspecial import (
     HeisenbergGroup,
     aut_certificate,
-    heisenberg_semidirect,
+    pair_image,
     primitive_scaling_matrix,
-    section_perm,
+    section_is_faithful,
+    section_pair,
 )
 from .fingroup import (
-    SemidirectGroup,
     centralizer,
     cyclic_group,
     generated_subgroup,
+    greedy_generators,
     hom_by_generators,
     isomorphism,
     mat2_group,
@@ -428,9 +433,13 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
                coords: list[int] | None) -> tuple[MatrixGroup | None, bool]:
     """The diagonal/scaling normalizer piece at odd p: relations, image
     order, the certified isomorphism from the upper-triangular group, and
-    the induced coordinate matrices, read through verify_gamma's coords.
-    Returns the suite's one K = <D, sigma_g> (None past 4p(p-1) elements)
-    and the verdict that USL2 -> K is a certified bijection."""
+    the induced coordinate matrices.  Only Gamma's two generators are
+    conjugated by D and each sigma_k.  Read through verify_gamma's coords,
+    a conjugation is a homomorphism of the coordinate model, and so is the
+    map that section_pair(p, M) defines, so they are equal when they agree
+    on a and b.  Returns the suite's one K = <D, sigma_g> (None past
+    4p(p-1) elements) and the verdict that USL2 -> K is a certified
+    bijection."""
     p, m = cfg.prime, cfg.conductor
     assert p != 2
     A, B = gamma_matrices(cfg)
@@ -496,14 +505,16 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
         iso is not None and len(set(iso)) == len(iso) == K.order,
     )
 
-    # conj[0] is conjugation by D and conj[k] by sigma_k; on_gam[k] is
-    # conj[k] on the indices of the p-group
+    # conj[0] is conjugation by D and conj[k] by sigma_k; on_gens[k] holds
+    # the indices in Gamma (None outside it) of conj[k] of Gamma's generators
     conj = [conjugation_by(c) for c in [D] + [sigma[k] for k in range(1, p)]]
-    on_gam = [conjugation_on(gam, c) for c in conj]
+    gam_gens = [gam.matrix(i) for i in gam.generator_indices]
+    on_gens = [[gam.index_of(c(x)) for x in gam_gens] for c in conj]
+    normal = all(None not in row for row in on_gens)
     rep.add(
         "rho.normalizes_gamma",
         "conjugation by D and every sigma_k maps the p-group into itself",
-        None not in on_gam,
+        normal,
     )
     tgens = torus_extension_generators(p, cfg.level, cfg.torus_det_one, cfg.conductor)
     rep.add(
@@ -517,20 +528,16 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
         ),
     )
 
-    ok_induced = coords is not None and None not in on_gam
+    ok_induced = coords is not None and normal
     if ok_induced:
+        # coords sends a and b to Gamma's generators
         hberg = HeisenbergGroup(p)
         back = {y: x for x, y in enumerate(coords)}
-
-        def induced_perm(h: list[int]) -> tuple[int, ...]:
-            return tuple(back[h[y]] for y in coords)
-
-        ok_d = induced_perm(on_gam[0]) == section_perm(hberg, d_sigma_matrices(p, g)[0])
-        ok_s = all(
-            induced_perm(on_gam[k]) == section_perm(hberg, d_sigma_matrices(p, k)[1])
-            for k in range(1, p)
+        want = [d_sigma_matrices(p, g)[0]] + [d_sigma_matrices(p, k)[1] for k in range(1, p)]
+        ok_induced = all(
+            tuple(hberg.decode(back[y]) for y in row) == section_pair(p, M)
+            for row, M in zip(on_gens, want)
         )
-        ok_induced = ok_d and ok_s
     rep.add(
         "rho.induced_coordinates",
         "in the central/row/column coordinates, conjugation by D acts as "
@@ -549,9 +556,9 @@ class ChainCertificate:
     """What chain_certificate certified of N = <Gamma, K>.
 
     order is |Gamma| |K|, and None unless Gamma is normal in N and meets K
-    trivially; f_gam and f_k are the certified maps of Gamma and K into
-    the full model, None where there is none.  Without K every verdict
-    fails.
+    trivially; f_gam and f_k are the certified maps of Gamma into
+    HeisenbergGroup(p) and of K into SL2(F_p), None where there is none.
+    Without K every verdict fails.
     """
 
     K: MatrixGroup | None
@@ -569,8 +576,7 @@ class ChainCertificate:
 
 
 def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
-                      k_usl: Sequence[tuple[int, int, int, int]], usl_ok: bool,
-                      n_full: SemidirectGroup) -> ChainCertificate:
+                      k_usl: Sequence[tuple[int, int, int, int]], usl_ok: bool) -> ChainCertificate:
     """The chain normalizer N = <Gamma, K> certified as Gamma x| K from
     generators, so that N itself is never closed (Holt, Eick & O'Brien,
     Handbook of Computational Group Theory, 2005).
@@ -579,9 +585,8 @@ def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
     verify_rho's closure of its generators k_gens (D and sigma_g), None
     when that closure passed its cap; they stand for the upper-triangular
     2x2 matrices k_usl over F_p, and usl_ok is verify_rho's verdict that
-    hom_by_generators(USL2 -> K), k_usl to k_gens, is a bijection.
-    n_full is the semidirect product Heisenberg x| SL2(F_p).  Only the
-    p^3 elements of Gamma and the p(p-1) of K are enumerated:
+    hom_by_generators(USL2 -> K), k_usl to k_gens, is a bijection.  Only
+    the p^3 elements of Gamma and the p(p-1) of K are enumerated:
 
     1. Normal: conjugation by each generator of K sends A and B into
        Gamma, an exact matrix product found by index_of.  Conjugation is
@@ -592,16 +597,16 @@ def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
     3. Order: by 1 and 2, |N| = |Gamma| |K|.
     4. Quotient: N/Gamma = Gamma K/Gamma is K, and K is USL2 by usl_ok.
     5. Split: K is a complement of Gamma, with k_gens as the witness.
-    6. Embedding: hom_by_generators certifies f_gam on Gamma (A and B to
-       the Heisenberg generators) and f_k on K (k_gens to their SL2
-       images k_usl).  For k in k_gens and x in {A, B},
-       f_gam(k x k^-1) = f_k(k) f_gam(x) f_k(k)^-1.  Both sides are
-       homomorphisms in x, and the k for which they agree on all of
-       Gamma form a subgroup, so it holds for every k in K.  Then
-       f(x k) = f_gam(x) f_k(k), well defined by 2, is a homomorphism
-       N -> n_full.  It is injective when f_gam and f_k are and their
-       images meet only in the identity: f(x k) = 1 puts f_gam(x) =
-       f_k(k)^-1 in both images.
+    6. Embedding in Heis x| SL2(F_p), M acting as f_M: hom_by_generators
+       certifies f_gam: Gamma -> Heis (A and B to a and b) and f_k:
+       K -> SL2 (k_gens to k_usl).  For k in k_gens and x in {A, B},
+       f_gam(k x k^-1) = f_{f_k(k)}(f_gam(x)), f_M evaluated from
+       section_pair by pair_image: the semidirect law, written out.
+       Both sides are homomorphisms in x, and once M -> f_M is one
+       (normalizer.full_split) the k for which they agree on Gamma form
+       a subgroup, so the law holds on Gamma and K.  Then
+       f(x k) = (f_gam(x), f_k(k)), well defined by 2, is a homomorphism
+       N -> Heis x| SL2, injective when f_gam and f_k are.
     """
     if K is None:
         return ChainCertificate(None, False, None, False, None, None, False)
@@ -615,27 +620,17 @@ def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
     order = gam.order * K.order if normal and meet else None
     quotient = order is not None and usl_ok
 
-    hberg, sl = n_full.N, n_full.H
-    f_gam = hom_by_generators(
-        gam, n_full, gam.generator_indices,
-        [n_full.encode(x, sl.identity) for x in (hberg.a_index, hberg.b_index)],
-    )
-    f_k = hom_by_generators(
-        K, n_full, K.generator_indices,
-        [n_full.encode(hberg.identity, sl.index[M]) for M in k_usl],
-    )
+    p = gam_gens[0].dim  # Gamma acts on C^p
+    hberg, sl = HeisenbergGroup(p), mat2_group(p, "SL")
+    f_gam = hom_by_generators(gam, hberg, gam.generator_indices, [hberg.a_index, hberg.b_index])
+    f_k = hom_by_generators(K, sl, K.generator_indices, [sl.index[M] for M in k_usl])
     embedded = (
-        order is not None
-        and f_gam is not None
-        and f_k is not None
-        and all(
-            f_gam[row[i]] == n_full.mult(n_full.mult(f_k[k], f_gam[x]), n_full.inv(f_k[k]))
-            for k, row in zip(K.generator_indices, conj)
-            for i, x in enumerate(gam.generator_indices)
-        )
-        and len(set(f_gam)) == gam.order
-        and len(set(f_k)) == K.order
-        and set(f_gam) & set(f_k) == {n_full.identity}
+        order is not None and f_gam is not None and f_k is not None
+        and all(hberg.decode(f_gam[row[i]])
+                == pair_image(p, section_pair(p, sl.elements[f_k[k]]), hberg.decode(f_gam[x]))
+                for k, row in zip(K.generator_indices, conj)
+                for i, x in enumerate(gam.generator_indices))
+        and len(set(f_gam)) == gam.order and len(set(f_k)) == K.order
     )
     return ChainCertificate(K, normal, order, quotient, f_gam, f_k, embedded)
 
@@ -646,13 +641,13 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
     extension certificates.  The chain normalizer is certified from
     generators by chain_certificate as Gamma (verify_gamma's group) x| K,
     with K = <D, sigma_g> and its USL2 verdict from verify_rho, split by
-    the upper-triangular group and embedded in the abstract semidirect
-    product with the special linear group.  Nothing is closed here.
+    the upper-triangular group and embedded in Heis x| SL2(F_p), which is
+    never built: its order is p^3 |SL2| from mat2_group, and it is a group
+    with complement {identity} x SL2 when M -> (f_M(a), f_M(b)) is
+    injective and multiplicative (section_is_faithful).  Nothing is closed.
     Returns the chain certificate, for the scalar-extended models."""
     p = cfg.prime
-    n_full = heisenberg_semidirect(p, "SL")
-    cert = chain_certificate(gam, K, d_sigma_matrices(p, smallest_primitive_root(p)),
-                             usl_ok, n_full)
+    cert = chain_certificate(gam, K, d_sigma_matrices(p, smallest_primitive_root(p)), usl_ok)
     rep.add(
         "normalizer.chain_order",
         "the p-group together with the diagonal/scaling piece closes "
@@ -680,28 +675,30 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
         complement_order=cert.complement_order,
     )
 
+    sl = mat2_group(p, "SL")
+    full_order = p ** 3 * sl.order
     rep.add(
         "normalizer.full_order",
         "the semidirect product with the special linear group, built "
         "from the certified coordinate section of the automorphism "
         "group, has order p^4(p^2-1)",
-        n_full.order == p ** 4 * (p * p - 1),
-        order=n_full.order,
+        full_order == p ** 4 * (p * p - 1),
+        order=full_order,
         expected=p ** 4 * (p * p - 1),
     )
-    sl = n_full.H
-    comp = [n_full.encode(n_full.N.identity, h) for h in range(sl.order)]
+    split = section_is_faithful(p, sl, [section_pair(p, M) for M in sl.elements],
+                                greedy_generators(sl))
     rep.add(
         "normalizer.full_split",
         "the section {identity} x SL2 is a complement by construction",
-        all(n_full.decode(x)[0] == n_full.N.identity for x in comp) and len(comp) == sl.order,
+        split,
     )
     rep.add(
         "normalizer.chain_embedding",
         "the chain-level normalizer embeds in the full model with "
         "index p+1",
-        cert.embedded and n_full.order == (p + 1) * cert.order,
-        index=(n_full.order // cert.order) if cert.embedded else None,
+        cert.embedded and split and full_order == (p + 1) * cert.order,
+        index=(full_order // cert.order) if cert.embedded else None,
     )
     return cert
 
@@ -772,28 +769,28 @@ def _verify_u_odd_models(cfg: CaseConfig, rep: VerificationReport,
     generators: nothing is closed.
 
     zI = zeta_(p^level) * I is central, so the core <Gamma, zI> is
-    Gamma <zI>, of order p^3 k for the least k > 0 with zI^k in Gamma.  At
-    level 1 zI lies in Gamma, so the core is the p-group itself.  At higher
-    levels the chain normalizer adjoins the generators of the certificate's
-    K: K normalizes Gamma and commutes with zI, so the core is normal in
-    it, and its order is |core| |K| / |core meet K|, where an element x of
-    K lies in the core when zI^-j x is in Gamma for some j < k.  Without K,
-    or when K does not normalize Gamma, there is no order.
+    Gamma <zI>, of order |Gamma| k for the least k > 0 with zI^k in Gamma,
+    to be p^(level+2): at level 1, k = 1 and the core is Gamma itself.  At
+    higher levels the chain normalizer adjoins the generators of the
+    certificate's K: K normalizes Gamma and commutes with zI, so the core
+    is normal in it, of order |core| |K| / |core meet K|, where x in K lies
+    in the core when zI^-j x is in Gamma for some j < k.  Without K, or
+    when K does not normalize Gamma, there is no order.
     """
     p, n = cfg.prime, cfg.level
     zI = scalar_matrix(cfg, p ** n)
+    # zI^m is the identity at conductor m, so k <= m
+    k = next((j for j in range(1, cfg.conductor + 1) if gam.contains_matrix(zI ** j)),
+             None) if zI.is_scalar() else None
+    core = None if k is None else gam.order * k
     if n == 1:
         rep.add(
             "normalizer.u_core_order",
             "the p-torsion scalars lie inside the p-group, so the "
             "scalar-extended core at level 1 is the p-group itself",
-            gam.contains_matrix(zI) and p ** (n + 2) == p ** 3,
+            core == p ** (n + 2),
         )
         return
-    # zI^m is the identity at conductor m, so k <= m
-    k = next((j for j in range(1, cfg.conductor + 1) if gam.contains_matrix(zI ** j)),
-             None) if zI.is_scalar() else None
-    core = None if k is None else gam.order * k
     rep.add(
         "normalizer.u_core_order",
         "the scalar-extended core has order p^(level+2)",
@@ -936,22 +933,16 @@ def verify_az(cfg: CaseConfig, rep: VerificationReport) -> None:
         matrix=list(M),
         xi=xi,
     )
-    phi = section_perm(hberg, M)
     a_idx, b_idx = hberg.a_index, hberg.b_index
-    phi_hom = propagate_hom(hberg, hberg, [a_idx, b_idx], [phi[a_idx], phi[b_idx]])
-    phi_matches = phi_hom is not None and all(
-        phi_hom[i] == phi[i] for i in range(hberg.order)
-    )
-    target = hberg.identity
-    for _ in range(xi):
-        target = hberg.mult(target, a_idx)
+    phi = propagate_hom(hberg, hberg, [a_idx, b_idx],
+                        [hberg.encode(*w) for w in section_pair(p, M)])
     rep.add(
         "az.adams_automorphism",
         "that scaling map is a certified automorphism sending the first "
         "generator to its xi-th power and fixing the second",
-        phi_matches
-        and len(set(phi)) == hberg.order
-        and phi[a_idx] == target
+        phi is not None
+        and len(set(phi.values())) == hberg.order
+        and phi[a_idx] == hberg.encode(0, xi, 0)  # a^xi
         and phi[b_idx] == b_idx,
     )
 
@@ -1186,7 +1177,8 @@ def run_suite(cfg: CaseConfig) -> VerificationReport:
     verify_gamma's Gamma with its scalars and coordinates, and verify_rho's
     K = <D, sigma_g> with its USL2 verdict, from which build_normalizers
     certifies the chain normalizer (14406 elements at p = 7) as
-    Gamma x| K without closing it and embeds it in Gamma x| SL2(F_p).
+    Gamma x| K without closing it and embeds it in Heis x| SL2(F_p), read
+    through the section pairs and never built.
     Without Gamma (gamma.order failed past its cap) the suite ends there.
     """
     rep = VerificationReport(cfg)

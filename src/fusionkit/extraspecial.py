@@ -171,6 +171,23 @@ def pair_image(p: int, pair: tuple[tuple, tuple], w: tuple) -> tuple[int, int, i
     return central % p, (i * iu + j * iv) % p, (i * ju + j * jv) % p
 
 
+def section_is_faithful(p: int, H: Mat2Group, pairs: list[tuple[tuple, tuple]],
+                        gens: list[int]) -> bool:
+    """Whether M -> phi_M, held as pairs in H's element order, is an
+    injective homomorphism on H = <gens>: the pairs are distinct, phi_I is
+    the identity pair, and the pair of x*g is phi_x at the pair of g for
+    every x and generator g.  Gamma is free of rank 2 among groups of
+    class 2 and exponent p, so every pair defines the endomorphism that
+    pair_image evaluates; then phi_{x*g} = phi_x o phi_g, and induction on
+    word length gives the rest."""
+    return (len(set(pairs)) == H.order
+            and pairs[H.identity] == ((0, 1, 0), (0, 0, 1))
+            and all(pairs[H.mult(x, g)] == (pair_image(p, pairs[x], u), pair_image(p, pairs[x], v))
+                    for g in gens
+                    for u, v in [pairs[g]]
+                    for x in range(H.order)))
+
+
 def inner_perm(gam: HeisenbergGroup, u: int, v: int) -> tuple[int, ...]:
     """Conjugation by any element with middle coordinates (u, v): it sends
     (c, i, j) to (c + v*i - u*j, i, j), that is x to z^(v*i - u*j) * x."""
@@ -271,14 +288,11 @@ def aut_certificate(p: int) -> AutCertificate:
       homomorphism that is a bijection and equals section_perm on all of
       Gamma.  A homomorphism with those images of a and b takes z to their
       commutator, so it is phi_g, and phi_g is an automorphism;
-    - phi_I is the identity pair, and for every x in GL2(F_p) and every
-      generator g the pair of x*g is phi_x evaluated at the pair of g.
-      If phi_x is an endomorphism, phi_x o phi_g is one with that pair,
-      so phi_{x*g} = phi_x o phi_g.  By induction on word length every
-      phi_M is an automorphism and M -> phi_M is a homomorphism on
-      <gens> = GL2(F_p), so its image is the closure of the generators'
-      images (closure_matches), and with the pairs pairwise distinct it is
-      an isomorphic image of GL2(F_p) (section_is_gl2_image);
+    - section_is_faithful on the same generators: M -> phi_M is an
+      injective homomorphism on <gens> = GL2(F_p), so every phi_M is a
+      product of the generators' automorphisms, its image is the closure
+      of the generators' images (closure_matches), and it is an
+      isomorphic image of GL2(F_p) (section_is_gl2_image);
     - the inner permutation of (u, v) is conjugation by a at (1, 0) and
       by b at (0, 1), and inner(u+1, v) = inner(u, v) o inner(1, 0) and
       inner(0, v+1) = inner(0, v) o inner(0, 1) (indices mod p).  At
@@ -298,7 +312,6 @@ def aut_certificate(p: int) -> AutCertificate:
 
     H = mat2_group(p, "GL")
     pairs = section_pairs(p, H)
-    distinct = len(set(pairs)) == H.order
 
     a, b = gam.a_index, gam.b_index
     ident = (gam.decode(a), gam.decode(b))
@@ -313,12 +326,6 @@ def aut_certificate(p: int) -> AutCertificate:
             and all(images.get(x) == fx for x, fx in enumerate(f))
             and len(set(f)) == gam.order
         )
-    is_hom = pairs[H.identity] == ident and all(
-        pairs[H.mult(x, g)] == (pair_image(p, pairs[x], u), pair_image(p, pairs[x], v))
-        for g in gl_gens
-        for u, v in [pairs[g]]
-        for x in range(H.order)
-    )
 
     inner = inner_perms(gam)  # (u, v) at u*p + v
     alpha, beta = inner[p], inner[1]
@@ -334,7 +341,7 @@ def aut_certificate(p: int) -> AutCertificate:
     intersection_trivial = set(pairs) & inner_pairs == {ident}
 
     inner_order = len(set(inner))
-    certified = is_hom and distinct
+    certified = section_is_faithful(p, H, pairs, gl_gens)
     return AutCertificate(
         p=p,
         scan_count=scan,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 from test_acceptance import _chain_normalizer_group
 
-from fusionkit import cases
+from fusionkit import cases, extraspecial
 from fusionkit.cases import (
     AZ_PRIME_OF_INDEX,
     CaseConfig,
@@ -32,6 +32,7 @@ from fusionkit.cases import (
 from fusionkit.cyclo import CycNum
 from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
+    SemidirectGroup,
     generated_subgroup,
     hom_by_generators,
     mat2_group,
@@ -152,12 +153,24 @@ def test_scalar_extended_orders_match_the_closures(p):
         assert chain.order == witness["normalizer.u_chain_order"]["order"] == 486
 
 
+def _forbid_the_full_store(monkeypatch):
+    """Make building a semidirect product or a p^3-point section tuple
+    raise: the verify path reads each section as its generator pair."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verify path builds no Gamma x| H and no section tuple")
+
+    monkeypatch.setattr(SemidirectGroup, "__init__", refuse)
+    monkeypatch.setattr(extraspecial, "section_perm", refuse)
+
+
 @pytest.mark.parametrize("case,level", [("sup", 1), ("up", 1), ("up", 2)])
-def test_suite_at_p11(monkeypatch, case, level):
+@pytest.mark.parametrize("p", [11, 13])
+def test_suite_at_p11(monkeypatch, p, case, level):
     # every odd prime takes the one certified path; only the prime list of
     # the configurations stops at 7
-    monkeypatch.setattr(cases, "SUPPORTED_PRIMES", cases.SUPPORTED_PRIMES + (11,))
-    rep = run_suite(CaseConfig(case, 11, level=level))
+    _forbid_the_full_store(monkeypatch)
+    monkeypatch.setattr(cases, "SUPPORTED_PRIMES", cases.SUPPORTED_PRIMES + (p,))
+    rep = run_suite(CaseConfig(case, p, level=level))
     assert rep.all_ok, rep.failed_ids()
     assert rep.counts() == {"pass": len(rep.checks), "fail": 0, "skipped": 0}
 
@@ -180,15 +193,15 @@ CHAIN_IDS = ("normalizer.chain_order", "normalizer.chain_normal", "normalizer.ch
 
 
 def _chain_inputs(p: int):
-    """Gamma, verify_rho's K = <D, sigma_g> and its USL2 verdict, the USL2
-    matrices of K's generators, and the full model, as build_normalizers
-    passes them to chain_certificate at level 1."""
+    """Gamma, verify_rho's K = <D, sigma_g> and its USL2 verdict, and the
+    USL2 matrices of K's generators, as build_normalizers passes them to
+    chain_certificate at level 1."""
     cfg = CaseConfig("sup", p)
     rep = VerificationReport(cfg)
     gam, _, coords = verify_gamma(cfg, rep)
     K, usl_ok = verify_rho(cfg, rep, gam, coords)
     k_usl = d_sigma_matrices(p, smallest_primitive_root(p))
-    return gam, K, usl_ok, k_usl, heisenberg_semidirect(p, "SL")
+    return gam, K, usl_ok, k_usl
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -196,9 +209,11 @@ def test_chain_certificate_matches_the_enumerated_route(p):
     """The certificate against the route it replaced: close N, sesverify
     over it, and propagate the embedding over all of N.  Same order,
     verdicts, complement order and index; at p in {3, 5} f is the
-    enumerated embedding element by element."""
-    gam, K, usl_ok, k_usl, n_full = _chain_inputs(p)
-    cert = chain_certificate(gam, K, k_usl, usl_ok, n_full)
+    enumerated embedding element by element, into the semidirect product
+    that the certificate reads through section pairs and never builds."""
+    gam, K, usl_ok, k_usl = _chain_inputs(p)
+    cert = chain_certificate(gam, K, k_usl, usl_ok)
+    n_full = heisenberg_semidirect(p, "SL")
 
     n_chain, (A, B) = _chain_normalizer_group(p)
     a_i, b_i, d_i, sg_i = n_chain.generator_indices
@@ -225,7 +240,8 @@ def test_chain_certificate_matches_the_enumerated_route(p):
     for x in range(gam.order):
         for k in range(K.order):
             i = n_chain.index_of(gam.matrix(x) * K.matrix(k))
-            assert emb[i] == n_full.mult(cert.f_gam[x], cert.f_k[k])
+            assert emb[i] == n_full.mult(n_full.encode(cert.f_gam[x], sl.identity),
+                                         n_full.encode(hberg.identity, cert.f_k[k]))
             seen.add(i)
     assert len(seen) == n_chain.order
 
@@ -237,9 +253,9 @@ def _chain_statuses(monkeypatch, p, mutate):
     their USL2 matrices); the USL2 verdict is verify_rho's."""
     real = cases.chain_certificate
 
-    def mutated(gam, K, k_usl, usl_ok, n_full):
+    def mutated(gam, K, k_usl, usl_ok):
         k_gens, k_usl = mutate([K.matrix(k) for k in K.generator_indices], list(k_usl))
-        return real(gam, closure(k_gens), k_usl, usl_ok, n_full)
+        return real(gam, closure(k_gens), k_usl, usl_ok)
 
     monkeypatch.setattr(cases, "chain_certificate", mutated)
     rep = run_suite(CaseConfig("sup", p))
@@ -308,7 +324,7 @@ def test_chain_certificate_takes_the_usl2_verdict(monkeypatch):
     # complement of Gamma, and N still embeds
     real = cases.chain_certificate
     monkeypatch.setattr(cases, "chain_certificate",
-                        lambda gam, K, k_usl, usl_ok, n_full: real(gam, K, k_usl, False, n_full))
+                        lambda gam, K, k_usl, usl_ok: real(gam, K, k_usl, False))
     assert run_suite(CaseConfig("sup", 5)).failed_ids() == ["normalizer.chain_quotient"]
 
 
@@ -316,7 +332,9 @@ def test_chain_certificate_takes_the_usl2_verdict(monkeypatch):
 def test_odd_tower_closes_nothing_past_gamma(monkeypatch, p):
     """The odd-p tower never closes the chain normalizer: build_normalizers
     takes Gamma and K from verify_gamma and verify_rho, and makes no
-    closure at all and no sesverify call."""
+    closure at all and no sesverify call.  No step builds a semidirect
+    product or a section tuple."""
+    _forbid_the_full_store(monkeypatch)
     cfg = CaseConfig("sup", p)
     rep = VerificationReport(cfg)
     gam, _, coords = verify_gamma(cfg, rep)

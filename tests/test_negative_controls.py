@@ -82,9 +82,11 @@ def test_mutated_gamma_fails_its_checks(monkeypatch, mutation, case, p):
     monkeypatch.setattr(cases, "gamma_matrices",
                         lambda cfg: GAMMA_MUTATIONS[mutation](*real(cfg)))
     want = [i for i in GAMMA_FAILED[mutation] if p != 3 or i not in PASS_AT_3.get(mutation, ())]
-    if mutation == "A,A" and case == "up":
-        # <A> holds no scalar matrix
-        want.append("normalizer.u_core_order")
+    if mutation in ("A,A", "-A,B") and case == "up":
+        # the level-1 core <Gamma, zeta_p I> has order |Gamma| k for the
+        # least k with (zeta_p I)^k in Gamma: p * p for <A>, which holds no
+        # scalar matrix, and 2p^3 * 1 for the doubled Gamma
+        want.insert(want.index("normalizer.chain_embedding") + 1, "normalizer.u_core_order")
     got = failed(verify_report(case, p))
     assert list(got) == want
     if mutation == "A,A":
@@ -229,3 +231,25 @@ def test_uncorrected_section_pairs_fail_the_aut_certificate(monkeypatch, index):
                         lambda p, M: ((0, M[0], M[2]), (0, M[1], M[3])))
     got = failed(verify_report("az", None, "--index", str(index)))
     assert list(got) == ["az.aut_certificate", "az.aut_ses"]
+
+
+@pytest.mark.parametrize("case", ["sup", "up"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_uncorrected_section_pairs_fail_the_coordinate_and_full_checks(monkeypatch, case, p):
+    # the same pairs where cases reads section_pair: D's pair loses its
+    # central correction, so conjugation by D is not its section, and the
+    # pairs of SL2 do not compose as SL2 does
+    monkeypatch.setattr(cases, "section_pair", lambda q, M: ((0, M[0], M[2]), (0, M[1], M[3])))
+    got = failed(verify_report(case, p))
+    assert list(got) == ["rho.induced_coordinates", "normalizer.full_split",
+                         "normalizer.chain_embedding"]
+    assert got["normalizer.chain_embedding"] == {"index": None}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_minus_identity_fails_the_level_one_core(monkeypatch, p):
+    # -I in place of zeta_p I: (-I)^2 is the least power in Gamma, so the
+    # core <Gamma, -I> has order 2p^3
+    monkeypatch.setattr(cases, "scalar_matrix", lambda cfg, order: CycMatrix.identity(
+        cfg.prime, cfg.conductor).scalar_mul(-CycNum.one(cfg.conductor)))
+    assert failed(verify_report("up", p)) == {"normalizer.u_core_order": {}}

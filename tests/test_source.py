@@ -33,6 +33,8 @@ KEPT = {
     "CycNum.coeffs": "reads the rational coefficient vector in the cyclotomic tests",
     "CycNum.to_complex": "floating-point cross-check in the cyclotomic tests",
     "VerificationReport.failed_ids": "names the failed checks in test assertions",
+    "heisenberg_semidirect": "builds the engine's Gamma x| H models in the tests and in "
+                             "perfbench/tables.py; verify reads each section as its pair",
 }
 
 KEPT_ATTRIBUTES = {
