@@ -232,18 +232,12 @@ def d_sigma_matrices(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     return (1, 2, 0, 1), (k, 0, 0, pow(k, -1, p))
 
 
-def unitary_inverse(mat: CycMatrix) -> CycMatrix:
-    """Inverse via the conjugate transpose; valid for unitary matrices
-    (checked), which covers the whole standard catalog."""
-    inv = mat.conj_transpose()
-    if not (mat * inv).is_identity():
-        raise ValueError("matrix is not unitary")
-    return inv
-
-
 def conjugation_by(g: CycMatrix) -> Callable[[CycMatrix], CycMatrix]:
-    """The map x -> g x g^-1; g is checked unitary and inverted once."""
-    gi = unitary_inverse(g)
+    """The map x -> g x g^-1, g inverted once as its conjugate transpose:
+    g is checked unitary, as the whole standard catalog is."""
+    gi = g.conj_transpose()
+    if not (g * gi).is_identity():
+        raise ValueError("matrix is not unitary")
     return lambda x: g * x * gi
 
 
@@ -274,12 +268,14 @@ def scalar_matrix(cfg: CaseConfig, order: int) -> CycMatrix:
 
 
 def verify_gamma(cfg: CaseConfig,
-                 rep: VerificationReport) -> tuple[MatrixGroup | None, list[int], list[int] | None]:
+                 rep: VerificationReport) -> tuple[MatrixGroup | None, list[int], list | None]:
     """Gamma, the indices of its scalar matrices (read off the one scan of
-    its generators' centralizer), and at odd p the certified isomorphism
-    from the coordinate model as its images in HeisenbergGroup(p)'s index
-    order (None at p = 2, or when gamma.coordinates fails).  Past 4p^3
-    elements there is no Gamma: gamma.order fails and Gamma is None."""
+    its generators' centralizer), and at odd p its coordinates: the
+    inverse of the certified isomorphism from the coordinate model, as the
+    (c, i, j) of each element of Gamma (None at p = 2, or when
+    gamma.coordinates fails).  One order histogram serves gamma.exponent
+    and recognize.  Past 4p^3 elements there is no Gamma: gamma.order
+    fails and Gamma is None."""
     p, m = cfg.prime, cfg.conductor
     A, B = gamma_matrices(cfg)
     z = CycNum.zeta(m, m // p)
@@ -309,13 +305,13 @@ def verify_gamma(cfg: CaseConfig,
         "the commutator of the generators is the scalar zeta^-1",
         B * A == (A * B).scalar_mul(z),
     )
+    hist = gam.orders_histogram()
     if p != 2:
         rep.add(
             "gamma.generator_powers",
             "both generators have order p",
             (A ** p).is_identity() and (B ** p).is_identity(),
         )
-        hist = gam.orders_histogram()
         rep.add(
             "gamma.exponent",
             "every nonidentity element has order p",
@@ -349,7 +345,7 @@ def verify_gamma(cfg: CaseConfig,
             for x in (A, B)
         ),
     )
-    tag = recognize(gam)
+    tag = recognize(gam, hist)
     want_tag = "Q8" if p == 2 else "extraspecial(%d^3, exp p)" % p
     rep.add(
         "gamma.recognize",
@@ -367,7 +363,8 @@ def verify_gamma(cfg: CaseConfig,
             "onto the matrix group",
             iso is not None and len(set(iso)) == len(iso) == gam.order,
         ):
-            coords = iso
+            # iso is a bijection, so sorting Heis by iso inverts it
+            coords = [hberg.decode(h) for h in sorted(range(gam.order), key=iso.__getitem__)]
     return gam, scal, coords
 
 
@@ -430,7 +427,7 @@ def verify_tau(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
 
 
 def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
-               coords: list[int] | None) -> tuple[MatrixGroup | None, bool]:
+               coords: list | None) -> tuple[MatrixGroup | None, bool, list[list[int | None]]]:
     """The diagonal/scaling normalizer piece at odd p: relations, image
     order, the certified isomorphism from the upper-triangular group, and
     the induced coordinate matrices.  Only Gamma's two generators are
@@ -438,8 +435,9 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
     a conjugation is a homomorphism of the coordinate model, and so is the
     map that section_pair(p, M) defines, so they are equal when they agree
     on a and b.  Returns the suite's one K = <D, sigma_g> (None past
-    4p(p-1) elements) and the verdict that USL2 -> K is a certified
-    bijection."""
+    4p(p-1) elements), the verdict that USL2 -> K is a certified
+    bijection, and for D and sigma_g the indices in Gamma of their
+    conjugates of Gamma's generators (None outside Gamma)."""
     p, m = cfg.prime, cfg.conductor
     assert p != 2
     A, B = gamma_matrices(cfg)
@@ -530,12 +528,10 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
 
     ok_induced = coords is not None and normal
     if ok_induced:
-        # coords sends a and b to Gamma's generators
-        hberg = HeisenbergGroup(p)
-        back = {y: x for x, y in enumerate(coords)}
+        # coords sends Gamma's generators to a and b
         want = [d_sigma_matrices(p, g)[0]] + [d_sigma_matrices(p, k)[1] for k in range(1, p)]
         ok_induced = all(
-            tuple(hberg.decode(back[y]) for y in row) == section_pair(p, M)
+            tuple(coords[y] for y in row) == section_pair(p, M)
             for row, M in zip(on_gens, want)
         )
     rep.add(
@@ -545,7 +541,7 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
         "diag(k, k^-1)",
         ok_induced,
     )
-    return K, usl_ok
+    return K, usl_ok, [on_gens[0], on_gens[g]]
 
 
 # -- normalizers ------------------------------------------------------------
@@ -556,16 +552,14 @@ class ChainCertificate:
     """What chain_certificate certified of N = <Gamma, K>.
 
     order is |Gamma| |K|, and None unless Gamma is normal in N and meets K
-    trivially; f_gam and f_k are the certified maps of Gamma into
-    HeisenbergGroup(p) and of K into SL2(F_p), None where there is none.
-    Without K every verdict fails.
+    trivially; f_k is the certified map of K into SL2(F_p), None where
+    there is none.  Without K every verdict fails.
     """
 
     K: MatrixGroup | None
     normal: bool
     order: int | None
     quotient: bool
-    f_gam: list[int] | None
     f_k: list[int] | None
     embedded: bool
 
@@ -575,79 +569,76 @@ class ChainCertificate:
         return 0 if self.order is None else self.K.order
 
 
-def chain_certificate(gam: MatrixGroup, K: MatrixGroup | None,
-                      k_usl: Sequence[tuple[int, int, int, int]], usl_ok: bool) -> ChainCertificate:
+def chain_certificate(gam: MatrixGroup, coords: list | None, rho,
+                      k_usl: Sequence[tuple[int, int, int, int]]) -> ChainCertificate:
     """The chain normalizer N = <Gamma, K> certified as Gamma x| K from
     generators, so that N itself is never closed (Holt, Eick & O'Brien,
     Handbook of Computational Group Theory, 2005).
 
-    gam is Gamma, certified of order p^3 with generators A and B.  K is
-    verify_rho's closure of its generators k_gens (D and sigma_g), None
-    when that closure passed its cap; they stand for the upper-triangular
-    2x2 matrices k_usl over F_p, and usl_ok is verify_rho's verdict that
-    hom_by_generators(USL2 -> K), k_usl to k_gens, is a bijection.  Only
-    the p^3 elements of Gamma and the p(p-1) of K are enumerated:
+    gam is Gamma, certified of order p^3 with generators A and B, and
+    coords is verify_gamma's isomorphism f_gam: Gamma -> Heis (A and B to
+    a and b), or None.  rho is verify_rho's (K, usl_ok, k_conj): K is the
+    closure of its generators k_gens (D and sigma_g), None past its cap;
+    they stand for the upper-triangular 2x2 matrices k_usl over F_p, and
+    usl_ok is the verdict that hom_by_generators(USL2 -> K), k_usl to
+    k_gens, is a bijection.  k_conj[j][i] is the index in Gamma of
+    k x k^-1, for k = k_gens[j] and x Gamma's i-th generator, None outside
+    Gamma.  Only the p(p-1) elements of K are enumerated:
 
     1. Normal: conjugation by each generator of K sends A and B into
-       Gamma, an exact matrix product found by index_of.  Conjugation is
-       injective, so it maps Gamma onto itself.  Then Gamma is normal in
-       N, and Gamma K is a subgroup that holds every generator: N = Gamma K.
+       Gamma.  Conjugation is injective, so it maps Gamma onto itself.
+       Then Gamma is normal in N, and Gamma K is a subgroup that holds
+       every generator: N = Gamma K.
     2. Gamma meets K trivially: no nonidentity element of K is a matrix
        of Gamma.
     3. Order: by 1 and 2, |N| = |Gamma| |K|.
     4. Quotient: N/Gamma = Gamma K/Gamma is K, and K is USL2 by usl_ok.
     5. Split: K is a complement of Gamma, with k_gens as the witness.
     6. Embedding in Heis x| SL2(F_p), M acting as f_M: hom_by_generators
-       certifies f_gam: Gamma -> Heis (A and B to a and b) and f_k:
-       K -> SL2 (k_gens to k_usl).  For k in k_gens and x in {A, B},
-       f_gam(k x k^-1) = f_{f_k(k)}(f_gam(x)), f_M evaluated from
-       section_pair by pair_image: the semidirect law, written out.
+       certifies f_k: K -> SL2 (k_gens to k_usl).  For k in k_gens and x
+       in {A, B}, f_gam(k x k^-1) = f_{f_k(k)}(f_gam(x)), f_M evaluated
+       from section_pair by pair_image: the semidirect law, written out.
        Both sides are homomorphisms in x, and once M -> f_M is one
        (normalizer.full_split) the k for which they agree on Gamma form
        a subgroup, so the law holds on Gamma and K.  Then
        f(x k) = (f_gam(x), f_k(k)), well defined by 2, is a homomorphism
        N -> Heis x| SL2, injective when f_gam and f_k are.
     """
+    K, usl_ok, k_conj = rho
     if K is None:
-        return ChainCertificate(None, False, None, False, None, None, False)
-    gam_gens = [gam.matrix(i) for i in gam.generator_indices]
-    k_gens = [K.matrix(k) for k in K.generator_indices]
-    # conj[j][i]: the index in Gamma of k x k^-1 for k = k_gens[j] and
-    # x = gam_gens[i], None when it lies outside Gamma
-    conj = [[gam.index_of(c(x)) for x in gam_gens] for c in map(conjugation_by, k_gens)]
-    normal = all(None not in row for row in conj)
+        return ChainCertificate(None, False, None, False, None, False)
+    normal = all(None not in row for row in k_conj)
     meet = all(gam.index_of(K.matrix(k)) is None for k in range(K.order) if k != K.identity)
     order = gam.order * K.order if normal and meet else None
     quotient = order is not None and usl_ok
 
-    p = gam_gens[0].dim  # Gamma acts on C^p
-    hberg, sl = HeisenbergGroup(p), mat2_group(p, "SL")
-    f_gam = hom_by_generators(gam, hberg, gam.generator_indices, [hberg.a_index, hberg.b_index])
+    p = gam.dim  # Gamma acts on C^p
+    sl = mat2_group(p, "SL")
     f_k = hom_by_generators(K, sl, K.generator_indices, [sl.index[M] for M in k_usl])
     embedded = (
-        order is not None and f_gam is not None and f_k is not None
-        and all(hberg.decode(f_gam[row[i]])
-                == pair_image(p, section_pair(p, sl.elements[f_k[k]]), hberg.decode(f_gam[x]))
-                for k, row in zip(K.generator_indices, conj)
+        order is not None and coords is not None and f_k is not None
+        and all(coords[row[i]] == pair_image(p, section_pair(p, sl.elements[f_k[k]]), coords[x])
+                for k, row in zip(K.generator_indices, k_conj)
                 for i, x in enumerate(gam.generator_indices))
-        and len(set(f_gam)) == gam.order and len(set(f_k)) == K.order
+        and len(set(f_k)) == K.order
     )
-    return ChainCertificate(K, normal, order, quotient, f_gam, f_k, embedded)
+    return ChainCertificate(K, normal, order, quotient, f_k, embedded)
 
 
 def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
-                      K: MatrixGroup | None, usl_ok: bool) -> ChainCertificate:
+                      coords: list | None, rho) -> ChainCertificate:
     """The chain-level and full normalizer models at odd p, with their
     extension certificates.  The chain normalizer is certified from
-    generators by chain_certificate as Gamma (verify_gamma's group) x| K,
-    with K = <D, sigma_g> and its USL2 verdict from verify_rho, split by
+    generators by chain_certificate as Gamma x| K, with Gamma and its
+    coords from verify_gamma, and rho, verify_rho's K = <D, sigma_g>, its
+    USL2 verdict and the conjugates of Gamma's generators, split by
     the upper-triangular group and embedded in Heis x| SL2(F_p), which is
     never built: its order is p^3 |SL2| from mat2_group, and it is a group
     with complement {identity} x SL2 when M -> (f_M(a), f_M(b)) is
     injective and multiplicative (section_is_faithful).  Nothing is closed.
     Returns the chain certificate, for the scalar-extended models."""
     p = cfg.prime
-    cert = chain_certificate(gam, K, d_sigma_matrices(p, smallest_primitive_root(p)), usl_ok)
+    cert = chain_certificate(gam, coords, rho, d_sigma_matrices(p, smallest_primitive_root(p)))
     rep.add(
         "normalizer.chain_order",
         "the p-group together with the diagonal/scaling piece closes "
@@ -1175,10 +1166,11 @@ def run_suite(cfg: CaseConfig) -> VerificationReport:
 
     At odd p every object of the tower is built once and passed on:
     verify_gamma's Gamma with its scalars and coordinates, and verify_rho's
-    K = <D, sigma_g> with its USL2 verdict, from which build_normalizers
-    certifies the chain normalizer (14406 elements at p = 7) as
-    Gamma x| K without closing it and embeds it in Heis x| SL2(F_p), read
-    through the section pairs and never built.
+    K = <D, sigma_g> with its USL2 verdict and the conjugates of Gamma's
+    generators by D and sigma_g, from which build_normalizers certifies
+    the chain normalizer (14406 elements at p = 7) as Gamma x| K without
+    closing it and embeds it in Heis x| SL2(F_p), read through the
+    section pairs and never built.
     Without Gamma (gamma.order failed past its cap) the suite ends there.
     """
     rep = VerificationReport(cfg)
@@ -1198,8 +1190,8 @@ def run_suite(cfg: CaseConfig) -> VerificationReport:
             _verify_u2_models(cfg, rep)
     else:
         verify_tau(cfg, rep, gam, scalars)
-        K, usl_ok = verify_rho(cfg, rep, gam, coords)
-        cert = build_normalizers(cfg, rep, gam, K, usl_ok)
+        rho = verify_rho(cfg, rep, gam, coords)
+        cert = build_normalizers(cfg, rep, gam, coords, rho)
         if cfg.case == "up":
             _verify_u_odd_models(cfg, rep, gam, cert)
     verify_encoded_poset(cfg, rep, gam)

@@ -14,9 +14,9 @@ raises ValueError.
 
 The signed roots of unity (-1)^s zeta_m^k are tagged: each is one cached
 number per (m, s, k) whose slot root holds (s, k).  zeta and one return
-them, and negation, galois and conjugate of a tagged number, and the
-product of two, are lookups with no convolution.  Every other number has
-root None; equality and hashing read only (m, den, num).
+them, and negation, galois, conjugate and powers of a tagged number, and
+the product of two, are lookups with no convolution.  Every other number
+has root None; equality and hashing read only (m, den, num).
 """
 
 from __future__ import annotations
@@ -254,14 +254,10 @@ class CycNum:
     def __pow__(self, n: int) -> "CycNum":
         if n < 0:
             raise ValueError("negative powers unsupported: Q(zeta_%d) has no division here" % self.m)
-        result = _root(self.m, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if self.root is not None:
+            s, k = self.root
+            return _root(self.m, s * n % 2, k * n % self.m)
+        return square_and_multiply(self, n, _root(self.m, 0, 0))
 
     # -- field automorphisms ----------------------------------------------
 
@@ -325,6 +321,19 @@ class CycNum:
         if self.den == 1:
             return body
         return "(%s)/%d" % (body, self.den)
+
+
+def square_and_multiply(x, n: int, one):
+    """x ** n for n >= 0, from one, the identity: one product per set bit
+    of n and one square per bit below the top one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 @lru_cache(maxsize=None)

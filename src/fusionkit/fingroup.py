@@ -64,6 +64,7 @@ class FiniteGroup:
 
     order: int
     identity: int
+    generator_indices: list[int] = []  # closure generators, where it carries its Cayley graph
 
     def mult(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -98,6 +99,10 @@ class FiniteGroup:
         return hist
 
     def is_abelian(self) -> bool:
+        gens = self.generator_indices
+        if gens:
+            # commuting generators generate an abelian group
+            return all(self.mult(x, y) == self.mult(y, x) for x in gens for y in gens)
         n = self.order
         for i in range(n):
             for j in range(i + 1, n):
@@ -175,7 +180,7 @@ class PermGroup(FiniteGroup):
     Computational Group Theory, 2005, section 4.4).  The one element dict,
     index, is keyed by base images, and bases lists them in element order,
     so a product maps only its right factor's base images through its left
-    factor, and an inverse finds only the preimages of the base points.
+    factor, and an inverse is keyed by the preimages of the base points.
     Permutations and keys are stored as perm_store(n) says, and key turns
     any sequence of images into a key; permutations given without an
     index are converted.  perm_closure hands over its walk's index and
@@ -208,8 +213,11 @@ class PermGroup(FiniteGroup):
         return self.index[perm_mul(self.perms[i], self.bases[j])]
 
     def inv(self, i):
-        # every preimage in one pass, then the base points' ones
         p = self.perms[i]
+        if type(p) is bytes:
+            # the table that maps each image back to its point, in C
+            return self.index[bytes.maketrans(p, _POINTS[:len(p)])[:self.base]]
+        # every preimage in one pass, then the base points' ones
         q = [0] * len(p)
         for x, y in enumerate(p):
             q[y] = x
@@ -446,8 +454,9 @@ def centralizer(G: FiniteGroup, members, within=None) -> tuple[int, ...]:
 
 
 def center(G: FiniteGroup) -> tuple[int, ...]:
-    # what commutes with a generating set commutes with the whole group
-    return centralizer(G, greedy_generators(G))
+    # what commutes with a generating set commutes with the whole group:
+    # the closure generators where G carries them, else greedy ones
+    return centralizer(G, G.generator_indices or greedy_generators(G))
 
 
 def normal_closure(G: FiniteGroup, gens, seed) -> tuple[int, ...]:
@@ -868,11 +877,13 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def recognize(G: FiniteGroup) -> str:
+def recognize(G: FiniteGroup, hist: dict[int, int] | None = None) -> str:
+    """G's structure tag; hist, when given, is G.orders_histogram()."""
     n = G.order
     if n == 1:
         return "trivial"
-    hist = G.orders_histogram()
+    if hist is None:
+        hist = G.orders_histogram()
     if hist.get(n, 0) > 0:
         return "C%d" % n
     if G.is_abelian():

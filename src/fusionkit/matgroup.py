@@ -13,21 +13,22 @@ studies at an odd prime p (conductor p^level) and at p = 2 (conductor 8):
 
 Every catalog matrix but H is monomial, and so is every element of the
 torus normalizer, so a CycMatrix stores only its nonzero entries, row by
-row: a product, a determinant or a matrix-vector product costs a pass over
-those entries, not over all dim^2 of them.
+row, and a vector is the tuple of its nonzero (row, value) pairs: a
+product or a determinant costs a pass over those entries, not over all
+dim^2 of them, and one step of a monomial matrix on a basis vector's
+image is one product of numbers, with no zero test.
 
 Groups are built by breadth-first closure with a hard element cap; exceeding
 the cap raises, it never truncates silently.  Exact cyclotomic arithmetic
 only compiles the generators to permutations of the orbit of the standard
 basis vectors (Seress, Permutation Group Algorithms, 2003): the orbit is a
-walk of fingroup.bfs_closure, and its Schreier graph gives the generator
-permutations.  The closure is fingroup.perm_closure of those, with the
-basis positions as base, so a MatrixGroup is a PermGroup: every group
-operation runs on permutations of the orbit, stored by fingroup (bytes up
-to 256 orbit points) and keyed by the images of the basis, and the
-closure's Cayley graph is what right_mult hands to propagate_hom, on
-either side of a homomorphism.  This module adds only the exact layer:
-matrices, and matrix membership.
+walk of fingroup.bfs_closure over sparse vectors, and its Schreier graph
+gives the generator permutations.  The closure is fingroup.perm_closure of
+those, with the basis positions as base, so a MatrixGroup is a PermGroup:
+every group operation runs on permutations of the orbit, keyed by the
+images of the basis, and the closure's Cayley graph is what right_mult
+hands to propagate_hom.  This module adds only the exact layer: matrices,
+and matrix membership.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycNum, ConductorMismatch
+from .cyclo import CycNum, ConductorMismatch, square_and_multiply
 from .fingroup import (
     DEFAULT_CAP,
     CapExceeded,
@@ -88,21 +89,7 @@ class CycMatrix:
             raise ConductorMismatch("matrix conductors differ: %d vs %d" % (self.m, other.m))
         if self.dim != other.dim:
             raise ValueError("matrix dimensions differ: %d vs %d" % (self.dim, other.dim))
-        right = other.nz
-        out = []
-        for row in self.nz:
-            if len(row) == 1:
-                # a field has no zero divisors: x * y is never zero
-                (k, x), = row
-                out.append([(j, x * y) for j, y in right[k]])
-                continue
-            acc: dict = {}
-            for k, x in row:
-                for j, y in right[k]:
-                    s = acc.get(j)
-                    acc[j] = x * y if s is None else s + x * y
-            out.append([(j, s) for j, s in sorted(acc.items()) if not s.is_zero])
-        return CycMatrix(self.dim, self.m, out)
+        return CycMatrix(self.dim, self.m, [_combine(row, other.nz) for row in self.nz])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
@@ -116,30 +103,13 @@ class CycMatrix:
             self._hash = h
         return h
 
-    def apply(self, v: tuple) -> tuple:
-        """The matrix-vector product self * v."""
-        zero = CycNum.zero(self.m)
-        terms = {k: y for k, y in enumerate(v) if not y.is_zero}
-        out = []
-        for row in self.nz:
-            acc = None
-            for k, x in row:
-                y = terms.get(k)
-                if y is not None:
-                    acc = x * y if acc is None else acc + x * y
-            out.append(zero if acc is None else acc)
-        return tuple(out)
-
     def scalar_mul(self, c: CycNum) -> "CycMatrix":
         keep = not c.is_zero  # a zero scalar leaves no entry
         return CycMatrix(self.dim, self.m, [[(j, c * x) for j, x in r if keep] for r in self.nz])
 
     def conj_transpose(self) -> "CycMatrix":
-        cols: list = [[] for _ in range(self.dim)]
-        for i, r in enumerate(self.nz):
-            for j, x in r:
-                cols[j].append((i, x.conjugate()))
-        return CycMatrix(self.dim, self.m, cols)
+        return CycMatrix(self.dim, self.m, [[(i, x.conjugate()) for i, x in c]
+                                            for c in _transpose(self.dim, self.nz)])
 
     def trace(self) -> CycNum:
         return sum((x for i, r in enumerate(self.nz) for j, x in r if j == i), CycNum.zero(self.m))
@@ -180,18 +150,37 @@ class CycMatrix:
     def __pow__(self, n: int) -> "CycMatrix":
         if n < 0:
             raise ValueError("negative matrix powers unsupported; use group inverse")
-        result = CycMatrix.identity(self.dim, self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(self, n, CycMatrix.identity(self.dim, self.m))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(repr(x) for x in row) for row in self.rows)
         return "CycMatrix(%d, m=%d, [%s])" % (self.dim, self.m, body)
+
+
+def _combine(terms, lines) -> tuple:
+    """The sparse vector sum of x * lines[k] over the (k, x) pairs of
+    terms, each line sparse, (position, value) pairs in position order: a
+    row of a product, or a matrix's columns on a vector.  A sum that
+    cancels is dropped, as the dense H's products need."""
+    if len(terms) == 1:
+        # a field has no zero divisors: x * y is never zero
+        (k, x), = terms
+        return tuple([(j, x * y) for j, y in lines[k]])
+    acc: dict = {}
+    for k, x in terms:
+        for j, y in lines[k]:
+            s = acc.get(j)
+            acc[j] = x * y if s is None else s + x * y
+    return tuple([(j, s) for j, s in sorted(acc.items()) if not s.is_zero])
+
+
+def _transpose(dim: int, lines) -> list[list]:
+    """The sparse lines, entry (i, j) moved to (j, i): rows to columns."""
+    out: list = [[] for _ in range(dim)]
+    for i, line in enumerate(lines):
+        for j, x in line:
+            out[j].append((i, x))
+    return out
 
 
 # -- standard generator catalog -------------------------------------------
@@ -270,7 +259,11 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
 
     The generators are compiled once to permutations of the orbit of the
     standard basis vectors (the basis first, then the orbit's walk order):
-    the rows of the orbit's Schreier graph.  The closure is perm_closure
+    the rows of the orbit's Schreier graph.  The walk reads each vector
+    as its nonzero (row, value) pairs, the basis vector i as ((i, 1),),
+    and each generator as its columns, built once: a vector with one
+    nonzero entry, as every orbit vector of a monomial group, steps to the
+    generator's column scaled by that entry.  The closure is perm_closure
     of those permutations with the basis positions as base: the action is
     faithful, so it is the same walk under an isomorphic product.
     Element numbering is by discovery order with the identity first, which
@@ -287,9 +280,11 @@ def closure(gens, cap: int | None = None, expected: int | None = None) -> "Matri
             raise ConductorMismatch("generators disagree in dim or conductor")
     if cap is None:
         cap = 2 * expected if expected is not None else DEFAULT_CAP
-    basis = list(CycMatrix.identity(dim, m).rows)
+    one = CycNum.one(m)
+    basis = [((i, one),) for i in range(dim)]
     # the orbit is the union of dim orbits of size at most |G|
-    found = bfs_closure(basis, gens, lambda v, g: g.apply(v), dim * cap)
+    cols = [_transpose(dim, g.nz) for g in gens]
+    found = bfs_closure(basis, cols, _combine, dim * cap)
     if found is None:
         raise CapExceeded("closure exceeded cap %d (dim %d, conductor %d)" % (cap, dim, m))
     orbit, orbit_index, gen_perms = found
@@ -302,8 +297,9 @@ class MatrixGroup(PermGroup):
 
     The orbit contains the basis, at positions 0..dim-1, so the base
     images of an element (the orbit positions of its columns) determine
-    its matrix.  orbit_index maps each orbit vector to its position.
-    Matrices are built only on request.
+    its matrix.  orbit_index maps each orbit vector, a tuple of nonzero
+    (row, value) pairs, to its position.  Matrices are built only on
+    request, from the pairs, with no zero test.
     """
 
     def __init__(self, m: int, orbit, orbit_index, group: PermGroup):
@@ -316,24 +312,16 @@ class MatrixGroup(PermGroup):
     label = FiniteGroup.label  # g0, g1, ... as in the dumped group tables
 
     def matrix(self, i: int) -> CycMatrix:
-        nz: list = [[] for _ in range(self.dim)]
-        for j, q in enumerate(self.bases[i]):
-            for r, x in enumerate(self.orbit[q]):
-                if not x.is_zero:
-                    nz[r].append((j, x))
-        return CycMatrix(self.dim, self.m, nz)
+        # its columns are the orbit vectors at its base images
+        cols = map(self.orbit.__getitem__, self.bases[i])
+        return CycMatrix(self.dim, self.m, _transpose(self.dim, cols))
 
     def index_of(self, mat: CycMatrix) -> int | None:
         """The index of mat, or None when mat is not in the group."""
         if mat.dim != self.dim or mat.m != self.m:
             return None
-        cols = []
-        for col in zip(*mat.rows):
-            q = self.orbit_index.get(col)
-            if q is None:
-                return None
-            cols.append(q)
-        return self.index.get(self.key(cols))
+        cols = [self.orbit_index.get(tuple(c)) for c in _transpose(self.dim, mat.nz)]
+        return None if None in cols else self.index.get(self.key(cols))
 
     def contains_matrix(self, mat: CycMatrix) -> bool:
         return self.index_of(mat) is not None

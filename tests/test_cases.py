@@ -21,6 +21,7 @@ from fusionkit.cases import (
     build_normalizers,
     chain_certificate,
     chain_classes,
+    conjugation_by,
     d_sigma_matrices,
     emit_decomposition,
     gamma_matrices,
@@ -32,6 +33,7 @@ from fusionkit.cases import (
 from fusionkit.cyclo import CycNum
 from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
+    FiniteGroup,
     SemidirectGroup,
     generated_subgroup,
     hom_by_generators,
@@ -193,15 +195,16 @@ CHAIN_IDS = ("normalizer.chain_order", "normalizer.chain_normal", "normalizer.ch
 
 
 def _chain_inputs(p: int):
-    """Gamma, verify_rho's K = <D, sigma_g> and its USL2 verdict, and the
-    USL2 matrices of K's generators, as build_normalizers passes them to
+    """Gamma and its coords, verify_rho's K = <D, sigma_g> with its USL2
+    verdict and the conjugates of Gamma's generators by K's, and the USL2
+    matrices of K's generators, as build_normalizers passes them to
     chain_certificate at level 1."""
     cfg = CaseConfig("sup", p)
     rep = VerificationReport(cfg)
     gam, _, coords = verify_gamma(cfg, rep)
-    K, usl_ok = verify_rho(cfg, rep, gam, coords)
+    rho = verify_rho(cfg, rep, gam, coords)
     k_usl = d_sigma_matrices(p, smallest_primitive_root(p))
-    return gam, K, usl_ok, k_usl
+    return gam, coords, rho, k_usl
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -211,8 +214,8 @@ def test_chain_certificate_matches_the_enumerated_route(p):
     verdicts, complement order and index; at p in {3, 5} f is the
     enumerated embedding element by element, into the semidirect product
     that the certificate reads through section pairs and never builds."""
-    gam, K, usl_ok, k_usl = _chain_inputs(p)
-    cert = chain_certificate(gam, K, k_usl, usl_ok)
+    gam, coords, rho, k_usl = _chain_inputs(p)
+    cert = chain_certificate(gam, coords, rho, k_usl)
     n_full = heisenberg_semidirect(p, "SL")
 
     n_chain, (A, B) = _chain_normalizer_group(p)
@@ -240,7 +243,7 @@ def test_chain_certificate_matches_the_enumerated_route(p):
     for x in range(gam.order):
         for k in range(K.order):
             i = n_chain.index_of(gam.matrix(x) * K.matrix(k))
-            assert emb[i] == n_full.mult(n_full.encode(cert.f_gam[x], sl.identity),
+            assert emb[i] == n_full.mult(n_full.encode(hberg.encode(*coords[x]), sl.identity),
                                          n_full.encode(hberg.identity, cert.f_k[k]))
             seen.add(i)
     assert len(seen) == n_chain.order
@@ -250,12 +253,16 @@ def _chain_statuses(monkeypatch, p, mutate):
     """The chain checks of run_suite when chain_certificate gets, in place
     of verify_rho's K = <D, sigma_g> and the USL2 matrices of D and
     sigma_g, the closure of k_gens and k_usl = mutate(K's generators,
-    their USL2 matrices); the USL2 verdict is verify_rho's."""
+    their USL2 matrices), with the conjugates of Gamma's generators by
+    k_gens; the USL2 verdict is verify_rho's."""
     real = cases.chain_certificate
 
-    def mutated(gam, K, k_usl, usl_ok):
+    def mutated(gam, coords, rho, k_usl):
+        K, usl_ok, _ = rho
         k_gens, k_usl = mutate([K.matrix(k) for k in K.generator_indices], list(k_usl))
-        return real(gam, closure(k_gens), k_usl, usl_ok)
+        gam_gens = [gam.matrix(i) for i in gam.generator_indices]
+        k_conj = [[gam.index_of(c(x)) for x in gam_gens] for c in map(conjugation_by, k_gens)]
+        return real(gam, coords, (closure(k_gens), usl_ok, k_conj), k_usl)
 
     monkeypatch.setattr(cases, "chain_certificate", mutated)
     rep = run_suite(CaseConfig("sup", p))
@@ -324,7 +331,8 @@ def test_chain_certificate_takes_the_usl2_verdict(monkeypatch):
     # complement of Gamma, and N still embeds
     real = cases.chain_certificate
     monkeypatch.setattr(cases, "chain_certificate",
-                        lambda gam, K, k_usl, usl_ok: real(gam, K, k_usl, False))
+                        lambda gam, coords, rho, k_usl:
+                        real(gam, coords, (rho[0], False, rho[2]), k_usl))
     assert run_suite(CaseConfig("sup", 5)).failed_ids() == ["normalizer.chain_quotient"]
 
 
@@ -338,7 +346,7 @@ def test_odd_tower_closes_nothing_past_gamma(monkeypatch, p):
     cfg = CaseConfig("sup", p)
     rep = VerificationReport(cfg)
     gam, _, coords = verify_gamma(cfg, rep)
-    K, usl_ok = verify_rho(cfg, rep, gam, coords)
+    rho = verify_rho(cfg, rep, gam, coords)
     sizes, ses_calls = [], []
     real_closure = cases.closure
 
@@ -349,7 +357,7 @@ def test_odd_tower_closes_nothing_past_gamma(monkeypatch, p):
 
     monkeypatch.setattr(cases, "closure", counted_closure)
     monkeypatch.setattr(cases, "sesverify", lambda *a, **k: ses_calls.append(a))
-    build_normalizers(cfg, rep, gam, K, usl_ok)
+    build_normalizers(cfg, rep, gam, coords, rho)
     assert rep.all_ok, rep.failed_ids()
     assert sizes == []
     assert ses_calls == []
@@ -543,3 +551,38 @@ def test_gamma_matrices_unitary():
         ident = CycMatrix.identity(A.dim, A.m)
         assert A * A.conj_transpose() == ident
         assert B * B.conj_transpose() == ident
+
+
+def test_p7_tower_work_counts(monkeypatch):
+    """Upper bounds on the exact-layer work of one sup p = 7 suite, read
+    off the sparse orbit walk: zero tests of field numbers, matrix
+    products and element orders, each at most its count when the bound
+    was set.  Gamma's order histogram is computed once, for
+    gamma.exponent and recognize both."""
+    calls = {"is_zero": 0, "matmul": 0, "element_order": 0}
+    histograms = []
+
+    def count(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    is_zero = CycNum.is_zero.fget
+    monkeypatch.setattr(CycNum, "is_zero", property(count("is_zero", is_zero)))
+    monkeypatch.setattr(CycMatrix, "__mul__", count("matmul", CycMatrix.__mul__))
+    monkeypatch.setattr(FiniteGroup, "element_order",
+                        count("element_order", FiniteGroup.element_order))
+    real_histogram = FiniteGroup.orders_histogram
+
+    def histogram(G):
+        histograms.append((type(G).__name__, G.order))
+        return real_histogram(G)
+
+    monkeypatch.setattr(FiniteGroup, "orders_histogram", histogram)
+    rep = run_suite(CaseConfig("sup", 7))
+    assert rep.all_ok, rep.failed_ids()
+    assert calls["is_zero"] <= 3
+    assert calls["matmul"] <= 292
+    assert calls["element_order"] <= 343
+    assert histograms == [("MatrixGroup", 343)]

@@ -219,3 +219,30 @@ def test_tagged_roots_match_convolution(m):
             got, want = x * y, _convolution_product(x, y)
             assert (got.den, got.num) == (want.den, want.num)
             assert got is roots[s ^ t, (k + l) % m]
+
+
+def _generic_power(x: CycNum, n: int) -> CycNum:
+    """Square and multiply, as CycNum.__pow__ runs it on an untagged number."""
+    result, base = CycNum.one(x.m), x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize("m", [8, 9, 25, 49])
+def test_tagged_powers_match_square_and_multiply(m):
+    # a tagged (-1)^s zeta^k to the n is the tagged (-1)^(sn) zeta^(kn),
+    # the value that square and multiply gives on the same number untagged
+    for s in (0, 1):
+        for k in range(m):
+            x = -CycNum.zeta(m, k) if s else CycNum.zeta(m, k)
+            plain = CycNum.from_coeffs(m, [0] * k + [(-1) ** s])
+            assert plain.root is None
+            for n in range(2 * m + 1):
+                got, want = x ** n, _generic_power(plain, n)
+                sign = -CycNum.one(m) if s * n % 2 else CycNum.one(m)
+                assert got is CycNum.zeta(m, k * n) * sign
+                assert got == want == plain ** n and hash(got) == hash(want)

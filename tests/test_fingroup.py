@@ -854,3 +854,73 @@ def test_quotient_on_a_subgroup_matches_the_subgroup_table():
         H = fd.inter_norm(chain)
         for N in ((G.identity,), chain[0], chain[-1]):
             _same_quotient(G, N, H)
+
+
+@pytest.mark.parametrize("degree", [255, 256, 257])
+@pytest.mark.parametrize("base", [None, 2])
+def test_perm_inverse_matches_the_list_preimage(degree, base):
+    """PermGroup.inv against the list preimage q[p[x]] = x, keyed by its
+    base images, on either side of the byte store, with every point as
+    base and with a short one: the dihedral group of the degree-gon with
+    its points relabeled at random."""
+    rng = random.Random(3200 + degree)
+    label = rng.sample(range(degree), degree)
+    rotate = [0] * degree
+    reflect = [0] * degree
+    for x in range(degree):
+        rotate[label[x]] = label[(x + 1) % degree]
+        reflect[label[x]] = label[-x % degree]
+    G = perm_closure([rotate, reflect], base=base)
+    assert G.order == 2 * degree and type(G.perms[0]) is perm_store(degree)
+    for i in range(G.order):
+        p = G.perms[i]
+        q = [0] * degree
+        for x, y in enumerate(p):
+            q[y] = x
+        assert G.inv(i) == G.index[G.key(q)]
+        assert G.mult(i, G.inv(i)) == G.identity
+
+
+def _without_cayley(G: PermGroup) -> PermGroup:
+    """The same group, numbered the same, built from its permutations alone."""
+    H = PermGroup(G.perms, G.base)
+    assert G.generator_indices and H.generator_indices == []
+    assert H.bases == G.bases
+    return H
+
+
+@pytest.mark.parametrize("name", ["Q8", "Q16", "O48", "gamma3", "zI,gamma3", "gamma5", "torus3",
+                                  "S4"])
+def test_generators_of_a_closure_answer_as_a_scan_does(name):
+    """recognize, center and is_abelian read a closure's own generators
+    when the group carries its Cayley graph; the same group built without
+    it (generator_indices == []) takes greedy_generators and the pair
+    scan.  Both give the same answers, and the brute-force ones.  In
+    zI,gamma3 the first generator is central, and only the later two fail
+    to commute."""
+    from fusionkit.cyclo import CycNum
+    from fusionkit.matgroup import CycMatrix, closure, std_matrix, torus_extension_generators
+
+    gens = {
+        "Q8": lambda: [std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True)],
+        "Q16": lambda: [std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
+                        std_matrix(2, "F")],
+        "O48": lambda: [std_matrix(2, "A", det_one=True), std_matrix(2, "B", det_one=True),
+                        std_matrix(2, "F"), std_matrix(2, "H")],
+        "gamma3": lambda: [std_matrix(3, "A"), std_matrix(3, "B")],
+        "zI,gamma3": lambda: [CycMatrix.identity(3, 3).scalar_mul(CycNum.zeta(3)),
+                              std_matrix(3, "A"), std_matrix(3, "B")],
+        "gamma5": lambda: [std_matrix(5, "A"), std_matrix(5, "B")],
+        "torus3": lambda: torus_extension_generators(3, 1)[:-1],
+    }
+    G = perm_closure([(1, 2, 3, 0), (1, 0, 2, 3)]) if name == "S4" else closure(gens[name]())
+    H = _without_cayley(G)
+    abelian = all(G.mult(x, y) == G.mult(y, x) for x in range(G.order) for y in range(G.order))
+    assert G.is_abelian() == H.is_abelian() == abelian == (name == "torus3")
+    assert center(G) == center(H) == brute_force_center(G)
+    assert recognize(G) == recognize(H) == recognize(G, G.orders_histogram())
+    assert recognize(G) == {"Q8": "Q8", "Q16": "Q16", "O48": "O48",
+                            "gamma3": "extraspecial(3^3, exp p)",
+                            "zI,gamma3": "extraspecial(3^3, exp p)",
+                            "gamma5": "extraspecial(5^3, exp p)", "torus3": "C3xC3",
+                            "S4": "S4"}[name]

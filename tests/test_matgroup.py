@@ -36,6 +36,8 @@ from fusionkit.fingroup import (
 from fusionkit.matgroup import (
     CapExceeded,
     CycMatrix,
+    _combine,
+    _transpose,
     closure,
     in_truncated_torus_extension,
     legendre_symbol,
@@ -275,8 +277,9 @@ def differential_generators(name: str) -> list[CycMatrix]:
                                   "torus3"])
 def test_permutation_layer_matches_matrices(name):
     """The basis-orbit permutation layer against plain CycMatrix arithmetic:
-    the matrix closure itself, products, inverses, orders, random words and
-    matrices outside the group."""
+    the matrix closure itself, the sparse orbit walk against a dense one,
+    products, inverses, orders, random words and matrices outside the
+    group."""
     gens = differential_generators(name)
     G = closure(gens)
     ident = CycMatrix.identity(gens[0].dim, gens[0].m)
@@ -284,11 +287,16 @@ def test_permutation_layer_matches_matrices(name):
     # same discovery order, so the same numbering
     assert [G.matrix(i) for i in range(G.order)] == mats
     assert [mats[i] for i in G.generator_indices] == gens
-    # the generator permutations are the basis orbit's Schreier graph:
+    # the dense oracle: the basis orbit walked as full vectors, each image
+    # a schoolbook matrix-vector product.  The sparse walk finds the same
+    # vectors in the same order, each stored as its nonzero entries in row
+    # order, and its generator permutations are the dense Schreier graph:
     # position q goes to the position of g*v for the vector v at q
+    dense_orbit, _, graph = bfs_closure(list(ident.rows), gens, lambda v, g: _dense_apply(g, v))
+    assert [_dense_vector(v, ident.dim, ident.m) for v in G.orbit] == dense_orbit
+    assert all(_canonical_vector(v, ident.dim) for v in G.orbit)
     assert [G.orbit_index[v] for v in G.orbit] == list(range(len(G.orbit)))
-    for g, i in zip(gens, G.generator_indices):
-        assert [G.orbit_index[g.apply(v)] for v in G.orbit] == list(G.perms[i])
+    assert [list(G.perms[i]) for i in G.generator_indices] == graph
     rng = random.Random(20261018)
     for _ in range(30):
         i, j = rng.randrange(G.order), rng.randrange(G.order)
@@ -476,6 +484,18 @@ def _dense_apply(A: CycMatrix, v: tuple) -> tuple:
     return tuple(out)
 
 
+def _dense_vector(v: tuple, dim: int, m: int) -> tuple:
+    """The full vector of a sparse one, zeros filled in."""
+    return tuple(dict(v).get(r, CycNum.zero(m)) for r in range(dim))
+
+
+def _canonical_vector(v: tuple, dim: int) -> bool:
+    """A tuple of (row, value) pairs, rows in range and strictly
+    increasing, and no stored value zero."""
+    return (type(v) is tuple and [r for r, _ in v] == sorted({r for r, _ in v})
+            and all(0 <= r < dim and not x.is_zero for r, x in v))
+
+
 def _dense_det(A: CycMatrix) -> CycNum:
     """The Leibniz sum over all n! permutations, zero terms included."""
     n, total = A.dim, CycNum.zero(A.m)
@@ -568,10 +588,11 @@ def _random_matrix(rng: random.Random, n: int, m: int, shape: str) -> CycMatrix:
 def test_sparse_product_matches_dense_schoolbook(m):
     """Every operation of the exact layer against its dense schoolbook
     oracle, on monomial, scalar, sparse and dense matrices with zero rows
-    and rational entries: products, apply, det, trace, conj_transpose,
-    scalar_mul, is_scalar, is_identity and permutation_part.  Every result
-    is canonical, so equal values compare equal, and the same matrix read
-    back from its dense rows has the same hash."""
+    and rational entries: products, the closure's sparse matrix-vector
+    step, det, trace, conj_transpose, scalar_mul, is_scalar, is_identity
+    and permutation_part.  Every result is canonical, so equal values
+    compare equal, and the same matrix read back from its dense rows has
+    the same hash."""
     rng = random.Random(20261020 + m)
     shapes = ("monomial", "scalar", "sparse", "dense")
     verdicts = set()
@@ -585,9 +606,11 @@ def test_sparse_product_matches_dense_schoolbook(m):
         assert prod.rows == _dense_mul(A, B)
         assert prod == CycMatrix.from_rows(n, m, _dense_mul(A, B))
         assert hash(CycMatrix.from_rows(n, m, A.rows)) == hash(A)
-        v = _random_matrix(rng, n, m, rng.choice(shapes)).rows[0]
-        assert A.apply(v) == _dense_apply(A, v)
-        assert A.apply(tuple(CycNum.zero(m) for _ in range(n))) == (CycNum.zero(m),) * n
+        v = _random_matrix(rng, n, m, rng.choice(shapes)).nz[0]
+        Av = _combine(v, _transpose(n, A.nz))
+        assert _canonical_vector(Av, n)
+        assert _dense_vector(Av, n, m) == _dense_apply(A, _dense_vector(v, n, m))
+        assert _combine((), _transpose(n, A.nz)) == ()
         assert A.det() == _dense_det(A)
         assert prod.det() == A.det() * B.det()
         assert A.trace() == _dense_trace(A)
@@ -645,6 +668,30 @@ def test_rotation_powers_cancel_to_the_identity():
     assert acc == H ** 8 == ident
     assert hash(acc) == hash(H ** 8) == hash(ident)
     assert H.det() == one
+
+
+def test_matrix_power_squares_no_further_than_the_top_bit(monkeypatch):
+    """x ** n multiplies once per set bit of n and squares once per bit
+    below the top one: at most 2 n.bit_length() - 1 products, so x ** 1
+    costs one.  The powers equal repeated products."""
+    for M in (std_matrix(5, "A"), std_matrix(2, "H"), std_matrix(7, "D")):
+        powers = [CycMatrix.identity(M.dim, M.m)]
+        for _ in range(40):
+            powers.append(powers[-1] * M)
+        real, products = CycMatrix.__mul__, []
+
+        def counted(a, b):
+            products.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(CycMatrix, "__mul__", counted)
+        for n, want in enumerate(powers):
+            products.clear()
+            assert M ** n == want
+            assert len(products) <= 2 * n.bit_length() - 1 if n else not products
+        products.clear()
+        assert (M ** 1, len(products)) == (M, 1)
+        monkeypatch.undo()
 
 
 def test_equal_matrices_hash_equal_by_every_route():

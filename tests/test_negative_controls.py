@@ -253,3 +253,72 @@ def test_minus_identity_fails_the_level_one_core(monkeypatch, p):
     monkeypatch.setattr(cases, "scalar_matrix", lambda cfg, order: CycMatrix.identity(
         cfg.prime, cfg.conductor).scalar_mul(-CycNum.one(cfg.conductor)))
     assert failed(verify_report("up", p)) == {"normalizer.u_core_order": {}}
+
+
+
+def _swap_rows(mat: CycMatrix) -> CycMatrix:
+    return CycMatrix(mat.dim, mat.m, mat.nz[::-1])
+
+
+# the p = 2 tower: (builder in cases, real builder -> its replacement)
+P2_MUTATIONS = {
+    # F^2 is the clock A: the chain is Gamma, and <Gamma, F^2, H> is Q16
+    "F,F2": ("std_matrix", lambda real: lambda q, which, **kw: (
+        real(q, which, **kw) ** 2 if which == "F" else real(q, which, **kw))),
+    # H with its rows swapped stays dense, every entry +-1/sqrt2: the full
+    # group has order 96
+    "H,swapped": ("std_matrix", lambda real: lambda q, which, **kw: (
+        _swap_rows(real(q, which, **kw)) if which == "H" else real(q, which, **kw))),
+    # F in H's place: the full group is the chain's Q16
+    "H,F": ("std_matrix", lambda real: lambda q, which, **kw: real(
+        q, "F" if which == "H" else which, **kw)),
+    # -I, which lies in Q8, in place of the 2^level-torsion scalar
+    "zI,-I": ("scalar_matrix", lambda real: lambda cfg, order: real(
+        cfg, 2 if order == 2 ** cfg.level else order)),
+    # the determinant-one torus extension in place of the full one
+    "torus,det_one": ("torus_extension_group", lambda real: lambda p, n, det_one, conductor: real(
+        p, n, det_one=True, conductor=conductor)),
+}
+Q16_FAILED = ("normalizer.q16_order", "normalizer.q16_recognize", "normalizer.q16_nonsplit")
+O48_FAILED = ("normalizer.o48_order", "normalizer.o48_recognize", "normalizer.o48_quotient")
+# mutation -> case -> the failed ids, in report order (the sup suite
+# builds no scalar or full torus, so those mutations run in up alone)
+P2_FAILED = {
+    "F,F2": {"sup": Q16_FAILED + O48_FAILED,
+             "up": Q16_FAILED + O48_FAILED + (
+                 "normalizer.u2_chain_order", "normalizer.u2_chain_split",
+                 "normalizer.u2_full_order", "normalizer.u2_full_quotient")},
+    "H,swapped": {"sup": O48_FAILED, "up": O48_FAILED},
+    "H,F": {"sup": O48_FAILED,
+            "up": O48_FAILED + ("normalizer.u2_full_order", "normalizer.u2_full_quotient")},
+    "zI,-I": {"up": ("normalizer.u2_core_order", "normalizer.u2_chain_order",
+                     "normalizer.u2_chain_split", "normalizer.u2_full_order")},
+    "torus,det_one": {"up": ("normalizer.u2_torus_order",)},
+}
+P2_WITNESS = {
+    "F,F2": {"normalizer.q16_order": {"order": 8}, "normalizer.q16_recognize": {"tag": "Q8"},
+             "normalizer.o48_order": {"order": 16}},
+    "H,swapped": {"normalizer.o48_order": {"order": 96},
+                  "normalizer.o48_recognize": {"tag": "unknown(order 96)"}},
+    "H,F": {"normalizer.o48_order": {"order": 16}, "normalizer.o48_recognize": {"tag": "Q16"}},
+    "zI,-I": {"normalizer.u2_core_order": {"order": 8}, "normalizer.u2_full_order": {"order": 48}},
+    "torus,det_one": {},
+}
+P2_RUNS = [(mutation, case, level) for mutation in P2_MUTATIONS
+           for case, level in (("sup", 2), ("up", 2), ("up", 3)) if case in P2_FAILED[mutation]]
+
+
+@pytest.mark.parametrize("mutation, case, level", P2_RUNS, ids=["%s-%s-%d" % r for r in P2_RUNS])
+def test_mutated_p2_tower_fails_its_checks(monkeypatch, mutation, case, level):
+    """The Q16, O48 and scalar-extended checks of the p = 2 tower on a
+    mutated F, H, scalar or torus extension: each run exits 1 with the
+    pinned failed ids."""
+    builder, replace = P2_MUTATIONS[mutation]
+    monkeypatch.setattr(cases, builder, replace(getattr(cases, builder)))
+    got = failed(verify_report(case, 2, "--level", str(level)))
+    assert list(got) == list(P2_FAILED[mutation][case])
+    for check_id, witness in P2_WITNESS[mutation].items():
+        assert got[check_id] == witness
+    if mutation == "torus,det_one":
+        # 2^level-torsion on the diagonal of determinant one, and the swap
+        assert got["normalizer.u2_torus_order"] == {"order": 2 ** (level + 1)}
