@@ -39,14 +39,13 @@ from .extraspecial import (
     aut_certificate,
     pair_image,
     primitive_scaling_matrix,
-    section_is_faithful,
     section_pair,
+    section_walk,
 )
 from .fingroup import (
     centralizer,
     cyclic_group,
     generated_subgroup,
-    greedy_generators,
     hom_by_generators,
     isomorphism,
     mat2_group,
@@ -264,6 +263,14 @@ def scalar_matrix(cfg: CaseConfig, order: int) -> CycMatrix:
     return CycMatrix.identity(cfg.prime, m).scalar_mul(z)
 
 
+def capped_closure(gens: list[CycMatrix], cap: int) -> MatrixGroup | None:
+    """closure(gens), or None past cap elements (CapExceeded)."""
+    try:
+        return closure(gens, cap=cap)
+    except CapExceeded:
+        return None
+
+
 # -- gamma ------------------------------------------------------------------
 
 
@@ -279,10 +286,7 @@ def verify_gamma(cfg: CaseConfig,
     p, m = cfg.prime, cfg.conductor
     A, B = gamma_matrices(cfg)
     z = CycNum.zeta(m, m // p)
-    try:
-        gam = closure([A, B], cap=4 * p ** 3)
-    except CapExceeded:
-        gam = None
+    gam = capped_closure([A, B], 4 * p ** 3)
 
     rep.add(
         "gamma.order",
@@ -345,7 +349,7 @@ def verify_gamma(cfg: CaseConfig,
             for x in (A, B)
         ),
     )
-    tag = recognize(gam, hist)
+    tag = recognize(gam, hist, cent)
     want_tag = "Q8" if p == 2 else "extraspecial(%d^3, exp p)" % p
     rep.add(
         "gamma.recognize",
@@ -480,10 +484,7 @@ def verify_rho(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup,
         ),
     )
 
-    try:
-        K = closure([D, sigma[g]], cap=4 * p * (p - 1))
-    except CapExceeded:
-        K = None
+    K = capped_closure([D, sigma[g]], 4 * p * (p - 1))
     rep.add(
         "rho.image_order",
         "D and a primitive scaling matrix generate a group of order p(p-1)",
@@ -635,7 +636,8 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
     the upper-triangular group and embedded in Heis x| SL2(F_p), which is
     never built: its order is p^3 |SL2| from mat2_group, and it is a group
     with complement {identity} x SL2 when M -> (f_M(a), f_M(b)) is
-    injective and multiplicative (section_is_faithful).  Nothing is closed.
+    injective and multiplicative: one section_walk from two transvections
+    certifies that law and that they generate SL2.  Nothing is closed.
     Returns the chain certificate, for the scalar-extended models."""
     p = cfg.prime
     cert = chain_certificate(gam, coords, rho, d_sigma_matrices(p, smallest_primitive_root(p)))
@@ -677,8 +679,7 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
         order=full_order,
         expected=p ** 4 * (p * p - 1),
     )
-    split = section_is_faithful(p, sl, [section_pair(p, M) for M in sl.elements],
-                                greedy_generators(sl))
+    _, split = section_walk(sl, [(1, 1, 0, 1), (1, 0, 1, 1)])
     rep.add(
         "normalizer.full_split",
         "the section {identity} x SL2 is a complement by construction",
@@ -694,49 +695,60 @@ def build_normalizers(cfg: CaseConfig, rep: VerificationReport, gam: MatrixGroup
     return cert
 
 
+def _s3_over_core(G: MatrixGroup | None, k: int) -> bool:
+    """Whether G exists and its quotient by <its first k generators> is S3."""
+    if G is None:
+        return False
+    Q, _ = quotient(G, generated_subgroup(G, G.generator_indices[:k]))
+    return isomorphism(Q, symmetric_group(3)) is not None
+
+
 def build_quaternion_normalizers(cfg: CaseConfig, rep: VerificationReport) -> None:
     """The p = 2 tower, closed whole: Q16, its non-split extension of the
-    quaternion core, and the binary octahedral group O48."""
+    quaternion core, and the binary octahedral group O48.  A closure past
+    its cap fails its order check with order null, and the checks that
+    read that group fail with it."""
     m = cfg.conductor
     A, B = gamma_matrices(cfg)
     F = std_matrix(2, "F", conductor=m)
     H = std_matrix(2, "H", conductor=m)
-    chain2 = closure([A, B, F], cap=64)
+    chain2 = capped_closure([A, B, F], 64)
     rep.add(
         "normalizer.q16_order",
         "adjoining the eighth-root diagonal matrix F gives a group of "
         "order 16",
-        chain2.order == 16,
-        order=chain2.order,
+        chain2 is not None and chain2.order == 16,
+        order=None if chain2 is None else chain2.order,
     )
-    tag = recognize(chain2)
+    tag = None if chain2 is None else recognize(chain2)
     rep.add(
         "normalizer.q16_recognize",
         "that group is generalized quaternion (unique involution)",
         tag == "Q16",
         tag=tag,
     )
-    gam_members = generated_subgroup(chain2, chain2.generator_indices[:2])
-    ses = sesverify(chain2, gam_members, Q_expected=cyclic_group(2))
-    profile = ses.lift_order_profiles[0] if ses.lift_order_profiles else {}
+    ses = None if chain2 is None else sesverify(
+        chain2, generated_subgroup(chain2, chain2.generator_indices[:2]),
+        Q_expected=cyclic_group(2))
+    profile = ses.lift_order_profiles[0] if ses and ses.lift_order_profiles else {}
     rep.add(
         "normalizer.q16_nonsplit",
         "no complement of the quaternion core exists: the nontrivial coset "
         "has element orders 4 and 8 only, so the extension by Z/2 is "
         "provably non-split",
-        ses.split is False and sorted(profile) == [4, 8],
+        ses is not None and ses.split is False and sorted(profile) == [4, 8],
         coset_profile={str(k): v for k, v in sorted(profile.items())},
-        tuples_checked=ses.tuples_checked,
+        tuples_checked=None if ses is None else ses.tuples_checked,
     )
-    full2 = closure([A, B, F, H], cap=128)
+    full2 = capped_closure([A, B, F, H], 128)
     rep.add(
         "normalizer.o48_order",
         "adjoining the Fourier-type matrix H as well gives a group of "
         "order 48",
-        full2.order == 48,
-        order=full2.order,
+        full2 is not None and full2.order == 48,
+        order=None if full2 is None else full2.order,
     )
-    tag = recognize(full2)
+    tag = None if full2 is None else recognize(full2)
     rep.add(
         "normalizer.o48_recognize",
         "that group is the binary octahedral group (unique involution, "
@@ -744,13 +756,11 @@ def build_quaternion_normalizers(cfg: CaseConfig, rep: VerificationReport) -> No
         tag == "O48",
         tag=tag,
     )
-    gam_in_full = generated_subgroup(full2, full2.generator_indices[:2])
-    q48, _ = quotient(full2, gam_in_full)
     rep.add(
         "normalizer.o48_quotient",
         "the quotient by the quaternion core is the symmetric group on "
         "3 letters",
-        isomorphism(q48, symmetric_group(3)) is not None,
+        _s3_over_core(full2, 2),
     )
 
 
@@ -809,62 +819,58 @@ def _verify_u2_models(cfg: CaseConfig, rep: VerificationReport) -> None:
     """Scalar-extended p = 2 models for the full unitary family: the
     quaternion core gains the 2^level-torsion scalars, the chain extension
     now splits (witnessed by an explicit involution), and the torus side
-    matches the encoded orders."""
+    matches the encoded orders.  A model past its cap fails as in
+    build_quaternion_normalizers."""
     m = cfg.conductor
     n = cfg.level
     A, B = gamma_matrices(cfg)
     F = std_matrix(2, "F", conductor=m)
     H = std_matrix(2, "H", conductor=m)
     zI = scalar_matrix(cfg, 2 ** n)
-    gam_bar = closure([A, B, zI], cap=4 * 2 ** (n + 2))
+    gam_bar = capped_closure([A, B, zI], 4 * 2 ** (n + 2))
     rep.add(
         "normalizer.u2_core_order",
         "the scalar-extended quaternion core has order 2^(level+2)",
-        gam_bar.order == 2 ** (n + 2),
-        order=gam_bar.order,
+        gam_bar is not None and gam_bar.order == 2 ** (n + 2),
+        order=None if gam_bar is None else gam_bar.order,
     )
-    chain_u = closure([A, B, zI, F], cap=8 * 2 ** (n + 2))
+    chain_u = capped_closure([A, B, zI, F], 8 * 2 ** (n + 2))
     rep.add(
         "normalizer.u2_chain_order",
         "adjoining F doubles the scalar-extended core",
-        chain_u.order == 2 ** (n + 3),
-        order=chain_u.order,
+        chain_u is not None and chain_u.order == 2 ** (n + 3),
+        order=None if chain_u is None else chain_u.order,
     )
     iI = scalar_matrix(cfg, 4)
     x = iI * F * (A * B)
     witness_ok = (
         (x * x).is_identity()
-        and not gam_bar.contains_matrix(x)
-        and chain_u.contains_matrix(x)
+        and gam_bar is not None and not gam_bar.contains_matrix(x)
+        and chain_u is not None and chain_u.contains_matrix(x)
     )
-    core = generated_subgroup(chain_u, chain_u.generator_indices[:3])
-    ses = sesverify(
-        chain_u,
-        core,
-        Q_expected=cyclic_group(2),
-        hint_lifts=[chain_u.index_of(x)] if witness_ok else None,
-    )
+    split = chain_u is not None and sesverify(
+        chain_u, generated_subgroup(chain_u, chain_u.generator_indices[:3]),
+        Q_expected=cyclic_group(2), hint_lifts=[chain_u.index_of(x)] if witness_ok else None,
+    ).split is True
     rep.add(
         "normalizer.u2_chain_split",
         "unlike the determinant-one family, the scalar-extended chain "
         "extension splits: i*F*(AB) is an involution outside the core",
-        witness_ok and ses.split is True and x.det() == -CycNum.one(m),
+        witness_ok and split and x.det() == -CycNum.one(m),
         witness_det_minus_one=(x.det() == -CycNum.one(m)),
     )
-    full_u = closure([A, B, zI, F, H], cap=16 * 2 ** (n + 2))
+    full_u = capped_closure([A, B, zI, F, H], 16 * 2 ** (n + 2))
     rep.add(
         "normalizer.u2_full_order",
         "adjoining H as well gives six times the scalar-extended core",
-        full_u.order == 6 * 2 ** (n + 2),
-        order=full_u.order,
+        full_u is not None and full_u.order == 6 * 2 ** (n + 2),
+        order=None if full_u is None else full_u.order,
     )
-    core_f = generated_subgroup(full_u, full_u.generator_indices[:3])
-    qf, _ = quotient(full_u, core_f)
     rep.add(
         "normalizer.u2_full_quotient",
         "its quotient by the scalar-extended core is the symmetric group "
         "on 3 letters",
-        isomorphism(qf, symmetric_group(3)) is not None,
+        _s3_over_core(full_u, 3),
     )
     tor = torus_extension_group(2, n, det_one=False, conductor=m)
     rep.add(

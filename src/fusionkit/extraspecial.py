@@ -21,11 +21,15 @@ determined by the images of (a, b), and any ordered pair with nontrivial
 commutator occurs, so |Aut| equals the pair count (p^3 - p)(p^3 - p^2):
 the certificate in aut_certificate checks all of this explicitly.
 
-The certificate holds each f_M as its pair (f_M(a), f_M(b)) of
-coordinate triples (section_pair).  A pair (u, v) is evaluated on all of
-Gamma by the only rule a homomorphism phi with phi(a) = u, phi(b) = v can
-follow, phi(z^c a^i b^j) = phi(z)^c u^i v^j with phi(z) = [v, u]
-(pair_image), so composing two sections costs two evaluations.
+The certificate holds every automorphism as its pair (phi(a), phi(b)) of
+coordinate triples: f_M as section_pair, conjugation as inner_pair.  A
+pair (u, v) is evaluated on all of Gamma by the only rule a homomorphism
+phi with phi(a) = u, phi(b) = v can follow, phi(z^c a^i b^j) =
+phi(z)^c u^i v^j with phi(z) = [v, u] (pair_image), so composing two
+automorphisms costs two evaluations (pair_compose).  section_walk walks a
+matrix group from its generators once: it reaches every element and
+checks the composition law on every arc, so one walk certifies both
+generation and the section law.
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ class HeisenbergGroup(FiniteGroup):
         self.identity = 0
         # one int object per index, shared by every permutation tuple built
         # on this group (an int above 256 is otherwise a fresh object)
-        self.indices = list(range(self.order))
+        indices = list(range(self.order))
         # central_shift[k][x] is the index of z^k * x
         pp = p * p
-        self.central_shift = [self.indices[k * pp:] + self.indices[:k * pp] for k in range(p)]
+        self.central_shift = [indices[k * pp:] + indices[:k * pp] for k in range(p)]
         # coords[x] = decode(x), in the order of encode
         self.coords = [(c, i, j) for c in range(p) for i in range(p) for j in range(p)]
         self.a_index = self.encode(0, 1, 0)
@@ -151,11 +155,6 @@ def section_pair(p: int, M: tuple[int, int, int, int]) -> tuple[tuple, tuple]:
     return (h * m00 * m10 % p, m00, m10), (h * m01 * m11 % p, m01, m11)
 
 
-def section_pairs(p: int, H: Mat2Group) -> list[tuple[tuple, tuple]]:
-    """section_pair for every element of H, in H's element order."""
-    return [section_pair(p, M) for M in H.elements]
-
-
 def pair_image(p: int, pair: tuple[tuple, tuple], w: tuple) -> tuple[int, int, int]:
     """phi(w) for phi(a), phi(b) = pair, by phi(z^c a^i b^j) =
     phi(z)^c phi(a)^i phi(b)^j with phi(z) = [phi(b), phi(a)].
@@ -171,42 +170,36 @@ def pair_image(p: int, pair: tuple[tuple, tuple], w: tuple) -> tuple[int, int, i
     return central % p, (i * iu + j * iv) % p, (i * ju + j * jv) % p
 
 
-def section_is_faithful(p: int, H: Mat2Group, pairs: list[tuple[tuple, tuple]],
-                        gens: list[int]) -> bool:
-    """Whether M -> phi_M, held as pairs in H's element order, is an
-    injective homomorphism on H = <gens>: the pairs are distinct, phi_I is
-    the identity pair, and the pair of x*g is phi_x at the pair of g for
-    every x and generator g.  Gamma is free of rank 2 among groups of
-    class 2 and exponent p, so every pair defines the endomorphism that
-    pair_image evaluates; then phi_{x*g} = phi_x o phi_g, and induction on
-    word length gives the rest."""
-    return (len(set(pairs)) == H.order
-            and pairs[H.identity] == ((0, 1, 0), (0, 0, 1))
-            and all(pairs[H.mult(x, g)] == (pair_image(p, pairs[x], u), pair_image(p, pairs[x], v))
-                    for g in gens
-                    for u, v in [pairs[g]]
-                    for x in range(H.order)))
+def pair_compose(p: int, f: tuple[tuple, tuple], g: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
+    """The pair of phi_f o phi_g: phi_f at phi_g(a) and at phi_g(b)."""
+    return pair_image(p, f, g[0]), pair_image(p, f, g[1])
 
 
-def inner_perm(gam: HeisenbergGroup, u: int, v: int) -> tuple[int, ...]:
-    """Conjugation by any element with middle coordinates (u, v): it sends
-    (c, i, j) to (c + v*i - u*j, i, j), that is x to z^(v*i - u*j) * x."""
-    p, shift = gam.p, gam.central_shift
-    out = []
-    for x in range(gam.order):
-        _, i, j = gam.decode(x)
-        out.append(shift[(v * i - u * j) % p][x])
-    return tuple(out)
+def section_walk(H: Mat2Group, gens) -> tuple[dict, bool]:
+    """The pair section_pair(p, M) of each M in <gens> < H, by M in the
+    order of a breadth-first walk from I (bfs_closure), and whether M ->
+    phi_M is certified an injective homomorphism on H: the walk reaches all
+    of H (so gens generate H), phi_I is the identity, the pairs are
+    distinct, and on every arc x -> x*g the pair of x*g is phi_x o phi_g.
+    Gamma is free of rank 2 among groups of class 2 and exponent p, so
+    every pair defines the endomorphism pair_image evaluates, and
+    induction on word length gives the rest."""
+    p = H.p
+    points, _, graph = bfs_closure([H.identity], [H.index[M] for M in gens], H.mult)
+    pairs = [section_pair(p, H.elements[x]) for x in points]
+    # graph[k][i] is the position of points[i] * gens[k], and row[0] that of gens[k]
+    certified = (len(points) == H.order and pairs[0] == ((0, 1, 0), (0, 0, 1))
+                 and len(set(pairs)) == len(pairs)
+                 and all(pairs[y] == pair_compose(p, pairs[x], pairs[row[0]])
+                         for row in graph for x, y in enumerate(row)))
+    return {H.elements[x]: pair for x, pair in zip(points, pairs)}, certified
 
 
-def inner_perms(gam: HeisenbergGroup) -> list[tuple[int, ...]]:
-    return [inner_perm(gam, u, v) for u in range(gam.p) for v in range(gam.p)]
-
-
-def conjugation_perm(gam: HeisenbergGroup, g: int) -> tuple[int, ...]:
-    """x -> g * x * g^-1, multiplied out in Gamma."""
-    g_inv = gam.inv(g)
-    return tuple(gam.mult(gam.mult(g, x), g_inv) for x in gam.indices)
+def inner_pair(p: int, u: int, v: int) -> tuple[tuple, tuple]:
+    """Conjugation by any element with middle coordinates (u, v), as its
+    pair: it sends (c, i, j) to (c + v*i - u*j, i, j), so a to z^v a and
+    b to z^-u b."""
+    return (v % p, 1, 0), (-u % p, 0, 1)
 
 
 def commuting_pair_scan(G: FiniteGroup) -> int:
@@ -239,6 +232,12 @@ def aut_order_formulas(p: int) -> tuple[int, int]:
 
 @dataclass
 class AutCertificate:
+    """What aut_certificate certified of Aut(Gamma), each automorphism held
+    as its pair.  section_order is |GL2(F_p)|, inner_order the number of
+    distinct inner pairs, and closure_matches and section_is_gl2_image are
+    both section_walk's verdict that the walk reaches section_order
+    matrices with M -> phi_M an injective homomorphism."""
+
     p: int
     scan_count: int
     closed_formula: int
@@ -280,27 +279,26 @@ class AutCertificate:
 def aut_certificate(p: int) -> AutCertificate:
     """Certify |Aut| and the inner-by-GL2 structure without materializing Aut.
 
-    Each f_M is held as its pair (f_M(a), f_M(b)) (section_pairs), and
-    phi_M is the map pair_image evaluates from that pair.  Checks, in
-    order:
+    Every automorphism is held as its pair (phi(a), phi(b)), and composed
+    by pair_compose.  Checks, in order:
     - the commuting-pair count agrees with both closed formulas;
-    - each greedy generator g's pair extends, through propagate_hom, to a
+    - section_walk of GL2(F_p) from diag(xi, 1) (primitive_scaling_matrix)
+      and [[-1, 1], [-1, 0]] reaches all of GL2 with M -> phi_M an
+      injective homomorphism, so every phi_M is a product of the walk
+      generators' automorphisms, its image is the closure of theirs
+      (closure_matches), and it is an isomorphic image of GL2(F_p)
+      (section_is_gl2_image);
+    - each walk generator g's pair extends, through propagate_hom, to a
       homomorphism that is a bijection and equals section_perm on all of
       Gamma.  A homomorphism with those images of a and b takes z to their
       commutator, so it is phi_g, and phi_g is an automorphism;
-    - section_is_faithful on the same generators: M -> phi_M is an
-      injective homomorphism on <gens> = GL2(F_p), so every phi_M is a
-      product of the generators' automorphisms, its image is the closure
-      of the generators' images (closure_matches), and it is an
-      isomorphic image of GL2(F_p) (section_is_gl2_image);
-    - the inner permutation of (u, v) is conjugation by a at (1, 0) and
-      by b at (0, 1), and inner(u+1, v) = inner(u, v) o inner(1, 0) and
-      inner(0, v+1) = inner(0, v) o inner(0, 1) (indices mod p).  At
+    - the inner pair of (u, v) (inner_pair) is conjugation by a at (1, 0)
+      and by b at (0, 1), and inner(u+1, v) = inner(u, v) o inner(1, 0)
+      and inner(0, v+1) = inner(0, v) o inner(0, 1) (indices mod p).  At
       (0, 0) the first equation makes inner(0, 0) the identity, so
-      inner(u, v) is conjugation by b^v a^u and the inner permutations
-      are Inn(Gamma);
-    - the sections meet the inner automorphisms only in the identity,
-      compared as pairs, which determine an automorphism;
+      inner(u, v) is conjugation by b^v a^u and the inner pairs are
+      Inn(Gamma);
+    - the sections meet the inner automorphisms only in the identity pair;
     - inner_order * section_order equals the count.
     Since every automorphism is determined by its generator-pair image, the
     count is an upper bound for |Aut|, so the exhibited product accounts
@@ -310,49 +308,44 @@ def aut_certificate(p: int) -> AutCertificate:
     scan = commuting_pair_scan(gam)
     closed, factored = aut_order_formulas(p)
 
-    H = mat2_group(p, "GL")
-    pairs = section_pairs(p, H)
+    gl = mat2_group(p, "GL")
+    gens = [primitive_scaling_matrix(p), (p - 1, 1, p - 1, 0)]
+    pairs, certified = section_walk(gl, gens)
 
     a, b = gam.a_index, gam.b_index
-    ident = (gam.decode(a), gam.decode(b))
-    gl_gens = greedy_generators(H)
     automorphic = True
-    for g in gl_gens:
-        f = section_perm(gam, H.elements[g])
-        images = propagate_hom(gam, gam, [a, b], [gam.encode(*w) for w in pairs[g]])
-        automorphic = (
-            automorphic
-            and images is not None
-            and all(images.get(x) == fx for x, fx in enumerate(f))
-            and len(set(f)) == gam.order
-        )
+    for M in gens:
+        f = section_perm(gam, M)
+        images = propagate_hom(gam, gam, [a, b], [gam.encode(*w) for w in pairs[M]])
+        automorphic = automorphic and images is not None and len(set(f)) == gam.order and all(
+            images.get(x) == fx for x, fx in enumerate(f))
 
-    inner = inner_perms(gam)  # (u, v) at u*p + v
+    inner = [inner_pair(p, u, v) for u in range(p) for v in range(p)]  # (u, v) at u*p + v
     alpha, beta = inner[p], inner[1]
-    after_alpha, after_beta = itemgetter(*alpha), itemgetter(*beta)
+    # the pairs of conjugation by a and by b, multiplied out in Gamma
+    conjugations = [tuple(gam.decode(gam.mult(gam.mult(g, x), gam.inv(g))) for x in (a, b))
+                    for g in (a, b)]
     inner_are_conjugations = (
-        alpha == conjugation_perm(gam, a)
-        and beta == conjugation_perm(gam, b)
-        and all(inner[(u + 1) % p * p + v] == after_alpha(inner[u * p + v])
+        [alpha, beta] == conjugations
+        and all(inner[(u + 1) % p * p + v] == pair_compose(p, inner[u * p + v], alpha)
                 for u in range(p) for v in range(p))
-        and all(inner[(v + 1) % p] == after_beta(inner[v]) for v in range(p))
+        and all(inner[(v + 1) % p] == pair_compose(p, inner[v], beta) for v in range(p))
     )
-    inner_pairs = {(gam.decode(f[a]), gam.decode(f[b])) for f in inner}
-    intersection_trivial = set(pairs) & inner_pairs == {ident}
+    ident = (gam.decode(a), gam.decode(b))
+    intersection_trivial = set(pairs.values()) & set(inner) == {ident}
 
     inner_order = len(set(inner))
-    certified = section_is_faithful(p, H, pairs, gl_gens)
     return AutCertificate(
         p=p,
         scan_count=scan,
         closed_formula=closed,
         factored_formula=factored,
         inner_order=inner_order,
-        section_order=H.order,
+        section_order=gl.order,
         intersection_trivial=intersection_trivial,
         closure_matches=certified,
         section_is_gl2_image=certified,
-        product_equals_scan=inner_order * H.order == scan,
+        product_equals_scan=inner_order * gl.order == scan,
         sections_are_automorphisms=automorphic,
         inner_are_conjugations=inner_are_conjugations,
     )

@@ -877,8 +877,8 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def recognize(G: FiniteGroup, hist: dict[int, int] | None = None) -> str:
-    """G's structure tag; hist, when given, is G.orders_histogram()."""
+def recognize(G: FiniteGroup, hist: dict | None = None, zc: tuple | None = None) -> str:
+    """G's structure tag; hist and zc, when given, are G.orders_histogram() and center(G)."""
     n = G.order
     if n == 1:
         return "trivial"
@@ -892,13 +892,13 @@ def recognize(G: FiniteGroup, hist: dict[int, int] | None = None) -> str:
     if n & (n - 1) == 0 and hist.get(2, 0) == 1 and n >= 8:
         return "Q%d" % n
     if n == 48 and hist.get(2, 0) == 1:
-        zc = center(G)
+        zc = center(G) if zc is None else zc
         if len(zc) == 2:
             Q, _ = quotient(G, zc)
             if isomorphic(Q, symmetric_group(4)):
                 return "O48"
     r = round(n ** (1 / 3))
-    if r ** 3 == n and r > 2 and is_prime(r) and len(center(G)) == r:
+    if r ** 3 == n and r > 2 and is_prime(r) and len(center(G) if zc is None else zc) == r:
         # G is not abelian (see above), and the exponent of a p-group is
         # its largest element order
         return "extraspecial(%d^3, exp %s)" % (r, "p" if max(hist) == r else "p^2")

@@ -28,7 +28,6 @@ from fusionkit.extraspecial import (
     aut_certificate,
     commuting_pair_scan,
     heisenberg_semidirect,
-    inner_perms,
     section_perms,
     smallest_primitive_root,
 )
@@ -44,6 +43,16 @@ from fusionkit.fingroup import (
     symmetric_group,
 )
 from fusionkit.matgroup import closure, std_matrix
+
+def inner_perms(gam: HeisenbergGroup) -> list[tuple[int, ...]]:
+    """Inn(Gamma) as permutations of Gamma's indices: conjugation by
+    a^u b^v at u*p + v, multiplied out in Gamma."""
+    out = []
+    for g in (gam.encode(0, u, v) for u in range(gam.p) for v in range(gam.p)):
+        g_inv = gam.inv(g)
+        out.append(tuple(gam.mult(gam.mult(g, x), g_inv) for x in range(gam.order)))
+    return out
+
 
 def verdict(num: int, message: str) -> None:
     print("criterion %02d: PASS - %s" % (num, message))

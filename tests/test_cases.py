@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 from test_acceptance import _chain_normalizer_group
 
-from fusionkit import cases, extraspecial
+from fusionkit import cases, extraspecial, fingroup
 from fusionkit.cases import (
     AZ_PRIME_OF_INDEX,
     CaseConfig,
@@ -34,6 +34,7 @@ from fusionkit.cyclo import CycNum
 from fusionkit.extraspecial import heisenberg_semidirect
 from fusionkit.fingroup import (
     FiniteGroup,
+    Mat2Group,
     SemidirectGroup,
     generated_subgroup,
     hom_by_generators,
@@ -557,10 +558,10 @@ def test_p7_tower_work_counts(monkeypatch):
     """Upper bounds on the exact-layer work of one sup p = 7 suite, read
     off the sparse orbit walk: zero tests of field numbers, matrix
     products and element orders, each at most its count when the bound
-    was set.  Gamma's order histogram is computed once, for
-    gamma.exponent and recognize both."""
+    was set.  Gamma's order histogram and its center are each computed
+    once, for gamma.exponent, gamma.center and recognize."""
     calls = {"is_zero": 0, "matmul": 0, "element_order": 0}
-    histograms = []
+    histograms, centralizers = [], []
 
     def count(name, fn):
         def wrapper(*args):
@@ -580,9 +581,45 @@ def test_p7_tower_work_counts(monkeypatch):
         return real_histogram(G)
 
     monkeypatch.setattr(FiniteGroup, "orders_histogram", histogram)
+    real_centralizer = fingroup.centralizer
+
+    def centralizer(G, *args, **kwargs):
+        centralizers.append((type(G).__name__, G.order))
+        return real_centralizer(G, *args, **kwargs)
+
+    # fingroup.center calls the module's centralizer, cases its own import
+    monkeypatch.setattr(fingroup, "centralizer", centralizer)
+    monkeypatch.setattr(cases, "centralizer", centralizer)
     rep = run_suite(CaseConfig("sup", 7))
     assert rep.all_ok, rep.failed_ids()
     assert calls["is_zero"] <= 3
     assert calls["matmul"] <= 292
     assert calls["element_order"] <= 343
     assert histograms == [("MatrixGroup", 343)]
+    assert centralizers.count(("MatrixGroup", 343)) == 1
+
+
+def test_az_certificate_walks_gl2_once(monkeypatch):
+    """The az suite at p = 7 certifies GL2(F_7)'s section by one walk from
+    two generators: no generating set of a 2x2 matrix group is grown, and
+    the only sections built whole are the two generators' automorphism
+    checks."""
+    real_grow = fingroup.grow_generators
+
+    def grow(G, candidates, target):
+        if isinstance(G, Mat2Group):
+            raise AssertionError("generators grown on %s" % G.kind)
+        return real_grow(G, candidates, target)
+
+    perms = []
+    real_perm = extraspecial.section_perm
+
+    def section_perm(gam, M):
+        perms.append(M)
+        return real_perm(gam, M)
+
+    monkeypatch.setattr(fingroup, "grow_generators", grow)
+    monkeypatch.setattr(extraspecial, "section_perm", section_perm)
+    rep = run_suite(CaseConfig("az", 7, az_index=34))
+    assert rep.all_ok, rep.failed_ids()
+    assert len(perms) <= 2

@@ -22,13 +22,14 @@ from fusionkit.extraspecial import (
     commuting_pair_scan,
     half_inverse,
     heisenberg_semidirect,
-    inner_perm,
-    inner_perms,
+    inner_pair,
+    pair_compose,
     pair_image,
     primitive_scaling_matrix,
     section_pair,
     section_perm,
     section_perms,
+    section_walk,
 )
 from fusionkit.fingroup import (
     PermGroup,
@@ -45,6 +46,7 @@ from fusionkit.fingroup import (
     symmetric_group,
 )
 from fusionkit.matgroup import closure, std_matrix
+from test_acceptance import inner_perms
 
 
 def test_heisenberg_structure():
@@ -146,10 +148,8 @@ def test_inner_perms_form_a_subgroup_of_size_p_squared():
         assert len(set(perms)) == p * p
         G = perm_closure(perms)
         assert G.order == p * p
-        # conjugation by the generator with coordinates (1, 0) is one of them
-        a = gam.a_index
-        conj = tuple(gam.mult(gam.mult(a, x), gam.inv(a)) for x in range(gam.order))
-        assert conj == inner_perm(gam, 1, 0)
+        # each inner pair evaluates to the conjugation multiplied out
+        assert perms == [_pair_perm(gam, inner_pair(p, u, v)) for u in range(p) for v in range(p)]
 
 
 def test_commuting_pair_scan_matches_formulas():
@@ -207,8 +207,8 @@ def _two_pass_certificate(p: int) -> dict:
     check onto the PermGroup of all sections.  A corrupted section that
     breaks either construction counts as a failed check.  The automorphism
     test multiplies out every pair of Gamma for each generator's section,
-    and each inner permutation is compared with its conjugation multiplied
-    out."""
+    and the permutation that each inner pair evaluates to is compared with
+    its conjugation multiplied out."""
     gam = HeisenbergGroup(p)
     H = mat2_group(p, "GL")
     perms = extraspecial.section_perms(gam, H)
@@ -230,11 +230,8 @@ def _two_pass_certificate(p: int) -> dict:
                 for x in range(gam.order) for y in range(gam.order))
         for f in (perms[g] for g in gl_gens)
     )
-    inner = extraspecial.inner_perms(gam)
-    conjugations = [
-        tuple(gam.mult(gam.mult(g, x), gam.inv(g)) for x in range(gam.order))
-        for g in (gam.encode(0, u, v) for u in range(p) for v in range(p))
-    ]
+    inner = [_pair_perm(gam, extraspecial.inner_pair(p, u, v)) for u in range(p) for v in range(p)]
+    conjugations = inner_perms(gam)
     scan = noncommuting_ordered_pairs(gam)
     return {
         "p": p,
@@ -256,7 +253,7 @@ def _certificate_fields(cert: AutCertificate) -> dict:
     return {f.name: getattr(cert, f.name) for f in fields(cert) if f.compare}
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_aut_certificate_matches_two_pass_route(p):
     cert = aut_certificate(p)
     old = _two_pass_certificate(p)
@@ -264,10 +261,13 @@ def test_aut_certificate_matches_two_pass_route(p):
     assert cert.ok and AutCertificate(**old).ok
 
 
-def _swap_two_images(f):
-    g = list(f)
-    g[1], g[2] = g[2], g[1]
-    return tuple(g)
+def _failed_fields(cert: AutCertificate) -> list[str]:
+    return [f.name for f in fields(cert) if getattr(cert, f.name) is False]
+
+
+def _walk_generators(p: int) -> list[tuple[int, int, int, int]]:
+    """The matrices aut_certificate walks GL2(F_p) from."""
+    return [primitive_scaling_matrix(p), (p - 1, 1, p - 1, 0)]
 
 
 def _pair_perm(gam, pair):
@@ -275,63 +275,67 @@ def _pair_perm(gam, pair):
     return tuple(gam.encode(*pair_image(gam.p, pair, w)) for w in gam.coords)
 
 
+# the automorphism that swaps a and b (z to z^-1), as its pair
+SWAP_AB = ((0, 0, 1), (0, 1, 0))
+
+
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("corruption", ["swap", "copy", "twist"])
 def test_corrupted_section_fails_both_routes(p, corruption, monkeypatch):
     H = mat2_group(p, "GL")
-    gens = greedy_generators(H)
-    # a section that is neither the identity nor a generator's, so the
-    # generators still close to the true sections: its pair gets its two
-    # images swapped, or a generator's pair, or z times its image of a.
-    # The twist is an inner automorphism after f_M: no section's pair, so
-    # only the composition law can catch it.  The two-pass route sees the
-    # map that the corrupted pair evaluates to.
-    k = next(x for x in range(H.order) if x != H.identity and x not in gens)
-    build_pairs, build_perms = extraspecial.section_pairs, extraspecial.section_perms
+    gens = _walk_generators(p)
+    # the pair of one matrix that is neither I nor a walk generator, so the
+    # walk still reaches every matrix: its two images swapped, or a
+    # generator's pair, or z times its image of a.  The twist is an inner
+    # automorphism after f_M: no section's pair, so only the composition
+    # law can catch it.  The two-pass route sees the map that the
+    # corrupted pair evaluates to.
+    k = next(x for x in range(H.order) if x != H.identity and H.elements[x] not in gens)
+    target = H.elements[k]
+    real_pair, build_perms = extraspecial.section_pair, extraspecial.section_perms
 
-    def corrupted_pairs(p, H):
-        pairs = build_pairs(p, H)
-        (c, i, j), v = pairs[k]
-        pairs[k] = {"swap": (v, (c, i, j)), "copy": pairs[gens[0]],
-                    "twist": (((c + 1) % p, i, j), v)}[corruption]
-        return pairs
+    def corrupted_pair(q, M):
+        if M != target:
+            return real_pair(q, M)
+        (c, i, j), v = real_pair(q, M)
+        return {"swap": (v, (c, i, j)), "copy": real_pair(q, gens[0]),
+                "twist": (((c + 1) % q, i, j), v)}[corruption]
 
     def corrupted_perms(gam, H):
         perms = build_perms(gam, H)
-        perms[k] = _pair_perm(gam, corrupted_pairs(gam.p, H)[k])
+        perms[k] = _pair_perm(gam, corrupted_pair(gam.p, target))
         return perms
 
-    assert corrupted_pairs(p, H)[k] != build_pairs(p, H)[k]
-    monkeypatch.setattr(extraspecial, "section_pairs", corrupted_pairs)
+    assert corrupted_pair(p, target) != real_pair(p, target)
+    monkeypatch.setattr(extraspecial, "section_pair", corrupted_pair)
     monkeypatch.setattr(extraspecial, "section_perms", corrupted_perms)
-    assert not aut_certificate(p).ok
+    cert = aut_certificate(p)
+    assert _failed_fields(cert) == ["closure_matches", "section_is_gl2_image"] and not cert.ok
     assert not AutCertificate(**_two_pass_certificate(p)).ok
 
 
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("uv", [(0, 0), (1, 0), (0, 1), (2, 1), "column"])
 def test_corrupted_inner_permutation_fails_both_routes(p, uv, monkeypatch):
-    # two images swapped in the inner permutation of (u, v): the identity,
-    # a generating conjugation, or one that only the edge equations reach.
-    # "column" swaps two values in every inner(u, 2) at once, which keeps
-    # inner(u+1, 2) = inner(u, 2) o inner(1, 0) and breaks only the
-    # equations inner(0, v+1) = inner(0, v) o inner(0, 1) at v = 1 and 2
-    build = extraspecial.inner_perms
+    # the inner pair of (u, v) with its two images swapped: the identity,
+    # whose swap is the section of [[0, 1], [1, 0]], a generating
+    # conjugation, or one that only the edge equations reach.  "column"
+    # puts the automorphism swapping a and b after every inner(u, 2) at
+    # once, which keeps inner(u+1, 2) = inner(u, 2) o inner(1, 0) and breaks
+    # only the equations inner(0, v+1) = inner(0, v) o inner(0, 1) at v = 1
+    # and 2.  The two-pass route sees the maps the pairs evaluate to.
+    real = extraspecial.inner_pair
 
-    def corrupted(gam):
-        perms = build(gam)
+    def corrupted(q, u, v):
+        f = real(q, u, v)
         if uv == "column":
-            swap = {1: 2, 2: 1}
-            for u in range(p):
-                perms[u * p + 2] = tuple(swap.get(y, y) for y in perms[u * p + 2])
-        else:
-            k = uv[0] * p + uv[1]
-            perms[k] = _swap_two_images(perms[k])
-        return perms
+            return pair_compose(q, SWAP_AB, f) if v == 2 else f
+        return f[::-1] if (u, v) == uv else f
 
-    monkeypatch.setattr(extraspecial, "inner_perms", corrupted)
+    monkeypatch.setattr(extraspecial, "inner_pair", corrupted)
     cert = aut_certificate(p)
-    assert not cert.inner_are_conjugations and not cert.ok
+    want = ["intersection_trivial"] if uv == (0, 0) else []
+    assert _failed_fields(cert) == want + ["inner_are_conjugations"] and not cert.ok
     assert not AutCertificate(**_two_pass_certificate(p)).ok
 
 
@@ -339,52 +343,76 @@ def test_corrupted_inner_permutation_fails_both_routes(p, uv, monkeypatch):
 def test_inner_permutation_equal_to_a_section_breaks_the_intersection(p, monkeypatch):
     # inner(1, 1) replaced by the section of a transvection, which the
     # sections' pairs then meet outside the identity
-    build = extraspecial.inner_perms
-
-    def corrupted(gam):
-        perms = build(gam)
-        perms[p + 1] = section_perm(gam, (1, 1, 0, 1))
-        return perms
-
-    monkeypatch.setattr(extraspecial, "inner_perms", corrupted)
+    real = extraspecial.inner_pair
+    monkeypatch.setattr(extraspecial, "inner_pair", lambda q, u, v: (
+        section_pair(q, (1, 1, 0, 1)) if (u, v) == (1, 1) else real(q, u, v)))
     cert, old = aut_certificate(p), _two_pass_certificate(p)
     assert not cert.intersection_trivial and not old["intersection_trivial"]
+    assert _failed_fields(cert) == ["intersection_trivial", "inner_are_conjugations"]
     assert not cert.ok and not AutCertificate(**old).ok
 
 
 def test_inner_permutations_must_be_conjugations(monkeypatch):
-    # x -> z^(u*i^2 + v*j) * x over (u, v): a group of p^2 permutations
-    # that passes the edge equations and meets the sections only in the
-    # identity, but (1, 0) gives no automorphism
-    def quadratic_twists(gam):
-        p, shift = gam.p, gam.central_shift
-        return [tuple(shift[(u * i * i + v * j) % p][x]
-                      for x, (_, i, j) in enumerate(map(gam.decode, range(gam.order))))
-                for u in range(p) for v in range(p)]
-
-    monkeypatch.setattr(extraspecial, "inner_perms", quadratic_twists)
+    # the inner pairs with (u, v) read as (v, u): Inn(Gamma) is abelian, so
+    # these p^2 pairs pass the edge equations and meet the sections only in
+    # the identity, but (1, 0) is conjugation by b, not by a
+    real = extraspecial.inner_pair
+    monkeypatch.setattr(extraspecial, "inner_pair", lambda q, u, v: real(q, v, u))
     cert = aut_certificate(3)
     assert cert.inner_order == 9 and cert.intersection_trivial and cert.product_equals_scan
-    assert not cert.inner_are_conjugations and not cert.ok
+    assert _failed_fields(cert) == ["inner_are_conjugations"] and not cert.ok
     assert not AutCertificate(**_two_pass_certificate(3)).ok
 
 
 def test_non_automorphic_generator_section_fails(monkeypatch):
-    # a generator's pair (u, z*u): its images are dependent modulo Z(Gamma),
-    # so the homomorphism they extend to is no bijection
-    H = mat2_group(3, "GL")
-    g = greedy_generators(H)[0]
-    build = extraspecial.section_pairs
+    # the walk generator diag(xi, 1) gets the pair (u, z*u): its images are
+    # dependent modulo Z(Gamma), so the homomorphism they extend to is no
+    # bijection
+    real, g = extraspecial.section_pair, primitive_scaling_matrix(3)
 
-    def corrupted(p, H):
-        pairs = build(p, H)
-        u = pairs[g][0]
-        pairs[g] = (u, ((u[0] + 1) % p, u[1], u[2]))
-        return pairs
+    def corrupted(p, M):
+        u, v = real(p, M)
+        return (u, ((u[0] + 1) % p, u[1], u[2])) if M == g else (u, v)
 
-    monkeypatch.setattr(extraspecial, "section_pairs", corrupted)
+    monkeypatch.setattr(extraspecial, "section_pair", corrupted)
     cert = aut_certificate(3)
+    assert _failed_fields(cert) == ["closure_matches", "section_is_gl2_image",
+                                    "sections_are_automorphisms"]
     assert not cert.sections_are_automorphisms and not cert.ok
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_walk_generator_short_of_gl2_fails(p, monkeypatch):
+    # diag(xi^2, 1) in place of diag(xi, 1): every determinant the walk
+    # reaches is a square, so it stops short of GL2(F_p), and its pairs
+    # still compose as the matrices do
+    real = extraspecial.primitive_scaling_matrix
+    monkeypatch.setattr(extraspecial, "primitive_scaling_matrix",
+                        lambda q: (real(q)[0] ** 2 % q, 0, 0, 1))
+    cert = aut_certificate(p)
+    assert _failed_fields(cert) == ["closure_matches", "section_is_gl2_image"]
+    assert not cert.split and not cert.ok
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["GL", "SL", "USL", "UGL"])
+def test_section_walk_reaches_the_group_with_its_section_pairs(p, kind):
+    """The walk from generators of each 2x2 group: it reaches exactly the
+    elements of mat2_group, each with its section_pair, and certifies the
+    composition law, which test_section_composition_law checks in full.
+    From generators of a proper subgroup it reaches that subgroup and
+    certifies nothing."""
+    xi = smallest_primitive_root(p)
+    usl = list(d_sigma_matrices(p, xi))
+    gens = {"GL": _walk_generators(p), "SL": [(1, 1, 0, 1), (1, 0, 1, 1)], "USL": usl,
+            "UGL": usl + [primitive_scaling_matrix(p)]}[kind]
+    H = mat2_group(p, kind)
+    pairs, certified = section_walk(H, gens)
+    assert certified and list(pairs)[0] == (1, 0, 0, 1)
+    assert sorted(pairs) == H.elements
+    assert all(pair == section_pair(p, M) for M, pair in pairs.items())
+    pairs, certified = section_walk(H, gens[1:])
+    assert not certified and len(pairs) < H.order
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -457,7 +485,8 @@ def test_aut_ses_order_is_the_closure_of_inner_and_sections_at_p5():
     # Inn(Gamma) x| GL2(F5), closed from the inner automorphisms by a and b
     # and the sections of GL2's generators
     gam, gl = HeisenbergGroup(5), mat2_group(5, "GL")
-    gens = [inner_perm(gam, 1, 0), inner_perm(gam, 0, 1)]
+    inner = inner_perms(gam)
+    gens = [inner[5], inner[1]]  # conjugation by a and by b: (u, v) = (1, 0) and (0, 1)
     gens += [section_perm(gam, gl.elements[h]) for h in greedy_generators(gl)]
     check = _aut_ses(5)
     assert check.status == "pass"

@@ -236,14 +236,77 @@ def test_uncorrected_section_pairs_fail_the_aut_certificate(monkeypatch, index):
 @pytest.mark.parametrize("case", ["sup", "up"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_uncorrected_section_pairs_fail_the_coordinate_and_full_checks(monkeypatch, case, p):
-    # the same pairs where cases reads section_pair: D's pair loses its
-    # central correction, so conjugation by D is not its section, and the
-    # pairs of SL2 do not compose as SL2 does
-    monkeypatch.setattr(cases, "section_pair", lambda q, M: ((0, M[0], M[2]), (0, M[1], M[3])))
+    # the same pairs where cases reads section_pair and where section_walk
+    # does: D's pair loses its central correction, so conjugation by D is
+    # not its section, and the pairs of SL2 do not compose as SL2 does
+    def uncorrected(q, M):
+        return (0, M[0], M[2]), (0, M[1], M[3])
+
+    monkeypatch.setattr(cases, "section_pair", uncorrected)
+    monkeypatch.setattr(extraspecial, "section_pair", uncorrected)
     got = failed(verify_report(case, p))
     assert list(got) == ["rho.induced_coordinates", "normalizer.full_split",
                          "normalizer.chain_embedding"]
     assert got["normalizer.chain_embedding"] == {"index": None}
+
+
+@pytest.mark.parametrize("index", sorted(cases.AZ_PRIME_OF_INDEX))
+def test_walk_generator_short_of_gl2_fails_the_aut_certificate(monkeypatch, index):
+    # diag(xi^2, 1) in place of the walk generator diag(xi, 1): the walk
+    # reaches only matrices of square determinant, short of GL2(F_p).  The
+    # adams checks read cases' own primitive_scaling_matrix and still pass
+    real = extraspecial.primitive_scaling_matrix
+    monkeypatch.setattr(extraspecial, "primitive_scaling_matrix",
+                        lambda p: (real(p)[0] ** 2 % p, 0, 0, 1))
+    got = failed(verify_report("az", None, "--index", str(index)))
+    assert list(got) == ["az.aut_certificate", "az.aut_ses"]
+    p = cases.AZ_PRIME_OF_INDEX[index]
+    assert got["az.aut_ses"] == {"aut_order": p ** 3 * (p - 1) * (p * p - 1)}
+
+
+# az builder in cases -> (real builder -> its replacement)
+AZ_MUTATIONS = {
+    # diag(1, xi): of determinant xi and upper triangular, so it still
+    # extends USL2 to UGL2, but it fixes a and raises b
+    "scaling,diag(1,xi)": ("primitive_scaling_matrix",
+                           lambda real: lambda p: (1, 0, 0, real(p)[0])),
+    # diag(xi^2, 1): only square determinants, half of UGL2
+    "scaling,xi^2": ("primitive_scaling_matrix",
+                     lambda real: lambda p: (real(p)[0] ** 2 % p, 0, 0, 1)),
+    # sigma_g standing for diag(g^2, g^-2): no map from USL2 sends it to
+    # sigma_g, and the scaling matrix then extends only half of USL2's
+    # diagonal
+    "sigma,squared": ("d_sigma_matrices", lambda real: lambda p, k: real(p, k * k % p)),
+    # D standing for the identity: USL2's diagonal alone
+    "D,identity": ("d_sigma_matrices", lambda real: lambda p, k: ((1, 0, 0, 1), real(p, k)[1])),
+}
+AZ_FAILED = {
+    "scaling,diag(1,xi)": ("az.adams_shape", "az.adams_automorphism"),
+    "scaling,xi^2": ("az.adams_shape", "az.adams_automorphism", "az.adams_extends"),
+    "sigma,squared": ("rho.usl_iso", "rho.induced_coordinates", "az.adams_extends"),
+    "D,identity": ("rho.usl_iso", "rho.induced_coordinates", "az.adams_extends"),
+}
+
+
+@pytest.mark.parametrize("index", sorted(cases.AZ_PRIME_OF_INDEX))
+@pytest.mark.parametrize("mutation", list(AZ_MUTATIONS))
+def test_mutated_scaling_fails_the_adams_checks(monkeypatch, mutation, index):
+    """The az scaling checks on a mutated scaling matrix or on mutated
+    upper-triangular matrices for D and sigma_g: each run exits 1 with the
+    pinned failed ids."""
+    builder, replace = AZ_MUTATIONS[mutation]
+    monkeypatch.setattr(cases, builder, replace(getattr(cases, builder)))
+    got = failed(verify_report("az", None, "--index", str(index)))
+    assert list(got) == list(AZ_FAILED[mutation])
+    p = cases.AZ_PRIME_OF_INDEX[index]
+    xi = smallest_primitive_root(p)
+    if mutation.startswith("scaling"):
+        M = [1, 0, 0, xi] if mutation == "scaling,diag(1,xi)" else [xi * xi % p, 0, 0, 1]
+        assert got["az.adams_shape"] == {"matrix": M, "xi": xi}
+    if "az.adams_extends" in got:
+        ugl = p * (p - 1) ** 2
+        generated = (p - 1) ** 2 if mutation == "D,identity" else ugl // 2
+        assert got["az.adams_extends"] == {"generated": generated, "expected": ugl}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -322,3 +385,69 @@ def test_mutated_p2_tower_fails_its_checks(monkeypatch, mutation, case, level):
     if mutation == "torus,det_one":
         # 2^level-torsion on the diagonal of determinant one, and the swap
         assert got["normalizer.u2_torus_order"] == {"order": 2 ** (level + 1)}
+
+
+def _zeta8_times(mat: CycMatrix) -> CycMatrix:
+    return mat.scalar_mul(CycNum.zeta(mat.m, mat.m // 8))
+
+
+def _diag_zeta8(mat: CycMatrix) -> CycMatrix:
+    return CycMatrix(2, mat.m, [((0, CycNum.zeta(mat.m, mat.m // 8)),), ((1, CycNum.one(mat.m)),)])
+
+
+# mutation -> (catalog matrix, its replacement from the real one)
+P2_CAP_MUTATIONS = {
+    "F,zeta8F": ("F", _zeta8_times),
+    "H,zeta8H": ("H", _zeta8_times),
+    # diag(zeta_8, 1): of determinant zeta_8, so <A, B, F> is the monomial
+    # group of 8th roots, order 128, past Q16's cap of 64 as well
+    "F,diag(zeta8,1)": ("F", _diag_zeta8),
+}
+U2_FULL = ("normalizer.u2_full_order", "normalizer.u2_full_quotient")
+# (mutation, case, level) -> the failed ids, in report order
+P2_CAP_FAILED = {
+    ("F,zeta8F", "sup", 2): Q16_FAILED + O48_FAILED,
+    ("F,zeta8F", "up", 2): Q16_FAILED + O48_FAILED + ("normalizer.u2_chain_split",) + U2_FULL,
+    ("F,zeta8F", "up", 3): Q16_FAILED + O48_FAILED + ("normalizer.u2_chain_split",),
+    ("H,zeta8H", "sup", 2): O48_FAILED,
+    ("H,zeta8H", "up", 2): O48_FAILED + U2_FULL,
+    ("H,zeta8H", "up", 3): O48_FAILED,
+    ("F,diag(zeta8,1)", "sup", 2): Q16_FAILED + O48_FAILED,
+    ("F,diag(zeta8,1)", "up", 2): Q16_FAILED + O48_FAILED + (
+        "normalizer.u2_chain_order", "normalizer.u2_chain_split") + U2_FULL,
+    ("F,diag(zeta8,1)", "up", 3): Q16_FAILED + O48_FAILED + (
+        "normalizer.u2_chain_order", "normalizer.u2_chain_split") + U2_FULL,
+}
+
+
+@pytest.mark.parametrize("mutation, case, level", list(P2_CAP_FAILED),
+                         ids=["%s-%s-%d" % run for run in P2_CAP_FAILED])
+def test_p2_tower_past_its_cap_fails_its_checks(monkeypatch, mutation, case, level):
+    """zeta_8 F, zeta_8 H or diag(zeta_8, 1) in the p = 2 tower: each takes
+    <A, B, F, H> past its cap of 128, so normalizer.o48_order fails with
+    order null and the O48 checks that read the group fail with it.
+    zeta_8 F gives an order-32 chain; diag(zeta_8, 1) takes the chain past
+    its cap of 64 too, and with it the checks that read Q16.  At level 3
+    the scalar zeta_8 I lies in the scalar-extended models, so zeta_8 F and
+    zeta_8 H close there as before, apart from the split witness i*F*(AB),
+    whose determinant changes."""
+    which, replace = P2_CAP_MUTATIONS[mutation]
+    real = cases.std_matrix
+
+    def mutated(q, name, **kw):
+        mat = real(q, name, **kw)
+        return replace(mat) if name == which else mat
+
+    monkeypatch.setattr(cases, "std_matrix", mutated)
+    got = failed(verify_report(case, 2, "--level", str(level)))
+    assert list(got) == list(P2_CAP_FAILED[mutation, case, level])
+    assert got["normalizer.o48_order"] == {"order": None}
+    assert got["normalizer.o48_recognize"] == {"tag": None}
+    if mutation == "F,zeta8F":
+        assert got["normalizer.q16_order"] == {"order": 32}
+    if mutation == "F,diag(zeta8,1)":
+        assert got["normalizer.q16_order"] == {"order": None}
+        assert got["normalizer.q16_nonsplit"] == {"coset_profile": {}, "tuples_checked": None}
+    if "normalizer.u2_full_order" in got:
+        assert got["normalizer.u2_full_order"] == {
+            "order": None if mutation == "F,diag(zeta8,1)" else 192}
